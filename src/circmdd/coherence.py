@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import UnsupportedArityError
+from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import dot, primitive, vec_sub
 from .mdd import Mdd
 from .network import distance_table
@@ -167,7 +167,9 @@ def _solve_fm(cons, d: int):
         x = hi - 1
     else:
         if not lo < hi:
-            raise AssertionError("elimination produced an empty back interval")
+            raise InternalInconsistencyError(
+                "elimination produced an empty back interval"
+            )
         x = (lo + hi) / 2
     return tuple(sub) + (x,)
 
@@ -219,8 +221,10 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
         witness = _weight_from_coords(solution, r)
         for con in constraints:
             if dot(witness, con.alternative) <= dot(witness, con.chosen):
-                raise AssertionError(
-                    f"witness {witness} fails constraint at vertex {con.vertex}"
+                raise InternalInconsistencyError(
+                    f"witness {witness} fails constraint at vertex {con.vertex}",
+                    witness=list(witness),
+                    vertex=con.vertex,
                 )
         return CoherenceResult(True, witness, None)
 

@@ -14,6 +14,7 @@ diagrams.
 from __future__ import annotations
 
 import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 
@@ -117,6 +118,34 @@ def _angular_cmp_rays(wa, wb) -> int:
 _RAY_KEY = functools.cmp_to_key(_angular_cmp_rays)
 
 
+class _Octants(dict):
+    """Hilbert basis and short points of the single-negative octants.
+
+    Maps a sign pattern to (generators, points), where the points are
+    the sorted nonzero octant points of 1-norm at most the largest
+    generator norm: every point that candidate screening or a wall
+    check of this lattice looks at. Each octant is computed on first
+    use.
+    """
+
+    def __init__(self, lat: HomogeneousLattice):
+        super().__init__()
+        self.lat = lat
+
+    def __missing__(self, signs):
+        oct = OctantSemigroup(self.lat, signs)
+        elements = hilbert_basis(oct).elements
+        bound = max(map(norm1, elements), default=0)
+        self[signs] = value = (elements, octant_points_bounded(oct, bound))
+        return value
+
+
+# The octant data of the fan that fan_report is computing, set for the
+# duration of that call only: candidate_rays and verify_wall use it for
+# that lattice instead of recomputing it per call.
+_FAN_OCTANTS: ContextVar[_Octants | None] = ContextVar("_FAN_OCTANTS", default=None)
+
+
 def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     """All rays that can separate two diagram cones of this lattice.
 
@@ -128,13 +157,12 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     """
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
+    octants = _FAN_OCTANTS.get()
+    if octants is None or octants.lat != lat:
+        octants = _Octants(lat)
     found: dict[tuple[int, int, int], set] = {}
     for signs in SINGLE_NEGATIVE_SIGNS:
-        oct = OctantSemigroup(lat, signs)
-        elements = hilbert_basis(oct).elements
-        if not elements:
-            continue
-        pts = octant_points_bounded(oct, max(norm1(a) for a in elements))
+        elements, pts = octants[signs]
         for a in elements:
             nearby = [b for b in pts if norm1(b) <= norm1(a)]
             base = primitive(_orth_in_plane(a))
@@ -149,7 +177,7 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     return tuple(cands)
 
 
-def _check_wall_conditions(net, lat, table, ray, a):
+def _check_wall_conditions(net, lat, table, octants, ray, a):
     """None if a certifies the ray as a wall, else (condition, reason)."""
     plus = tuple(max(c, 0) for c in a)
     minus = tuple(max(-c, 0) for c in a)
@@ -167,11 +195,19 @@ def _check_wall_conditions(net, lat, table, ray, a):
             f"distance is {table.dist[v]}",
         )
     signs = tuple(-1 if c < 0 else 1 for c in a)
-    oct = OctantSemigroup(lat, signs)
-    if a not in hilbert_basis(oct).elements:
+    if octants is None:
+        # a one-off check computes only the points of norm at most ||a||
+        oct = OctantSemigroup(lat, signs)
+        elements = hilbert_basis(oct).elements
+        pts = octant_points_bounded(oct, norm1(a)) if a in elements else ()
+    else:
+        elements, pts = octants[signs]
+    if a not in elements:
         return (2, f"{a} is not a Hilbert generator of its octant")
-    for b in octant_points_bounded(oct, norm1(a)):
-        if dot(ray, b) < 0:
+    # the points include every point of norm at most ||a||, sorted
+    bound = norm1(a)
+    for b in pts:
+        if norm1(b) <= bound and dot(ray, b) < 0:
             return (
                 3,
                 f"octant point {b} lies strictly on the negative side of the ray",
@@ -189,9 +225,13 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
     its octant, and have no short octant point strictly on the negative
     side of the ray.
     """
-    lat = homogeneous_lattice(net)
-    if lat.r != 3:
-        raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
+    octants = _FAN_OCTANTS.get()
+    if octants is not None and octants.lat.net == net:
+        lat = octants.lat
+    else:
+        lat, octants = homogeneous_lattice(net), None
+        if lat.r != 3:
+            raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     ray = cand.ray
     direction = primitive(_orth_in_plane(ray))
     base = None
@@ -207,7 +247,7 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
     for a in (base, vec_neg(base)):
         if sum(1 for c in a if c < 0) != 1:
             continue
-        failure = _check_wall_conditions(net, lat, table, ray, a)
+        failure = _check_wall_conditions(net, lat, table, octants, ray, a)
         if failure is None:
             return Wall(ray=ray, witness=a)
         attempts.append(failure)
@@ -276,15 +316,19 @@ def fan_report(net: CirculantNetwork) -> FanReport:
     rather than absorbed.
     """
     lat = homogeneous_lattice(net)
-    cands = candidate_rays(lat)
     walls: list[Wall] = []
     rejections: list[WallRejection] = []
-    for cand in cands:
-        result = verify_wall(net, cand)
-        if isinstance(result, Wall):
-            walls.append(result)
-        else:
-            rejections.append(result)
+    token = _FAN_OCTANTS.set(_Octants(lat))
+    try:
+        cands = candidate_rays(lat)
+        for cand in cands:
+            result = verify_wall(net, cand)
+            if isinstance(result, Wall):
+                walls.append(result)
+            else:
+                rejections.append(result)
+    finally:
+        _FAN_OCTANTS.reset(token)
     walls.sort(key=lambda w: _RAY_KEY(w.ray))
     reps, mdds = _sample_sectors(net, walls)
     count = len({m.cells for m in mdds})

@@ -83,6 +83,11 @@ def encode(value) -> str:
     raise TypeError(f"no canonical encoding for {type(value).__name__}")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_mdd_document(text: str):
     """Parse the diagram JSON schema back into (network, cells).
 
@@ -99,9 +104,16 @@ def parse_mdd_document(text: str):
     netspec = doc.get("network")
     if not isinstance(netspec, dict) or "n" not in netspec or "steps" not in netspec:
         raise MalformedDocumentError("missing network {n, steps}")
-    if not isinstance(netspec["n"], int) or not isinstance(netspec["steps"], list):
-        raise MalformedDocumentError("network n must be an int and steps a list")
-    net = build_network(netspec["n"], netspec["steps"])
+    if (
+        not _is_int(netspec["n"])
+        or not isinstance(netspec["steps"], list)
+        or not all(_is_int(s) for s in netspec["steps"])
+    ):
+        raise MalformedDocumentError("network n must be an int and steps a list of ints")
+    try:
+        net = build_network(netspec["n"], netspec["steps"])
+    except ValueError as exc:
+        raise MalformedDocumentError(f"invalid network: {exc}") from exc
     raw = doc.get("cells")
     if not isinstance(raw, list):
         raise MalformedDocumentError("cells must be a list")
@@ -109,9 +121,9 @@ def parse_mdd_document(text: str):
     for entry in raw:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("vertex"), int)
+            or not _is_int(entry.get("vertex"))
             or not isinstance(entry.get("path"), list)
-            or not all(isinstance(c, int) for c in entry["path"])
+            or not all(_is_int(c) for c in entry["path"])
         ):
             raise MalformedDocumentError(
                 "each cell must be {vertex: int, path: [int]}"

@@ -8,6 +8,7 @@ the fast paths can be pinned against them.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -154,3 +155,29 @@ def mdds_by_backtracking(n: int, steps):
 
     extend(0)
     return sorted(found)
+
+
+def coherent_cells_by_definition(n: int, steps, w, tie_policy: str = "error"):
+    """Least-weight minimal routing per vertex, read off the definition.
+
+    Weights are compared as Fractions, unscaled. The routings of a
+    vertex are taken in lexicographic order (minimal_paths_by_scan
+    sorts them). With tie_policy="error", routing j of a vertex ties
+    when its weight equals the least weight of routings 0..j-1; the
+    first such routing, over vertices in order, is returned as
+    ("tie", (vertex, earliest routing of that least weight, routing j)).
+    Otherwise ("cells", cells), where each vertex takes the earliest
+    routing of least weight (with "lex" this is the tie-break).
+    """
+    w = [Fraction(x) for x in w]
+    _, paths = minimal_paths_by_scan(n, steps)
+    cells = []
+    for v, routes in enumerate(paths):
+        weights = [sum(x * c for x, c in zip(w, a)) for a in routes]
+        if tie_policy == "error":
+            for j in range(1, len(routes)):
+                least = min(weights[:j])
+                if weights[j] == least:
+                    return "tie", (v, routes[weights.index(least)], routes[j])
+        cells.append(routes[weights.index(min(weights))])
+    return "cells", tuple(cells)

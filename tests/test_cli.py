@@ -121,6 +121,47 @@ def test_mdd_check_missing_file():
     assert json.loads(err)["error"]["code"] == "malformed-document"
 
 
+VALID_C4_CELLS = [
+    {"vertex": 0, "path": [0, 0]},
+    {"vertex": 1, "path": [1, 0]},
+    {"vertex": 2, "path": [2, 0]},
+    {"vertex": 3, "path": [0, 1]},
+]
+
+
+@pytest.mark.parametrize(
+    "network, cells",
+    [
+        ({"n": 0, "steps": [1, 3]}, []),
+        ({"n": 4, "steps": []}, VALID_C4_CELLS),
+        ({"n": 4, "steps": ["1", 3]}, VALID_C4_CELLS),
+        ({"n": True, "steps": [1]}, [{"vertex": 0, "path": [0]}]),
+        (
+            {"n": 4, "steps": [1, 3]},
+            VALID_C4_CELLS[:3] + [{"vertex": 3, "path": [False, True]}],
+        ),
+        (
+            {"n": 4, "steps": [1, 3]},
+            VALID_C4_CELLS[:1] + [{"vertex": True, "path": [1, 0]}] + VALID_C4_CELLS[2:],
+        ),
+    ],
+    ids=["n-zero", "no-steps", "string-step", "boolean-n", "boolean-path", "boolean-vertex"],
+)
+def test_mdd_check_malformed_network_or_cells(tmp_path, network, cells):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"network": network, "cells": cells}))
+    code, out, err = run_cli(["mdd", "check", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == "malformed-document"
+
+
+def test_mdd_check_accepts_the_valid_c4_document(tmp_path):
+    path = tmp_path / "diagram.json"
+    doc = {"network": {"n": 4, "steps": [1, 3]}, "cells": VALID_C4_CELLS}
+    path.write_text(json.dumps(doc))
+    assert run_json(["mdd", "check", str(path)])["valid"] is True
+
+
 def test_lattice_hilbert():
     doc = run_json(["lattice", "hilbert", "8", "2,3,7"])
     assert doc["total_elements"] == 10

@@ -3,6 +3,7 @@
 import pytest
 
 from circmdd import (
+    InternalInconsistencyError,
     UnsupportedArityError,
     build_coherent_mdd,
     build_network,
@@ -12,7 +13,7 @@ from circmdd import (
     validate_mdd,
 )
 from circmdd.coherence import _reduced_coords, _solve_fm, _solve_sweep2
-from circmdd.intlin import dot, primitive, vec_sub
+from circmdd.intlin import dot, primitive, vec_neg, vec_sub
 
 
 def non_coherent_example():
@@ -195,3 +196,32 @@ def test_triple_loop_coherence_matches_plane_solver():
                         dirs.add(primitive(_reduced_coords(vec_sub(alt, chosen))))
             fm = _solve_fm(sorted(dirs), 2) if dirs else ()
             assert result.coherent == (fm is not None)
+
+
+def test_failed_witness_check_is_an_internal_inconsistency(monkeypatch):
+    # a solver bug that returns a weight violating a constraint must
+    # surface as the typed internal error, not a bare assertion
+    from circmdd import coherence
+
+    mdd = build_coherent_mdd(build_network(9, [1, 4, 7]), (7, 2, 0))
+    good = is_coherent(mdd).witness
+    monkeypatch.setattr(coherence, "_weight_from_coords", lambda xs, r: vec_neg(good))
+    with pytest.raises(InternalInconsistencyError) as info:
+        is_coherent(mdd)
+    assert info.value.details["witness"] == list(vec_neg(good))
+
+
+def test_empty_back_interval_is_an_internal_inconsistency(monkeypatch):
+    # x0 + x1 > 0 and x0 - x1 > 0 need x0 > 0; a wrong sub-solution
+    # x0 = -1 leaves no room for x1 during back substitution
+    from fractions import Fraction
+
+    from circmdd import coherence
+
+    monkeypatch.setattr(
+        coherence,
+        "_solve_fm",
+        lambda cons, d: (Fraction(-1),) if d == 1 else _solve_fm(cons, d),
+    )
+    with pytest.raises(InternalInconsistencyError):
+        _solve_fm([(1, 1), (1, -1)], 2)

@@ -7,6 +7,7 @@ from circmdd import (
     UnsupportedArityError,
     Wall,
     WallRejection,
+    build_family,
     build_network,
     candidate_rays,
     coherent_fan,
@@ -103,6 +104,71 @@ def test_fan_c7_1_2_4_unique():
     assert report.summary.mdd_count == 1
     assert report.candidates
     assert all(r.failed_condition == 1 for r in report.rejections)
+
+
+@pytest.mark.parametrize("n, steps", [(7, [1, 2, 4]), (8, [2, 3, 7]), (9, [1, 4, 7])])
+def test_standalone_verify_wall_matches_fan_report(n, steps):
+    # the fan shares its octant data between candidates; checking each
+    # candidate on its own must give the same walls and rejections
+    net = build_network(n, steps)
+    report = fan_report(net)
+    assert report.candidates == candidate_rays(homogeneous_lattice(net))
+    results = [verify_wall(net, c) for c in report.candidates]
+    walls = sorted((x for x in results if isinstance(x, Wall)), key=lambda w: w.ray)
+    assert walls == sorted(report.walls, key=lambda w: w.ray)
+    assert [x for x in results if isinstance(x, WallRejection)] == list(report.rejections)
+
+
+def test_fan_report_computes_each_octant_once(monkeypatch):
+    # candidate_rays and verify_wall share the fan's octant data only for
+    # the duration of fan_report, which still calls both
+    import circmdd.fan as fan
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("hilbert_basis", "candidate_rays", "verify_wall"):
+        monkeypatch.setattr(fan, name, counted(name, getattr(fan, name)))
+    report = fan_report(build_network(9, [1, 4, 7]))
+    assert calls.count("hilbert_basis") == 3
+    assert calls.count("candidate_rays") == 1
+    assert calls.count("verify_wall") == len(report.candidates) > 0
+    assert fan._FAN_OCTANTS.get() is None
+    with pytest.raises(UnsupportedArityError):
+        fan_report(build_network(9, [1, 4]))
+    assert fan._FAN_OCTANTS.get() is None
+
+
+# Sector representatives of the family lifts. Some sectors need retries
+# past a weight tie with the running least weight at a vertex (the
+# prefix-tie rule of build_coherent_mdd), so a census that decides ties
+# differently, e.g. only at the minimum, moves a representative such as
+# (-24,15,9) or (-95,52,43).
+FAMILY_SECTOR_REPRESENTATIVES = {
+    2: (
+        (7, -5, -2), (5, -2, -3), (7, 0, -7), (3, 6, -9), (-2, 7, -5), (-3, 5, -2),
+        (-7, 7, 0), (-24, 15, 9), (-5, -2, 7), (-2, -3, 5), (0, -7, 7), (6, -9, 3),
+    ),
+    5: (
+        (13, -8, -5), (19, -9, -10), (57, -25, -32), (69, -27, -42), (35, -11, -24),
+        (13, 3, -16), (3, 15, -18), (-5, 13, -8), (-10, 19, -9), (-32, 57, -25),
+        (-42, 69, -27), (-24, 35, -11), (-16, 13, 3), (-95, 52, 43), (-8, -5, 13),
+        (-9, -10, 19), (-25, -32, 57), (-27, -42, 69), (-11, -24, 35), (3, -16, 13),
+        (15, -18, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_family_sector_representatives_are_pinned(q):
+    summary = coherent_fan(build_family(q).lifted)
+    assert summary.sector_representatives == FAMILY_SECTOR_REPRESENTATIVES[q]
+    assert summary.mdd_count == 3 * (q + 2)
 
 
 def test_fan_lifted_c72_attains_every_screened_ray():

@@ -1,5 +1,8 @@
 """Diagram construction, validation, enumeration, and staircases."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from circmdd import (
@@ -21,7 +24,9 @@ from circmdd import (
     validate_mdd,
 )
 
-from oracles import brute_force_mdds, is_down_closed
+from circmdd.errors import CircmddError
+
+from oracles import brute_force_mdds, coherent_cells_by_definition, is_down_closed
 
 
 def test_build_weighted_picks_cheap_horizontal_steps():
@@ -45,6 +50,59 @@ def test_build_weight_tie_detected():
     }
     table = distance_table(net)
     assert set(table.minimal_paths[7]) == {(3, 1), (0, 4)}
+
+
+@pytest.mark.parametrize(
+    "w", [(-9, 3, 6), (Fraction(-3, 2), Fraction(1, 2), Fraction(1))]
+)
+def test_build_weight_tie_is_a_prefix_tie(w):
+    # at vertex 1 the lex scan holds (0,8,1) at weight 30 when (1,3,5)
+    # ties it; later routings are lighter and the least, (7,1,1) at -54,
+    # is unique, but the tie with the running least still raises
+    net = build_network(56, [9, 17, 33])
+    routes = distance_table(net).minimal_paths[1]
+    weights = [sum(x * c for x, c in zip((-9, 3, 6), a)) for a in routes]
+    assert min(weights) == -54 and weights.count(-54) == 1
+    assert routes[weights.index(-54)] == (7, 1, 1)
+    with pytest.raises(WeightTieError) as info:
+        build_coherent_mdd(net, w)
+    assert info.value.details == {"vertex": 1, "first": [0, 8, 1], "second": [1, 3, 5]}
+    assert str(info.value) == (
+        f"weight {tuple(w)} does not separate minimal routings "
+        "(0, 8, 1) and (1, 3, 5) to vertex 1"
+    )
+
+
+def _random_weight(rng, r):
+    if rng.random() < 0.5:
+        return tuple(rng.randrange(-3, 4) for _ in range(r))
+    return tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_build_matches_definition_on_random_networks(r):
+    rng = random.Random(2007 + r)
+    checked = ties = 0
+    while checked < 40:
+        n = rng.randrange(r + 2, 40)
+        steps = rng.sample(range(1, n), r)
+        try:
+            net = build_network(n, steps)
+        except CircmddError:
+            continue
+        checked += 1
+        for _ in range(3):
+            w = _random_weight(rng, r)
+            for policy in ("error", "lex"):
+                kind, expected = coherent_cells_by_definition(n, net.steps, w, policy)
+                try:
+                    got = ("cells", build_coherent_mdd(net, w, policy).cells)
+                except WeightTieError as exc:
+                    d = exc.details
+                    got = ("tie", (d["vertex"], tuple(d["first"]), tuple(d["second"])))
+                    ties += 1
+                assert got == (kind, expected), (net, w, policy)
+    assert ties  # small weights tie often enough to exercise the error path
 
 
 def test_build_lex_policy_resolves_ties():
