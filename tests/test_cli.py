@@ -1,5 +1,6 @@
 """Command line surface: output schemas, exit codes, error JSON."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -225,3 +226,76 @@ def test_output_is_byte_stable():
     one = run_cli(["fan", "9", "1,4,7"])
     two = run_cli(["fan", "9", "1,4,7"])
     assert one == two
+
+
+# sha256 of stdout + stderr and the exit code of each command, recorded
+# before the routing kernel and the angular-order helpers were merged;
+# any change to an output byte, including error output, shows here.
+GOLDEN_DOCUMENTS = {
+    "valid.json": {
+        "network": {"n": 8, "steps": [1, 3, 5, 7]},
+        "cells": [
+            {"vertex": 0, "path": [0, 0, 0, 0]},
+            {"vertex": 1, "path": [1, 0, 0, 0]},
+            {"vertex": 2, "path": [2, 0, 0, 0]},
+            {"vertex": 3, "path": [0, 1, 0, 0]},
+            {"vertex": 4, "path": [0, 0, 1, 1]},
+            {"vertex": 5, "path": [0, 0, 1, 0]},
+            {"vertex": 6, "path": [0, 2, 0, 0]},
+            {"vertex": 7, "path": [0, 0, 0, 1]},
+        ],
+    },
+    "invalid.json": {
+        "network": {"n": 4, "steps": [1, 3]},
+        "cells": VALID_C4_CELLS[:2] + [
+            {"vertex": 2, "path": [0, 2]},
+            {"vertex": 3, "path": [3, 0]},
+        ],
+    },
+    "malformed.json": {
+        "network": {"n": 4, "steps": ["1", 3]},
+        "cells": VALID_C4_CELLS,
+    },
+}
+
+GOLDEN = {
+    "net-info-r1": ("net info 11 3", 0, "21d47a13c8ab1a05d6163bf2f7cd9508fc77e30a37b80e6ad818be5cc6b4f6a3"),
+    "net-info-r2": ("net info 10 1,6", 0, "ca8f7f66b14c5f35f8c1c7c664686f13fa8a27165ef2708ef8e36f4b0390a0c5"),
+    "net-info-r3": ("net info 9 1,4,7", 0, "3b4dc48e2533edd11b8380de3af897551e41cd1bf3ab75acabcc2ed0d27f06da"),
+    "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
+    "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
+    "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),
+    "mdd-build-svg": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg", 0, "f8756fa620364d89a66a483edb4fef1c0f9b153f93eeb96008b72d5d870588b5"),
+    "mdd-build-tie-lex": ("mdd build 9 1,4 --weight 1,1 --tie lex", 0, "c8e563cd3ec4ee8d7e2579d927f2e32db8868c5414cee323fcbad43d416f3490"),
+    "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
+    "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
+    "mdd-enumerate-budget": ("mdd enumerate 9 1,4,7 --budget 5", 1, "c77905d6937672f42ff5beb314d1bc814f3db1d9e71da1d98e8d0feefa76e715"),
+    "mdd-check-valid": ("mdd check valid.json", 0, "dd9a3606ca47c350519cce577acfefa6fba34c222ca513260d533a5c510cd7dd"),
+    "mdd-check-invalid": ("mdd check invalid.json", 0, "5f7a2baebe3e24aba66127cc4fe427b2d2a04d3bf9d006833c2982d4b355fc53"),
+    "mdd-check-malformed": ("mdd check malformed.json", 1, "27937362a82d88d8afc73e685912349a7e34f4790f84b6dd29aa26a3442b4b86"),
+    "lattice-hilbert-r2": ("lattice hilbert 10 1,6", 0, "3d75b36f421deb4fce7cbae1f43a8bc3f12286d6cddfdd7447286795e70fb8e8"),
+    "lattice-hilbert-r3": ("lattice hilbert 8 2,3,7", 0, "7d5ac3e312670638a371a7b90ff30f5854d1783dbd63be7eaca9808f6b3c461e"),
+    "lattice-hilbert-r4": ("lattice hilbert 8 1,3,5,7", 0, "1a17b52a2b0f17a8bc6eb3ee2dd44e08e54e1b2c678fd2991e83e18907dc2935"),
+    "fan-c9": ("fan 9 1,4,7", 0, "e79fe3af34cbb321ded32b83835994301b76ef9fc5c0e18c1902c8c05a2485dc"),
+    "fan-c72": ("fan 72 19,28,64", 0, "bc5f1972e139e01e919b91eaf2f613c6e7b78e226e4532473cbe222de5fe9c46"),
+    "fan-unique": ("fan 7 1,2,4", 0, "70f04018ff3cb996a66bfe24c8708755fdf42fd0914f629ba8243568c3b863df"),
+    "fan-r2": ("fan 10 1,6", 1, "f003cb3968eba627fe30fc0d098a4a94a8ed876c94a52b3f6519f7765055529a"),
+    "family-build-2": ("family build 2", 0, "8a282ecb9c479ef97e6039f75672b46f05e3da06a1e431ac03ca3bfbbabc95b5"),
+    "family-build-k-t": ("family build 2 --k 9 --t 2", 0, "0a27a02d4d1e883974e08fd8dc0795592f218c0c81f1324d8505c2d1ba3f6c44"),
+    "family-build-q4": ("family build 4", 1, "ab28ca6937129f485f9ac0a220fddafb6f0e045adcdba1af962fa02b8a858612"),
+    "family-verify-2": ("family verify 2", 0, "c57c6f739cd6a179ae45c5d3a524c34e39a18252563cb7cbbcb7b9136e4a1abc"),
+    "family-verify-3": ("family verify 3", 0, "53e78f5b2fba0d0c5f39a686768ab79702b9fbcad94e198b68d6fee93ad34eb4"),
+    "family-verify-5": ("family verify 5", 0, "38893548ec1b06aab8981c782245e8eb12a81db30d4f0fc85b632ea019d767e7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(tmp_path, monkeypatch, case):
+    command, expected_code, digest = GOLDEN[case]
+    for name, doc in GOLDEN_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(command.split())
+    assert code == expected_code
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
