@@ -8,23 +8,16 @@ sum(a_l * s_l) = i mod n; its length is the coordinate sum.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _paths_py
 from .errors import (
     ArityMismatchError,
     DisconnectedError,
     DuplicateStepError,
     ZeroStepError,
 )
-
-try:
-    from . import _paths_c
-except ImportError:  # extension not built; the pure twin covers everything
-    _paths_c = None
 
 PathVector = tuple[int, ...]
 
@@ -100,34 +93,72 @@ def vertex_of(net: CirculantNetwork, a) -> int:
     return sum(c * s for c, s in zip(a, net.steps)) % net.n
 
 
-def _use_compiled(n: int, r: int) -> bool:
-    if _paths_c is None:
-        return False
-    if os.environ.get("CIRCMDD_PURE_PYTHON"):
-        return False
-    return n < _paths_c.MAX_N and r <= _paths_c.MAX_R
-
-
 def active_kernel(net: CirculantNetwork) -> str:
-    """Which minimal-path kernel distance_table would use for this network."""
-    return "compiled" if _use_compiled(net.n, net.r) else "pure-python"
+    """Which minimal-path kernel distance_table uses for this network."""
+    return "pure-python"
+
+
+def _minimal_path_table(n: int, steps) -> tuple[list[int], list[tuple[PathVector, ...]]]:
+    """Distances from vertex 0 plus all minimal routing vectors per vertex.
+
+    Level expansion: level d + 1 extends every minimal vector of level d
+    by one arc of each step, dropping vectors that land on a vertex
+    finished at an earlier level. Vectors are packed into integers, one
+    field of n.bit_length() bits per coordinate, first coordinate
+    highest. Coordinates are at most the diameter, which is below n, so
+    fields never carry and integer order is lexicographic order. Each
+    level is unpacked to sorted tuples as soon as it is complete; only
+    the frontier stays packed.
+    """
+    r = len(steps)
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * (r - 1 - l) for l in range(r)]
+    arcs = [(s % n, (1 << shift).__add__) for s, shift in zip(steps, shifts)]
+    dist = [-1] * n
+    paths: list[tuple[PathVector, ...]] = [()] * n
+    dist[0] = 0
+    paths[0] = ((0,) * r,)
+    frontier = {0: [0]}
+    done = 1
+    d = 0
+    while done < n:
+        if not frontier:
+            raise DisconnectedError(
+                f"vertex 0 reaches {done} of {n} vertices", n=n
+            )
+        d += 1
+        pending: dict[int, set[int]] = {}
+        for v, codes in frontier.items():
+            for s, add in arcs:
+                u = v + s
+                if u >= n:
+                    u -= n
+                du = dist[u]
+                if du == -1:
+                    dist[u] = d
+                    done += 1
+                    pending[u] = set(map(add, codes))
+                elif du == d:
+                    pending[u].update(map(add, codes))
+        frontier = {}
+        for u, bucket in pending.items():
+            codes = frontier[u] = sorted(bucket)
+            columns = [[(c >> shift) & mask for c in codes] for shift in shifts]
+            paths[u] = tuple(zip(*columns))
+    return dist, paths
 
 
 @lru_cache(maxsize=64)
 def distance_table(net: CirculantNetwork) -> DistanceTable:
     """All distances and all minimal routing vectors of the network.
 
-    Level expansion (see the kernel twins): P_i holds every vector of
-    norm dist[i] reaching i, sorted lexicographically. Cached per
-    network; the table is immutable and safe to share.
+    P_i holds every vector of norm dist[i] reaching i, sorted
+    lexicographically (see _minimal_path_table). Cached per network;
+    the table is immutable and safe to share.
     """
-    if _use_compiled(net.n, net.r):
-        dist, paths = _paths_c.minimal_path_table(net.n, net.steps)
-    else:
-        dist, paths = _paths_py.minimal_path_table(net.n, net.steps)
-    return DistanceTable(
-        net, tuple(dist), tuple(tuple(vecs) for vecs in paths)
-    )
+    dist, paths = _minimal_path_table(net.n, net.steps)
+    return DistanceTable(net, tuple(dist), tuple(paths))
 
 
 def network_stats(net: CirculantNetwork) -> tuple[int, Fraction]:

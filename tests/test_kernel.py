@@ -1,80 +1,53 @@
-"""Parity between the compiled minimal-path kernel and the pure twin."""
+"""The routing kernel against the exhaustive-scan oracle.
+
+distance_table packs each routing vector into one integer with a field
+of n.bit_length() bits per coordinate; these tests compare its tables
+with minimal_paths_by_scan, which uses plain tuples throughout.
+"""
 
 import random
 
 import pytest
 
-from circmdd import _paths_py, build_network
-from circmdd.errors import CircmddError
+from circmdd import CirculantNetwork, build_network, distance_table
+from circmdd.errors import CircmddError, DisconnectedError
 
-try:
-    from circmdd import _paths_c
-except ImportError:
-    _paths_c = None
+from oracles import minimal_paths_by_scan
 
-needs_compiled = pytest.mark.skipif(
-    _paths_c is None, reason="compiled kernel not built"
-)
+# largest n drawn per step count, so that the oracle's scan stays small
+MAX_N = {1: 200, 2: 150, 3: 100, 4: 60, 5: 40}
 
 
-@needs_compiled
-def test_kernels_agree_on_fixed_networks():
-    for n, steps in [
-        (10, [1, 6]), (9, [1, 4, 7]), (8, [1, 3, 5, 7]), (56, [9, 17, 33]),
-        (72, [19, 28, 64]), (992, [33, 161, 801]), (11, [1]),
-    ]:
-        net = build_network(n, steps)
-        assert _paths_c.minimal_path_table(net.n, net.steps) == (
-            _paths_py.minimal_path_table(net.n, net.steps)
-        )
+def assert_matches_oracle(net):
+    table = distance_table(net)
+    dist, paths = minimal_paths_by_scan(net.n, net.steps)
+    assert list(table.dist) == dist, net
+    assert [list(p) for p in table.minimal_paths] == paths, net
 
 
-@needs_compiled
-def test_kernels_agree_on_random_networks():
-    rng = random.Random(31337)
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_kernel_matches_scan_oracle_on_random_networks(r):
+    rng = random.Random(4000 + r)
     tried = 0
     while tried < 60:
-        n = rng.randint(2, 80)
-        r = rng.randint(1, min(4, n - 1))
-        steps = rng.sample(range(1, n), r)
+        n = rng.randint(r + 1, MAX_N[r])
         try:
-            net = build_network(n, steps)
+            net = build_network(n, rng.sample(range(1, n), r))
         except CircmddError:
             continue
         tried += 1
-        assert _paths_c.minimal_path_table(net.n, net.steps) == (
-            _paths_py.minimal_path_table(net.n, net.steps)
-        )
+        assert_matches_oracle(net)
 
 
-@needs_compiled
-def test_compiled_kernel_refuses_out_of_bounds():
-    with pytest.raises(OverflowError):
-        _paths_c.minimal_path_table(1 << 15, [1])
-    with pytest.raises(OverflowError):
-        _paths_c.minimal_path_table(11, [1, 2, 4, 7, 9])
+@pytest.mark.parametrize("n", [63, 64, 65, 255, 256, 257])
+def test_single_loop_fills_its_coordinate_field(n):
+    # the last vertex needs n - 1 arcs, the largest coordinate any
+    # network of size n can reach
+    net = build_network(n, [1])
+    assert distance_table(net).minimal_paths[n - 1] == ((n - 1,),)
+    assert_matches_oracle(net)
 
 
-def test_pure_twin_handles_more_than_four_steps():
-    net = build_network(11, [1, 2, 4, 7, 9])
-    dist, paths = _paths_py.minimal_path_table(net.n, net.steps)
-    assert dist[0] == 0
-    assert all(d >= 0 for d in dist)
-
-
-def test_dispatch_env_override(monkeypatch):
-    from circmdd import network as network_mod
-
-    net = build_network(10, [1, 6])
-    monkeypatch.setenv("CIRCMDD_PURE_PYTHON", "1")
-    assert network_mod.active_kernel(net) == "pure-python"
-    monkeypatch.delenv("CIRCMDD_PURE_PYTHON")
-    if _paths_c is not None:
-        assert network_mod.active_kernel(net) == "compiled"
-
-
-def test_dispatch_prefers_pure_twin_beyond_packing_bounds():
-    from circmdd import network as network_mod
-
-    big = build_network((1 << 15) + 1, [1])
-    assert network_mod.active_kernel(big) == "pure-python"
+def test_unvalidated_disconnected_network_raises():
+    with pytest.raises(DisconnectedError):
+        distance_table(CirculantNetwork(6, (2, 4)))
