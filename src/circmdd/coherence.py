@@ -11,13 +11,12 @@ elimination for four. Everything is integer or rational arithmetic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistencyError, UnsupportedArityError
-from .intlin import dot, primitive, vec_sub
+from .intlin import angular_key, cross, dot, primitive, vec_sub
 from .mdd import Mdd
 from .network import distance_table
 
@@ -67,14 +66,6 @@ def _solve_1d(cons):
     return None
 
 
-def _half(p) -> int:
-    return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-
-
-def _cross(p, q) -> int:
-    return p[0] * q[1] - p[1] * q[0]
-
-
 def _solve_sweep2(cons):
     """Strict feasibility of open half-planes through the origin in 2-D.
 
@@ -88,23 +79,12 @@ def _solve_sweep2(cons):
         n0 = normals[0]
         return (Fraction(n0[0]), Fraction(n0[1]))
 
-    def cmp(a, b):
-        ha, hb = _half(a), _half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = _cross(a, b)
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    normals.sort(key=functools.cmp_to_key(cmp))
+    normals.sort(key=angular_key)
     m = len(normals)
     for i in range(m):
         a = normals[i]
         b = normals[(i + 1) % m]
-        if _cross(a, b) < 0:
+        if cross(a, b) < 0:
             # ccw gap from a to b exceeds pi, so the normals fit in an
             # open half-plane; the arc of feasible directions runs from
             # a rotated clockwise to b rotated counterclockwise

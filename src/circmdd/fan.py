@@ -13,7 +13,6 @@ diagrams.
 
 from __future__ import annotations
 
-import functools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
@@ -25,7 +24,7 @@ from .errors import (
     UnsupportedArityError,
     WeightTieError,
 )
-from .intlin import dot, norm1, primitive, vec_neg, vec_scale
+from .intlin import angular_key, cross, dot, norm1, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
     OctantSemigroup,
@@ -94,30 +93,6 @@ def _plane_vector(p) -> tuple[int, int, int]:
     return (x, y - x, -y)
 
 
-def _half(p) -> int:
-    return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-
-
-def _cross(p, q) -> int:
-    return p[0] * q[1] - p[1] * q[0]
-
-
-def _angular_cmp_rays(wa, wb) -> int:
-    pa, pb = _plane_coords(wa), _plane_coords(wb)
-    ha, hb = _half(pa), _half(pb)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cr = _cross(pa, pb)
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
-    return 0
-
-
-_RAY_KEY = functools.cmp_to_key(_angular_cmp_rays)
-
-
 class _Octants(dict):
     """Hilbert basis and short points of the single-negative octants.
 
@@ -173,7 +148,7 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
         RayCandidate(ray, tuple(sorted(sources)))
         for ray, sources in found.items()
     ]
-    cands.sort(key=lambda c: _RAY_KEY(c.ray))
+    cands.sort(key=lambda c: angular_key(_plane_coords(c.ray)))
     return tuple(cands)
 
 
@@ -277,7 +252,7 @@ def _sample_sectors(net, walls):
     for i in range(m):
         a2 = _plane_coords(walls[i].ray)
         b2 = _plane_coords(walls[(i + 1) % m].ray)
-        cr = _cross(a2, b2)
+        cr = cross(a2, b2)
         if cr > 0:
             rep = (a2[0] + b2[0], a2[1] + b2[1])
         elif cr == 0 and (a2[0] * b2[0] + a2[1] * b2[1]) < 0:
@@ -329,7 +304,7 @@ def fan_report(net: CirculantNetwork) -> FanReport:
                 rejections.append(result)
     finally:
         _FAN_OCTANTS.reset(token)
-    walls.sort(key=lambda w: _RAY_KEY(w.ray))
+    walls.sort(key=lambda w: angular_key(_plane_coords(w.ray)))
     reps, mdds = _sample_sectors(net, walls)
     count = len({m.cells for m in mdds})
     expected = len(walls) if walls else 1

@@ -6,6 +6,7 @@ to worry about anywhere in the lattice machinery.
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 
 
@@ -46,6 +47,36 @@ def dot(u, v):
 
 def norm1(u):
     return sum(abs(a) for a in u)
+
+
+def cross(p, q) -> int:
+    """The z-component of the cross product of two plane vectors."""
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def half_plane(p) -> int:
+    """0 for angles in [0, pi) from the positive x-axis, 1 for [pi, 2*pi)."""
+    return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
+
+
+def angular_cmp(p, q) -> int:
+    """Order nonzero plane vectors by angle from the positive x-axis.
+
+    Counterclockwise, exactly: by half-plane first, then by the sign of
+    the cross product; vectors pointing the same way compare equal.
+    """
+    hp, hq = half_plane(p), half_plane(q)
+    if hp != hq:
+        return -1 if hp < hq else 1
+    c = cross(p, q)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+angular_key = functools.cmp_to_key(angular_cmp)
 
 
 def primitive(u):

@@ -26,6 +26,7 @@ from .errors import (
     WeightTieError,
     WrongVertexError,
 )
+from .intlin import norm1
 from .lattice import homogeneous_lattice
 from .network import CirculantNetwork, PathVector, distance_table, vertex_of
 
@@ -299,19 +300,15 @@ def _lattice_ball(net: CirculantNetwork, bound: int):
             if x == 0:
                 continue
             b = (x, -x)
-            if norm_ok(b, bound) and lat.contains(b):
+            if norm1(b) <= bound and lat.contains(b):
                 points.append(b)
     else:
         for x in range(-bound, bound + 1):
             for y in range(-bound, bound + 1):
                 b = (x, y, -x - y)
-                if (x or y) and norm_ok(b, bound) and lat.contains(b):
+                if (x or y) and norm1(b) <= bound and lat.contains(b):
                     points.append(b)
     return points
-
-
-def norm_ok(b, bound) -> bool:
-    return sum(abs(c) for c in b) <= bound
 
 
 def is_unique_mdd(net: CirculantNetwork) -> bool:

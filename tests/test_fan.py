@@ -238,18 +238,17 @@ def test_sector_representatives_rebuild_distinct_diagrams():
 
 
 def test_walls_are_in_circular_order():
-    from circmdd.fan import _plane_coords, _cross, _half
+    from circmdd.fan import _plane_coords
+    from circmdd.intlin import cross, half_plane
 
     summary = coherent_fan(build_network(9, [1, 4, 7]))
     points = [_plane_coords(w.ray) for w in summary.walls]
-    keys = []
-    for p in points:
-        keys.append(_half(p))
+    keys = [half_plane(p) for p in points]
     # nondecreasing halves, and within a half consecutive cross products positive
     assert keys == sorted(keys)
     for a, b in zip(points, points[1:]):
-        if _half(a) == _half(b):
-            assert _cross(a, b) > 0
+        if half_plane(a) == half_plane(b):
+            assert cross(a, b) > 0
 
 
 def test_lift_examples():
