@@ -217,7 +217,7 @@ def _cmd_family_build(args) -> dict:
 
 
 def _cmd_family_verify(args) -> dict:
-    verification = verify_family(args.q)
+    verification = verify_family(args.q, k=args.k, t=args.t)
     payload = _family_payload(verification.family)
     payload.update(
         {
@@ -292,14 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="geometric-step families")
     family_sub = p_family.add_subparsers(dest="subcommand", required=True)
-    p_fb = family_sub.add_parser("build", help="construct the q-family network")
-    p_fb.add_argument("q", type=int)
-    p_fb.add_argument("--k", type=int, default=None)
-    p_fb.add_argument("--t", type=int, default=None)
-    p_fb.set_defaults(handler=_cmd_family_build)
-    p_fv = family_sub.add_parser("verify", help="check the q-family predictions")
-    p_fv.add_argument("q", type=int)
-    p_fv.set_defaults(handler=_cmd_family_verify)
+    for name, help_text, handler in (
+        ("build", "construct the q-family network", _cmd_family_build),
+        ("verify", "check the q-family predictions", _cmd_family_verify),
+    ):
+        p_fam = family_sub.add_parser(name, help=help_text)
+        p_fam.add_argument("q", type=int)
+        p_fam.add_argument("--k", type=int, default=None)
+        p_fam.add_argument("--t", type=int, default=None)
+        p_fam.set_defaults(handler=handler)
 
     return parser
 

@@ -190,6 +190,10 @@ def test_family_build_and_verify():
     assert verified["ok"] is True
     assert verified["fan_mdd_count"] == 12
     assert verified["brute_force_coherent_count"] == 12
+    lifted = run_json(["family", "verify", "2", "--k", "9", "--t", "2"])
+    assert lifted["lifted_network"] == {"n": 63, "steps": [11, 20, 38]}
+    assert lifted["ok"] is True
+    assert lifted["fan_mdd_count"] == lifted["brute_force_coherent_count"] == 12
 
 
 def test_family_build_rejects_bad_q():
@@ -229,8 +233,9 @@ def test_output_is_byte_stable():
 
 
 # sha256 of stdout + stderr and the exit code of each command, recorded
-# before the routing kernel and the angular-order helpers were merged;
-# any change to an output byte, including error output, shows here.
+# before the routing kernel and the angular-order helpers were merged
+# (the family verify --k/--t cases when that command gained the
+# options); any change to an output byte, error output included, shows.
 GOLDEN_DOCUMENTS = {
     "valid.json": {
         "network": {"n": 8, "steps": [1, 3, 5, 7]},
@@ -286,6 +291,8 @@ GOLDEN = {
     "family-verify-2": ("family verify 2", 0, "c57c6f739cd6a179ae45c5d3a524c34e39a18252563cb7cbbcb7b9136e4a1abc"),
     "family-verify-3": ("family verify 3", 0, "53e78f5b2fba0d0c5f39a686768ab79702b9fbcad94e198b68d6fee93ad34eb4"),
     "family-verify-5": ("family verify 5", 0, "38893548ec1b06aab8981c782245e8eb12a81db30d4f0fc85b632ea019d767e7"),
+    "family-verify-k-t": ("family verify 2 --k 9 --t 2", 0, "353d8dc9cf7ea78c927b513adc882e7285df93e9361babf8bc5c665d071c5298"),
+    "family-verify-bad-k": ("family verify 2 --k 7", 1, "1480e8bfecc20569ced4490ce0ee72d2260fb48e50849b27694460c5f6697096"),
 }
 
 
