@@ -94,6 +94,27 @@ def indecomposable_filter(points):
     return sorted(out)
 
 
+def single_negative_octant_points(n: int, steps, signs, bound: int):
+    """Nonzero points of a three-step single-negative octant, 1-norm <= bound.
+
+    A point has the sign pattern (zeros allowed), sums to zero and
+    reaches vertex 0. Its negative entry a_j is minus the sum of the
+    two others, a_p = y and a_q = z, so its 1-norm is 2(y + z) and it
+    reaches y(s_p - s_j) + z(s_q - s_j): scanning y and z is exhaustive.
+    """
+    j = signs.index(-1)
+    p, q = [i for i in range(3) if i != j]
+    dp, dq = steps[p] - steps[j], steps[q] - steps[j]
+    out = []
+    for y in range(bound // 2 + 1):
+        for z in range(bound // 2 + 1 - y):
+            if (y or z) and (y * dp + z * dq) % n == 0:
+                a = [0, 0, 0]
+                a[p], a[q], a[j] = y, z, -(y + z)
+                out.append(tuple(a))
+    return sorted(out)
+
+
 def generates(point, generators, signs) -> bool:
     """Whether a point is a nonnegative integer combination of generators.
 
