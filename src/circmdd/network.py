@@ -94,7 +94,11 @@ def vertex_of(net: CirculantNetwork, a) -> int:
 
 
 def active_kernel(net: CirculantNetwork) -> str:
-    """Which minimal-path kernel distance_table uses for this network."""
+    """Which minimal-path kernel distance_table uses for this network.
+
+    There is one, so the answer is always "pure-python"; the function
+    stays for callers that report it.
+    """
     return "pure-python"
 
 

@@ -232,10 +232,8 @@ def test_output_is_byte_stable():
     assert one == two
 
 
-# sha256 of stdout + stderr and the exit code of each command, recorded
-# before the routing kernel and the angular-order helpers were merged
-# (the family verify --k/--t cases when that command gained the
-# options); any change to an output byte, error output included, shows.
+# Diagram documents the golden mdd check cases read from the working
+# directory.
 GOLDEN_DOCUMENTS = {
     "valid.json": {
         "network": {"n": 8, "steps": [1, 3, 5, 7]},
@@ -263,6 +261,9 @@ GOLDEN_DOCUMENTS = {
     },
 }
 
+# Command, exit code, and sha256 of stdout + stderr. Any change to an
+# output byte, error output included, fails here; record a new digest
+# only for an intended change of output.
 GOLDEN = {
     "net-info-r1": ("net info 11 3", 0, "21d47a13c8ab1a05d6163bf2f7cd9508fc77e30a37b80e6ad818be5cc6b4f6a3"),
     "net-info-r2": ("net info 10 1,6", 0, "ca8f7f66b14c5f35f8c1c7c664686f13fa8a27165ef2708ef8e36f4b0390a0c5"),
