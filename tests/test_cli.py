@@ -276,6 +276,8 @@ GOLDEN = {
     "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
     "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
     "mdd-enumerate-budget": ("mdd enumerate 9 1,4,7 --budget 5", 1, "c77905d6937672f42ff5beb314d1bc814f3db1d9e71da1d98e8d0feefa76e715"),
+    # 16 diagrams, 12 of them coherent: the four-step coherence path
+    "mdd-enumerate-coherent-r4": ("mdd enumerate 104 5,17,21,22 --coherent-only", 0, "d46e67694fafe1eaaca6d7709305b71cff6527a3ff9f93dcae1b1505c7885d7c"),
     "mdd-check-valid": ("mdd check valid.json", 0, "dd9a3606ca47c350519cce577acfefa6fba34c222ca513260d533a5c510cd7dd"),
     "mdd-check-invalid": ("mdd check invalid.json", 0, "5f7a2baebe3e24aba66127cc4fe427b2d2a04d3bf9d006833c2982d4b355fc53"),
     "mdd-check-malformed": ("mdd check malformed.json", 1, "27937362a82d88d8afc73e685912349a7e34f4790f84b6dd29aa26a3442b4b86"),

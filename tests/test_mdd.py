@@ -228,6 +228,19 @@ def test_enumerate_budget_guard():
         enumerate_mdds(net, budget=3)
 
 
+@pytest.mark.parametrize(
+    "n, steps, least",
+    [(9, [1, 4, 7], 89), (8, [1, 3, 5, 7], 32), (104, [5, 17, 21, 22], 556),
+     (72, [19, 28, 64], 1827)],
+)
+def test_enumerate_least_sufficient_budget_is_pinned(n, steps, least):
+    # the budget counts every routing tried, so this pins the visit order
+    net = build_network(n, steps)
+    enumerate_mdds(net, budget=least)
+    with pytest.raises(BudgetExceededError):
+        enumerate_mdds(net, budget=least - 1)
+
+
 def test_enumerate_mode_validation():
     net = build_network(10, [1, 6])
     with pytest.raises(ValueError):
