@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from operator import mul
+from operator import getitem, lshift, mul
 
 from .errors import (
     ArityMismatchError,
@@ -187,9 +187,14 @@ def enumerate_mdds(
     Vertices are visited in (distance, vertex) order choosing one
     minimal routing each; a choice is kept only if all its one-arc
     predecessors are already chosen cells, which is exactly the
-    down-closure condition. routing_choice_count is the number of
-    assignments satisfying the minimality condition alone (the product
-    of the per-vertex routing counts). With mode="coherent_only" the
+    down-closure condition. The budget caps the number of routings
+    tried. The search runs on routings packed into integers as in the
+    routing kernel: the predecessor of a routing along step j is its
+    code minus one unit of field j, compared with the code chosen at
+    vertex i - s_j, and a complete choice is read back from the table
+    by routing index. routing_choice_count is the number of assignments
+    satisfying the minimality condition alone (the product of the
+    per-vertex routing counts). With mode="coherent_only" the
     enumerated diagrams are filtered by is_coherent.
     """
     from .coherence import is_coherent  # local import to avoid a cycle
@@ -206,40 +211,47 @@ def enumerate_mdds(
     order = sorted(range(n), key=lambda i: (table.dist[i], i))
     choice_count = prod(len(p) for p in paths)
 
-    cells: list[PathVector | None] = [None] * n
+    # routings packed as in the routing kernel: one field of
+    # n.bit_length() bits per coordinate, first coordinate highest
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * (r - 1 - j) for j in range(r)]
+    codes = [[sum(map(lshift, a, shifts)) for a in routes] for routes in paths]
+    arcs = [(s, shift, 1 << shift) for s, shift in zip(steps, shifts)]
+
+    cells = [-1] * n  # chosen code per vertex, -1 when none
+    chosen = [0] * n  # index of the chosen routing per vertex
     iters = [0] * n
     results: list[tuple[PathVector, ...]] = []
     visits = 0
     pos = 0
     while pos >= 0:
         if pos == n:
-            results.append(tuple(cells))  # type: ignore[arg-type]
+            results.append(tuple(map(getitem, paths, chosen)))
             pos -= 1
             continue
         i = order[pos]
         k = iters[pos]
-        if k >= len(paths[i]):
+        options = codes[i]
+        if k >= len(options):
             iters[pos] = 0
-            cells[i] = None
+            cells[i] = -1
             pos -= 1
             continue
         iters[pos] = k + 1
-        a = paths[i][k]
+        code = options[k]
         visits += 1
         if visits > budget:
             raise BudgetExceededError(
                 f"enumeration exceeded the budget of {budget} choices",
                 budget=budget,
             )
-        ok = True
-        for j in range(r):
-            if a[j]:
-                v = (i - steps[j]) % n
-                if cells[v] != a[:j] + (a[j] - 1,) + a[j + 1:]:
-                    ok = False
-                    break
-        if ok:
-            cells[i] = a
+        for s, shift, unit in arcs:
+            if code >> shift & mask and cells[(i - s) % n] != code - unit:
+                break
+        else:
+            cells[i] = code
+            chosen[i] = k
             pos += 1
 
     mdds = tuple(Mdd(net, c) for c in sorted(results))
