@@ -123,7 +123,7 @@ def _cmd_mdd_check(args) -> dict:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocumentError(f"cannot read {args.file}: {exc}") from exc
     net, cells = parse_mdd_document(text)
     try:

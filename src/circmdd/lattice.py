@@ -106,7 +106,9 @@ def octant_points_bounded(oct: OctantSemigroup, bound: int) -> list[tuple[int, .
 
     Exhaustive scan: magnitudes of all but the last coordinate are free,
     the last is forced by the zero-sum condition and checked against the
-    sign pattern and the congruence.
+    sign pattern and the congruence. The positive and the negative part
+    of a sum-zero point each carry half its 1-norm, so no magnitude
+    exceeds bound // 2.
     """
     lat = oct.lattice
     net = lat.net
@@ -114,6 +116,7 @@ def octant_points_bounded(oct: OctantSemigroup, bound: int) -> list[tuple[int, .
     eps = oct.signs
     steps = net.steps
     n = net.n
+    half = bound // 2
     out: list[tuple[int, ...]] = []
 
     def scan(idx: int, remaining: int, acc: tuple[int, ...], acc_sum: int):
@@ -125,7 +128,7 @@ def octant_points_bounded(oct: OctantSemigroup, bound: int) -> list[tuple[int, .
             if any(a) and dot(a, steps) % n == 0:
                 out.append(a)
             return
-        for m in range(remaining + 1):
+        for m in range(min(remaining, half) + 1):
             val = eps[idx] * m
             scan(idx + 1, remaining - m, acc + (val,), acc_sum + val)
 

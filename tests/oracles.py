@@ -115,6 +115,25 @@ def single_negative_octant_points(n: int, steps, signs, bound: int):
     return sorted(out)
 
 
+def octant_points_by_box_scan(n: int, steps, signs, bound: int):
+    """Nonzero octant points of 1-norm <= bound, any sign pattern.
+
+    Scans the whole box [-bound, bound]^r and keeps the vectors with
+    the sign pattern (zeros allowed) that sum to zero and reach vertex 0.
+    """
+    out = []
+    for a in product(range(-bound, bound + 1), repeat=len(steps)):
+        if (
+            any(a)
+            and sum(a) == 0
+            and sum(map(abs, a)) <= bound
+            and all(s * c >= 0 for s, c in zip(signs, a))
+            and sum(c * s for c, s in zip(a, steps)) % n == 0
+        ):
+            out.append(a)
+    return sorted(out)
+
+
 def generates(point, generators, signs) -> bool:
     """Whether a point is a nonnegative integer combination of generators.
 

@@ -18,6 +18,7 @@ from circmdd import (
 from circmdd.coherence import _reduced_coords, _solve_fm, _solve_sweep2
 from circmdd.errors import BudgetExceededError, CircmddError
 from circmdd.intlin import dot, primitive, vec_neg, vec_sub
+from oracles import mdds_by_backtracking, minimal_paths_by_scan
 
 
 def non_coherent_example():
@@ -269,3 +270,52 @@ def test_coherence_results_are_pinned_on_random_networks():
             digest.update((repr(result) + "\n").encode())
     assert (diagrams, incoherent) == (889, 36)
     assert digest.hexdigest() == COHERENCE_RESULTS_DIGEST
+
+
+def witness_meets_every_constraint(n, steps, cells, witness):
+    """The literal definition, on the oracle's routing table."""
+    _, paths = minimal_paths_by_scan(n, steps)
+    return all(
+        sum(map(int.__mul__, witness, alt)) > sum(map(int.__mul__, witness, chosen))
+        for routes, chosen in zip(paths, cells)
+        for alt in routes
+        if alt != chosen
+    )
+
+
+@pytest.mark.parametrize("mode", ["all", "coherent_only"])
+def test_enumeration_matches_backtracking_oracle_on_random_networks(mode):
+    for net in random_small_networks(5150, 100, max_n=40):
+        expected = set(mdds_by_backtracking(net.n, net.steps))
+        if mode == "coherent_only":
+            kept = set()
+            for cells in expected:
+                witness = is_coherent(validate_mdd(net, cells)).witness
+                if witness and witness_meets_every_constraint(net.n, net.steps, cells, witness):
+                    kept.add(cells)
+            expected = kept
+        got = [m.cells for m in enumerate_mdds(net, mode).mdds]
+        assert got == sorted(expected), net
+
+
+def test_coherence_decides_each_difference_vector_once(monkeypatch):
+    # primitive runs once per distinct difference vector b - D(i) and
+    # once on the witness, not once per (vertex, alternative) constraint
+    from circmdd import coherence
+
+    net = build_network(1892, [45, 265, 1585])
+    paths = distance_table(net).minimal_paths
+    calls = []
+    monkeypatch.setattr(coherence, "primitive", lambda u: calls.append(u) or primitive(u))
+    mdds = enumerate_mdds(net).mdds
+    assert len(mdds) == 24
+    for mdd in mdds:
+        calls.clear()
+        assert is_coherent(mdd).coherent
+        distinct = {
+            vec_sub(alt, chosen)
+            for routes, chosen in zip(paths, mdd.cells)
+            for alt in routes
+            if alt != chosen
+        }
+        assert len(calls) == len(distinct) + 1 <= 74

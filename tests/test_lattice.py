@@ -1,5 +1,7 @@
 """Homogeneous lattices, octant points, and Hilbert bases."""
 
+from itertools import product
+
 import pytest
 
 from circmdd import (
@@ -16,7 +18,7 @@ from circmdd import (
 )
 from circmdd.intlin import hnf_rows
 
-from oracles import generates, indecomposable_filter
+from oracles import generates, indecomposable_filter, octant_points_by_box_scan
 
 
 def lattice_of(n, steps):
@@ -70,6 +72,22 @@ def test_octant_points_bound_zero_and_sorted():
         assert sum(a) == 0
         assert lat.contains(a)
         assert all(s * c >= 0 for s, c in zip((1, -1, 1), a))
+
+
+@pytest.mark.parametrize(
+    "n, steps, bounds",
+    [(10, [1, 6], (0, 1, 9, 14)), (9, [1, 4, 7], (0, 1, 6, 7, 12)),
+     (8, [2, 3, 7], (5, 8, 11)), (30, [7, 11, 24], (9, 16)), (8, [1, 3, 5, 7], (4, 5))],
+)
+def test_octant_points_match_box_scan_for_every_sign_pattern(n, steps, bounds):
+    # mixed and uniform patterns alike, odd bounds included: the scan
+    # caps each magnitude at bound // 2 and must lose no point by it
+    lat = lattice_of(n, steps)
+    for signs in product((-1, 1), repeat=len(steps)):
+        for bound in bounds:
+            assert octant_points_bounded(octant(lat, signs), bound) == (
+                octant_points_by_box_scan(n, steps, signs, bound)
+            )
 
 
 def test_octant_points_c9_1_4_7_bound_6_exact():
