@@ -216,6 +216,12 @@ def test_failed_witness_check_is_an_internal_inconsistency(monkeypatch):
     assert info.value.details["witness"] == list(vec_neg(good))
     # the first (vertex, alternative) constraint the witness fails
     assert info.value.details["vertex"] == 2
+    # a weight that only ties is no witness either: (1, 1, 1) gives every
+    # sum-zero difference the value 0
+    monkeypatch.setattr(coherence, "_weight_from_coords", lambda xs, r: (1, 1, 1))
+    with pytest.raises(InternalInconsistencyError) as info:
+        is_coherent(mdd)
+    assert info.value.details == {"witness": [1, 1, 1], "vertex": 2}
 
 
 def test_empty_back_interval_is_an_internal_inconsistency(monkeypatch):
