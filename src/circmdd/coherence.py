@@ -9,8 +9,8 @@ angular sweep in the plane for three, strict Fourier-Motzkin
 elimination for four. Everything is integer or rational arithmetic.
 
 Constraints are decided per distinct difference vector b - D(i): a
-diagram of C1892(45,265,1585) has about 20,000 constraints but only
-72 distinct vectors. The witness is checked against every distinct
+diagram of C1892(45,265,1585) has about 20,000 constraints but at most
+73 distinct vectors. The witness is checked against every distinct
 vector, and so against every constraint; single constraints are
 materialised only to report a failed witness check or a refutation.
 """
@@ -182,10 +182,10 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     n.bit_length() + 1 bits per coordinate (a spare sign bit, so a
     difference in (-n, n) decodes uniquely), and the differences are
     collected in one set. The cells must be minimal routings of their
-    vertices, as in every diagram the library builds or validates.
-    The witness is returned as a primitive
-    sum-zero integer weight and re-checked against every distinct
-    difference, hence every constraint, before returning. On failure a
+    vertices, as in every diagram the library builds or validates. The
+    witness is returned as a primitive sum-zero integer weight and
+    re-checked against every distinct difference, hence every
+    constraint, before returning. On failure a
     subset of constraints that is infeasible and loses infeasibility if
     any one is dropped is produced by greedy deletion over the sorted
     directions; each direction is reported by its least (vertex,

@@ -188,8 +188,8 @@ def enumerate_mdds(
     minimal routing each; a choice is kept only if all its one-arc
     predecessors are already chosen cells, which is exactly the
     down-closure condition. The budget caps the number of routings
-    tried. The search runs on routings packed into integers as in the
-    routing kernel: the predecessor of a routing along step j is its
+    tried. The search runs on routings packed into integers, one field
+    per coordinate: the predecessor of a routing along step j is its
     code minus one unit of field j, compared with the code chosen at
     vertex i - s_j, and a complete choice is read back from the table
     by routing index. routing_choice_count is the number of assignments
@@ -211,8 +211,8 @@ def enumerate_mdds(
     order = sorted(range(n), key=lambda i: (table.dist[i], i))
     choice_count = prod(len(p) for p in paths)
 
-    # routings packed as in the routing kernel: one field of
-    # n.bit_length() bits per coordinate, first coordinate highest
+    # one field of n.bit_length() bits per coordinate, first coordinate
+    # highest; coordinates are below n, so fields never carry
     width = n.bit_length()
     mask = (1 << width) - 1
     shifts = [width * (r - 1 - j) for j in range(r)]

@@ -281,8 +281,11 @@ def test_coherence_results_are_pinned_on_random_networks():
 def witness_meets_every_constraint(n, steps, cells, witness):
     """The literal definition, on the oracle's routing table."""
     _, paths = minimal_paths_by_scan(n, steps)
+    def weight(a):
+        return sum(w * c for w, c in zip(witness, a))
+
     return all(
-        sum(map(int.__mul__, witness, alt)) > sum(map(int.__mul__, witness, chosen))
+        weight(alt) > weight(chosen)
         for routes, chosen in zip(paths, cells)
         for alt in routes
         if alt != chosen
