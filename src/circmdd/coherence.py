@@ -17,6 +17,7 @@ materialised only to report a failed witness check or a refutation.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,7 +26,12 @@ from operator import lshift
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
 from .mdd import Mdd
-from .network import distance_table
+from .network import distance_table, packed_width, routing_packer
+
+
+# (network, every vertex's routings packed by routing_packer), set by
+# enumerate_mdds for the duration of its coherence filter only
+SHARED_PACKED_ROUTINGS: ContextVar = ContextVar("SHARED_PACKED_ROUTINGS", default=None)
 
 
 @dataclass(frozen=True)
@@ -178,18 +184,18 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     Every (vertex, alternative) constraint is a difference vector
     b - D(i), and a few dozen distinct vectors stand for tens of
     thousands of constraints, so everything is decided per distinct
-    vector: routings are packed into integers, one field of
-    n.bit_length() + 1 bits per coordinate (a spare sign bit, so a
-    difference in (-n, n) decodes uniquely), and the differences are
-    collected in one set. The cells must be minimal routings of their
-    vertices, as in every diagram the library builds or validates. The
-    witness is returned as a primitive sum-zero integer weight and
-    re-checked against every distinct difference, hence every
-    constraint, before returning. On failure a
-    subset of constraints that is infeasible and loses infeasibility if
-    any one is dropped is produced by greedy deletion over the sorted
-    directions; each direction is reported by its least (vertex,
-    alternative) constraint.
+    vector: routings are packed into integers (see routing_packer,
+    whose spare bit per field lets a difference decode uniquely; the
+    codes are reused when SHARED_PACKED_ROUTINGS holds them for this
+    network), and the differences are collected in one set. The cells
+    must be minimal routings of their vertices, as in every diagram the
+    library builds or validates. The witness is returned as a primitive
+    sum-zero integer weight and re-checked against every distinct
+    difference, hence every constraint, before returning. On failure a subset of
+    constraints that is infeasible and loses infeasibility if any one is
+    dropped is produced by greedy deletion over the sorted directions;
+    each direction is reported by its least (vertex, alternative)
+    constraint.
     """
     net = mdd.net
     r = net.r
@@ -198,24 +204,19 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
             "coherence is decided for at most four steps", r=r
         )
     paths = distance_table(net).minimal_paths
-    width = net.n.bit_length() + 1
-    shifts = [width * (r - 1 - k) for k in range(r)]
-    if r == 3:
-        # packing inline takes a third of the time of the generic sum
-        s0, s1, _ = shifts
-
-        def pack(routes):
-            return [(x << s0) + (y << s1) + z for x, y, z in routes]
+    shared = SHARED_PACKED_ROUTINGS.get()
+    if shared is not None and shared[0] == net:
+        packed = shared[1]
     else:
-
-        def pack(routes):
-            return [sum(map(lshift, a, shifts)) for a in routes]
-
+        # one vertex at a time
+        packed = map(routing_packer(net.n, r), paths)
+    width = packed_width(net.n)
+    shifts = [width * (r - 1 - k) for k in range(r)]
     codes: set[int] = set()
-    for routes, chosen in zip(paths, mdd.cells):
+    for routes, chosen in zip(packed, mdd.cells):
         if len(routes) > 1:
             base = sum(map(lshift, chosen, shifts))
-            codes.update(map((-base).__add__, pack(routes)))
+            codes.update(map((-base).__add__, routes))
     codes.discard(0)
     if not codes:
         witness = tuple(range(r - 1, -1, -1)) if r >= 2 else (1,)

@@ -8,12 +8,13 @@ of monomial ideals, which is what the staircase generators describe.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
-from operator import getitem, lshift, mul
+from itertools import compress, count, product, repeat
+from math import gcd, lcm, prod
+from operator import eq, getitem, mul
 
 from .errors import (
     ArityMismatchError,
@@ -26,9 +27,16 @@ from .errors import (
     WeightTieError,
     WrongVertexError,
 )
-from .intlin import norm1
+from .intlin import norm1, primitive, vec_scale
 from .lattice import homogeneous_lattice
-from .network import CirculantNetwork, PathVector, distance_table, vertex_of
+from .network import (
+    CirculantNetwork,
+    PathVector,
+    distance_table,
+    packed_width,
+    routing_packer,
+    vertex_of,
+)
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -67,15 +75,28 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     """Diagram selecting, per vertex, the minimal routing of least weight.
 
     Weights may be ints or Fractions and matter only up to positive
-    scaling and shifts by multiples of (1, ..., 1). The routings of a
-    vertex are scanned in lexicographic order, keeping the least weight
-    seen so far. With tie_policy="error" a routing whose weight equals
-    that running least raises WeightTieError, naming the routing held
-    and the tied one; the raise happens even when a later routing is
-    lighter than both, and a routing heavier than the running least
-    never raises, whatever it ties with. With "lex" the earlier routing
-    wins every tie, which refines the weight order into a genuine graded
-    order, so the result is always a valid diagram.
+    scaling and shifts by multiples of (1, ..., 1). The result is
+    defined by a scan of the routings of each vertex in lexicographic
+    order, keeping the least weight seen so far. With tie_policy="error"
+    a routing whose weight equals that running least raises
+    WeightTieError, naming the routing held and the tied one, at the
+    first vertex where this happens; the raise happens even when a later
+    routing is lighter than both, and a routing heavier than the running
+    least never raises, whatever it ties with. With "lex" the earlier
+    routing wins every tie, which refines the weight order into a
+    genuine graded order, so the result is always a valid diagram.
+
+    How it is computed: "weight, then lexicographic" is a total order on
+    routings that respects addition, so the least routing of a vertex
+    minus one arc is the least routing of the vertex that arc leads back
+    to. The least routing of every vertex therefore comes from those of
+    its predecessors one level closer to 0, by dynamic programming over
+    the table's distance levels; each routing is carried as one integer
+    key, weight above the packed routing code. This is the "lex" result,
+    and also the "error" result whenever that does not raise, since then
+    every least weight is unique. The scan itself runs only where a tie
+    can happen (see _first_tie), and each cell is the table's own
+    routing tuple, found by bisection.
     """
     if tie_policy not in ("error", "lex"):
         raise ValueError(f"tie_policy must be 'error' or 'lex', got {tie_policy!r}")
@@ -89,19 +110,122 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     # a positive scale keeps the order and the ties of the weights exactly
     scale = lcm(*(x.denominator for x in w))
     iw = tuple(x.numerator * (scale // x.denominator) for x in w)
-    # the inline dot for three steps halves the census time of a fan
-    # against sum(map(mul, ...))
-    three = net.r == 3
+    table = distance_table(net)
+    if tie_policy == "error":
+        tie = _first_tie(table, iw)
+        if tie is not None:
+            i, best, a = tie
+            raise WeightTieError(
+                f"weight {w} does not separate minimal routings "
+                f"{best} and {a} to vertex {i}",
+                vertex=i,
+                first=list(best),
+                second=list(a),
+            )
+    return Mdd(net, _least_routings(table, iw))
+
+
+def _least_routings(table, iw) -> tuple[PathVector, ...]:
+    """Per vertex, its least routing by weight, then lex.
+
+    Dynamic programming over the table's distance levels: the key of a
+    routing is its weight shifted above its packed code, so keys add
+    like routings and compare by weight, then lexicographically, and a
+    vertex's key is the least key of a predecessor one level down plus
+    the key of the arc. The code leaves out the last coordinate, which
+    the others and the common length of a vertex's routings fix. Each
+    level's least keys are unpacked and their leading coordinates looked
+    up in the vertices' sorted routings: a shorter tuple sorts before
+    every tuple it begins.
+    """
+    r = table.net.r
+    # coordinates are below n, so fields never carry
+    width = table.net.n.bit_length()
+    shifts = [width * (r - 2 - j) for j in range(r - 1)]
+    codebits = (r - 1) * width
+    units = [(x << codebits) + (1 << s) for x, s in zip(iw, shifts)]
+    units.append(iw[-1] << codebits)
+    # heavier than any key of a routing, plus any arc
+    absent = (sum(map(abs, iw)) * (max(table.dist) + 1) + 1) << codebits
+    field = (1 << width) - 1
+    code = (1 << codebits) - 1
+    paths = table.minimal_paths
+    order, position, bounds, preds = table.levels
+    cells = [paths[0][0]] * len(paths)  # by place
+    keys = [0, absent]
+    for d in range(1, len(bounds) - 1):
+        start, stop = bounds[d], bounds[d + 1]
+        get = keys.__getitem__
+        arms = [map(u.__add__, map(get, p[start:stop])) for u, p in zip(units, preds)]
+        keys = list(map(min, *arms) if r > 1 else arms[0])
+        if r == 3:
+            lead = map(divmod, map(code.__and__, keys), repeat(1 << width))
+        else:
+            lead = (tuple(k >> s & field for s in shifts) for k in keys)
+        routes = list(map(paths.__getitem__, order[start:stop]))
+        cells[start:stop] = map(getitem, routes, map(bisect_left, routes, lead))
+        keys.append(absent)
+    return tuple(map(cells.__getitem__, position))
+
+
+def _first_tie(table, iw):
+    """The first raise of the lexicographic scan, or None.
+
+    For three steps and iw not parallel to (1, 1, 1), every sum-zero
+    vector orthogonal to iw is a multiple of the shortest lattice vector
+    e on the line through (w1 - w2, w2 - w0, w0 - w1), taken
+    lexicographically positive, so two routings of one vertex tie
+    exactly when they differ by a multiple k*e. Let u = vertex(e+). Then:
+
+    - Vertex i has two routings that differ by some k*e exactly when it
+      has two that differ by e (the later one covers e+ and can trade it
+      for e-), that is when dist[i] - |e+| == dist[i - u]. Only those
+      vertices can raise, and none can unless e+ is minimal.
+    - Some vertex raises only if u raises. A raise at a vertex i, held b
+      and tied a = b + k*e with a_j and b_j both positive, gives one at
+      i - s_j: a - e_j ties b - e_j there, and anything lighter before
+      a - e_j would, plus e_j, be lighter than a before a. Descending,
+      the raise reaches the pair (k*e-, k*e+), and then u raises:
+      anything lighter than e+ before e+ would, plus (k-1)*e+, be
+      lighter than k*e+ before k*e+.
+
+    So the scan runs on u first, and only if u raises on every vertex
+    with a tie pair, in vertex order. In every other case it runs on
+    every vertex with more than one routing.
+    """
+    net = table.net
+    n = net.n
+    dist = table.dist
+    paths = table.minimal_paths
+    if net.r != 3 or iw[0] == iw[1] == iw[2]:
+        return _first_scan_tie(table, (i for i, p in enumerate(paths) if len(p) > 1), iw)
+    w0, w1, w2 = iw
+    line = primitive((w1 - w2, w2 - w0, w0 - w1))
+    e = vec_scale(line, n // gcd(n, sum(map(mul, line, net.steps))))
+    # -e would give the same u and h: (-e)+ = e- reaches the vertex of
+    # e+ at the same length
+    plus = tuple(max(c, 0) for c in e)
+    u = vertex_of(net, plus)
+    h = sum(plus)
+    if dist[u] != h or _first_scan_tie(table, [u], iw) is None:
+        return None
+    shifted = dist[-u:] + dist[:-u]  # shifted[i] == dist[i - u]
+    tied = compress(count(), map(eq, map((-h).__add__, dist), shifted))
+    return _first_scan_tie(table, tied, iw)
+
+
+def _first_scan_tie(table, vertices, iw):
+    """The first raise of the lexicographic scan over the given vertices,
+    in the order given: (vertex, routing held, tied routing), or None.
+    See build_coherent_mdd for the rule."""
+    paths = table.minimal_paths
+    # three steps take the inline dot, which is faster than the sum
+    three = len(iw) == 3
     if three:
         w0, w1, w2 = iw
-    raise_ties = tie_policy == "error"
-    cells = []
-    for i, routes in enumerate(distance_table(net).minimal_paths):
-        if len(routes) == 1:
-            cells.append(routes[0])
-            continue
+    for i in vertices:
         best = None
-        for a in routes:
+        for a in paths[i]:
             if three:
                 x, y, z = a
                 val = w0 * x + w1 * y + w2 * z
@@ -109,16 +233,9 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
                 val = sum(map(mul, iw, a))
             if best is None or val < best_val:
                 best, best_val = a, val
-            elif val == best_val and raise_ties:
-                raise WeightTieError(
-                    f"weight {w} does not separate minimal routings "
-                    f"{best} and {a} to vertex {i}",
-                    vertex=i,
-                    first=list(best),
-                    second=list(a),
-                )
-        cells.append(best)
-    return Mdd(net, tuple(cells))
+            elif val == best_val:
+                return i, best, a
+    return None
 
 
 def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
@@ -188,16 +305,17 @@ def enumerate_mdds(
     minimal routing each; a choice is kept only if all its one-arc
     predecessors are already chosen cells, which is exactly the
     down-closure condition. The budget caps the number of routings
-    tried. The search runs on routings packed into integers, one field
-    per coordinate: the predecessor of a routing along step j is its
+    tried. The search runs on routings packed into integers (see
+    routing_packer): the predecessor of a routing along step j is its
     code minus one unit of field j, compared with the code chosen at
     vertex i - s_j, and a complete choice is read back from the table
     by routing index. routing_choice_count is the number of assignments
     satisfying the minimality condition alone (the product of the
     per-vertex routing counts). With mode="coherent_only" the
-    enumerated diagrams are filtered by is_coherent.
+    enumerated diagrams are filtered by is_coherent, which reuses the
+    codes.
     """
-    from .coherence import is_coherent  # local import to avoid a cycle
+    from .coherence import SHARED_PACKED_ROUTINGS, is_coherent  # avoids a cycle
 
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
@@ -211,12 +329,12 @@ def enumerate_mdds(
     order = sorted(range(n), key=lambda i: (table.dist[i], i))
     choice_count = prod(len(p) for p in paths)
 
-    # one field of n.bit_length() bits per coordinate, first coordinate
-    # highest; coordinates are below n, so fields never carry
-    width = n.bit_length()
+    # one field per coordinate, first coordinate highest; fields never
+    # carry, and the codes are shared with the coherence filter
+    width = packed_width(n)
     mask = (1 << width) - 1
     shifts = [width * (r - 1 - j) for j in range(r)]
-    codes = [[sum(map(lshift, a, shifts)) for a in routes] for routes in paths]
+    codes = list(map(routing_packer(n, r), paths))
     arcs = [(s, shift, 1 << shift) for s, shift in zip(steps, shifts)]
 
     cells = [-1] * n  # chosen code per vertex, -1 when none
@@ -256,7 +374,11 @@ def enumerate_mdds(
 
     mdds = tuple(Mdd(net, c) for c in sorted(results))
     if mode == "coherent_only":
-        mdds = tuple(m for m in mdds if is_coherent(m).coherent)
+        token = SHARED_PACKED_ROUTINGS.set((net, codes))
+        try:
+            mdds = tuple(m for m in mdds if is_coherent(m).coherent)
+        finally:
+            SHARED_PACKED_ROUTINGS.reset(token)
     return EnumerationResult(mdds, choice_count)
 
 

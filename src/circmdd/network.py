@@ -8,9 +8,12 @@ sum(a_l * s_l) = i mod n; its length is the coordinate sum.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import lshift
 
 from .errors import (
     ArityMismatchError,
@@ -39,11 +42,90 @@ class CirculantNetwork:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Distances from vertex 0 and every minimal routing vector per vertex."""
+    """Distances from vertex 0 and every minimal routing vector per vertex.
+
+    levels is derived from dist and cached on the instance, so it lives
+    and dies with the table (and with distance_table's cache); it takes
+    no part in equality, which compares the three fields.
+    """
 
     net: CirculantNetwork
     dist: tuple[int, ...]
     minimal_paths: tuple[tuple[PathVector, ...], ...]
+
+    @cached_property
+    def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
+        """(order, position, bounds, pred): the vertices level by level.
+
+        order[p] is the vertex at place p of the (distance, vertex)
+        order, and position[i] the place of vertex i. Level d holds the
+        places bounds[d] to bounds[d + 1] - 1. For the vertex i at place
+        p of a level d >= 1, pred[j][p] is the index of i - s_j within
+        level d - 1 when that vertex is at distance d - 1, and the size
+        of level d - 1 otherwise. Built from dist alone, for the census.
+        """
+        n = self.net.n
+        steps = self.net.steps
+        dist = self.dist
+        # two bytes per place while they suffice
+        code = "H" if n <= 1 << 16 else "I"
+        # a counting sort by distance, which keeps vertex order within a
+        # level and no list of n places
+        sizes = [0] * (max(dist) + 2)
+        for d in dist:
+            sizes[d + 1] += 1
+        bounds = tuple(accumulate(sizes))
+        free = list(bounds)
+        order = array(code, [0]) * n
+        position = array(code, [0]) * n
+        for i, d in enumerate(dist):
+            place = position[i] = free[d]
+            order[place] = i
+            free[d] = place + 1
+        pred = tuple(array(code, [0]) * n for _ in steps)
+        for d in range(1, len(bounds) - 1):
+            below, start, stop = bounds[d - 1], bounds[d], bounds[d + 1]
+            for p in range(start, stop):
+                i = order[p]
+                for j, s in enumerate(steps):
+                    # i - s lies in (-n, n), and a negative index wraps;
+                    # dist[i - s] >= dist[i] - 1 always
+                    v = i - s
+                    pred[j][p] = position[v] - below if dist[v] < d else start - below
+        return order, position, bounds, pred
+
+
+def packed_width(n: int) -> int:
+    """Bits per coordinate field of the codes of routing_packer(n, r).
+
+    Coordinates of minimal routings are below n, so n.bit_length() bits
+    hold them without carry and integer order is lexicographic order;
+    the one spare bit lets a difference of two codes, whose fields lie
+    in (-n, n), decode uniquely.
+    """
+    return n.bit_length() + 1
+
+
+def routing_packer(n: int, r: int):
+    """A function packing the routings of one vertex into integer codes.
+
+    One field of packed_width(n) bits per coordinate, first coordinate
+    highest; the codes come in the order of the routings.
+    """
+    width = packed_width(n)
+    shifts = [width * (r - 1 - k) for k in range(r)]
+    if r == 3:
+        # packing inline takes a third of the time of the generic sum
+        s0, s1, _ = shifts
+
+        def pack(routes):
+            return [(x << s0) + (y << s1) + z for x, y, z in routes]
+    else:
+
+        def pack(routes):
+            return [sum(map(lshift, a, shifts)) for a in routes]
+
+    return pack
 
 
 def build_network(n: int, steps) -> CirculantNetwork:

@@ -197,20 +197,25 @@ def mdds_by_backtracking(n: int, steps):
     return sorted(found)
 
 
-def coherent_cells_by_definition(n: int, steps, w, tie_policy: str = "error"):
+def coherent_cells_by_definition(
+    n: int, steps, w, tie_policy: str = "error", paths=None
+):
     """Least-weight minimal routing per vertex, read off the definition.
 
-    Weights are compared as Fractions, unscaled. The routings of a
+    Weights are compared exactly and unscaled, as ints or Fractions. The
+    routings of a
     vertex are taken in lexicographic order (minimal_paths_by_scan
     sorts them). With tie_policy="error", routing j of a vertex ties
     when its weight equals the least weight of routings 0..j-1; the
     first such routing, over vertices in order, is returned as
     ("tie", (vertex, earliest routing of that least weight, routing j)).
     Otherwise ("cells", cells), where each vertex takes the earliest
-    routing of least weight (with "lex" this is the tie-break).
+    routing of least weight (with "lex" this is the tie-break). paths,
+    when given, must be the routing lists of minimal_paths_by_scan.
     """
-    w = [Fraction(x) for x in w]
-    _, paths = minimal_paths_by_scan(n, steps)
+    w = [x if isinstance(x, int) else Fraction(x) for x in w]
+    if paths is None:
+        _, paths = minimal_paths_by_scan(n, steps)
     cells = []
     for v, routes in enumerate(paths):
         weights = [sum(x * c for x, c in zip(w, a)) for a in routes]

@@ -7,6 +7,7 @@ from circmdd import (
     UnsupportedArityError,
     Wall,
     WallRejection,
+    WeightTieError,
     build_family,
     build_network,
     candidate_rays,
@@ -18,6 +19,7 @@ from circmdd import (
     is_coherent,
     lift_network,
     octant,
+    verify_family,
     verify_wall,
 )
 from circmdd.intlin import dot
@@ -142,6 +144,29 @@ def test_fan_report_computes_each_octant_once(monkeypatch):
     with pytest.raises(UnsupportedArityError):
         fan_report(build_network(9, [1, 4]))
     assert fan._FAN_OCTANTS.get() is None
+
+
+def test_family_census_call_counts_are_pinned(monkeypatch):
+    # family verify 2, 5 and 8 build 72 sector diagrams, 9 of them
+    # retried past a weight tie; perfbench's family-ladder expects both
+    import circmdd.fan as fan
+
+    build = fan.build_coherent_mdd
+    calls = []
+    retries = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        try:
+            return build(*args, **kwargs)
+        except WeightTieError:
+            retries.append(args[1])
+            raise
+
+    monkeypatch.setattr(fan, "build_coherent_mdd", counted)
+    for q in (2, 5, 8):
+        assert verify_family(q).ok
+    assert (len(calls), len(retries)) == (72, 9)
 
 
 # Sector representatives of the family lifts. Some sectors need retries

@@ -26,7 +26,12 @@ from circmdd import (
 
 from circmdd.errors import CircmddError
 
-from oracles import brute_force_mdds, coherent_cells_by_definition, is_down_closed
+from oracles import (
+    brute_force_mdds,
+    coherent_cells_by_definition,
+    is_down_closed,
+    minimal_paths_by_scan,
+)
 
 
 def test_build_weighted_picks_cheap_horizontal_steps():
@@ -103,6 +108,40 @@ def test_build_matches_definition_on_random_networks(r):
                     ties += 1
                 assert got == (kind, expected), (net, w, policy)
     assert ties  # small weights tie often enough to exercise the error path
+
+
+def test_build_matches_definition_on_tie_lines():
+    # weights orthogonal to a difference of two routings of one vertex
+    # (and to (1, 1, 1)) lie on a tie line; their multiples plus a small
+    # offset may or may not raise
+    rng = random.Random(2008)
+    checked = raised = 0
+    while checked < 150:
+        n = rng.randrange(30, 130)
+        try:
+            net = build_network(n, rng.sample(range(1, n), 3))
+        except CircmddError:
+            continue
+        checked += 1
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        tied = [routes for routes in paths if len(routes) > 1]
+        for routes in rng.sample(tied, min(4, len(tied))):
+            a, b = rng.sample(routes, 2)
+            d = [x - y for x, y in zip(a, b)]
+            line = (d[1] - d[2], d[2] - d[0], d[0] - d[1])
+            for w in (line, tuple(2 * x + rng.randrange(-1, 2) for x in line)):
+                for policy in ("error", "lex"):
+                    expected = coherent_cells_by_definition(
+                        n, net.steps, w, policy, paths=paths
+                    )
+                    try:
+                        got = ("cells", build_coherent_mdd(net, w, policy).cells)
+                    except WeightTieError as exc:
+                        d_ = exc.details
+                        got = ("tie", (d_["vertex"], tuple(d_["first"]), tuple(d_["second"])))
+                        raised += 1
+                    assert got == expected, (net, w, policy)
+    assert raised > 100, raised
 
 
 def test_build_lex_policy_resolves_ties():

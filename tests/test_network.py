@@ -1,12 +1,18 @@
 """Network construction, distances, and minimal-path tables."""
 
+import dataclasses
+import gc
 import math
+import random
+import weakref
 
 import pytest
 
 from circmdd import (
     ArityMismatchError,
+    CircmddError,
     DisconnectedError,
+    DistanceTable,
     DuplicateStepError,
     ZeroStepError,
     build_network,
@@ -134,3 +140,55 @@ def test_volume_bound(n, steps):
     net = build_network(n, steps)
     diameter, _ = network_stats(net)
     assert n <= math.comb(diameter + net.r, net.r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_distance_levels_follow_the_distances(r):
+    rng = random.Random(31 + r)
+    checked = 0
+    while checked < 25:
+        n = rng.randrange(r + 2, 90)
+        try:
+            net = build_network(n, rng.sample(range(1, n), r))
+        except CircmddError:
+            continue
+        checked += 1
+        dist = bfs_distances(n, net.steps)
+        order, position, bounds, pred = distance_table(net).levels
+        order = list(order)
+        assert order == sorted(range(n), key=lambda i: (dist[i], i))
+        assert [position[i] for i in order] == list(range(n))
+        # level d starts after the vertices closer than d
+        assert bounds == tuple(sum(x < d for x in dist) for d in range(max(dist) + 2))
+        for d in range(1, len(bounds) - 1):
+            below, start = bounds[d - 1], bounds[d]
+            for p in range(start, bounds[d + 1]):
+                for j, s in enumerate(net.steps):
+                    v = (order[p] - s) % n
+                    one_down = dist[v] == d - 1
+                    assert pred[j][p] == (position[v] - below if one_down else start - below)
+
+
+def test_derived_structures_live_and_die_with_the_table():
+    net = build_network(56, [9, 17, 33])
+    distance_table.cache_clear()
+    table = distance_table(net)
+    levels = table.levels
+    assert vars(table)["levels"] is levels
+    assert distance_table(net).levels is levels
+    gone = weakref.ref(table)
+    distance_table.cache_clear()
+    fresh = distance_table(net)
+    assert fresh is not table and "levels" not in vars(fresh)
+    del table, levels
+    gc.collect()
+    assert gone() is None
+    # equality and hashing still see only the three fields
+    assert [f.name for f in dataclasses.fields(DistanceTable)] == [
+        "net", "dist", "minimal_paths"
+    ]
+    fresh.levels
+    bare = DistanceTable(fresh.net, fresh.dist, fresh.minimal_paths)
+    assert "levels" in vars(fresh) and "levels" not in vars(bare)
+    assert bare == fresh and hash(bare) == hash(fresh)
+    assert bare != DistanceTable(fresh.net, fresh.dist, fresh.minimal_paths[:-1] + ((),))

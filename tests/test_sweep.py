@@ -6,7 +6,10 @@ leaves distances, routing counts, lattices and diagram counts as they
 are. Each network is checked three ways: the fan's diagram count equals
 the brute-force coherent count, every octant Hilbert basis equals the
 definition-level indecomposable filter, and the uniqueness criterion
-agrees with the enumeration.
+agrees with the enumeration. A second sweep builds the diagram of every
+sector representative and every wall ray of the fan, with both tie
+policies, against the definition-level census: wall rays lie on tie
+lines, so they reach the weight-tie check.
 """
 
 from itertools import combinations
@@ -17,7 +20,9 @@ import pytest
 from circmdd import (
     OctantSemigroup,
     SINGLE_NEGATIVE_SIGNS,
+    WeightTieError,
     boundary_ray_minima,
+    build_coherent_mdd,
     build_network,
     coherent_fan,
     enumerate_mdds,
@@ -28,7 +33,12 @@ from circmdd import (
 )
 from circmdd.intlin import norm1
 
-from oracles import indecomposable_filter, single_negative_octant_points
+from oracles import (
+    coherent_cells_by_definition,
+    indecomposable_filter,
+    minimal_paths_by_scan,
+    single_negative_octant_points,
+)
 
 MAX_N = 28
 
@@ -49,11 +59,14 @@ def test_sweep_size():
 
 @pytest.mark.parametrize("n", range(4, MAX_N + 1))
 def test_every_triple_loop_agrees_with_the_oracles(n):
+    ties = 0
     for steps in unit_classes(n):
         net = build_network(n, steps)
         mdds = enumerate_mdds(net, "all").mdds
         coherent = sum(1 for m in mdds if is_coherent(m).coherent)
-        assert coherent_fan(net).mdd_count == coherent, net
+        fan = coherent_fan(net)
+        assert fan.mdd_count == coherent, net
+        ties += census_ties_against_definition(net, fan)
         assert is_unique_mdd(net) == (len(mdds) == 1), net
         lat = homogeneous_lattice(net)
         for signs in SINGLE_NEGATIVE_SIGNS:
@@ -67,3 +80,24 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
             assert list(hilbert_basis(oct).elements) == indecomposable_filter(
                 points
             ), (net, signs)
+    assert ties or n < 6, n  # wall rays reach the weight-tie check
+
+
+def census_ties_against_definition(net, fan):
+    """Check the diagram of every sector and wall weight of the fan, both
+    tie policies, against the definition; return the number of ties."""
+    ties = 0
+    _, paths = minimal_paths_by_scan(net.n, net.steps)
+    for w in fan.sector_representatives + tuple(wall.ray for wall in fan.walls):
+        for policy in ("error", "lex"):
+            expected = coherent_cells_by_definition(
+                net.n, net.steps, w, policy, paths=paths
+            )
+            try:
+                got = ("cells", build_coherent_mdd(net, w, policy).cells)
+            except WeightTieError as exc:
+                d = exc.details
+                got = ("tie", (d["vertex"], tuple(d["first"]), tuple(d["second"])))
+                ties += 1
+            assert got == expected, (net, w, policy)
+    return ties
