@@ -24,7 +24,7 @@ from .lattice import (
     signs_str,
 )
 from .mdd import enumerate_mdds, build_coherent_mdd, validate_mdd
-from .network import build_network, distance_table, network_stats
+from .network import build_network, distances, route_counts
 from .render import RenderSpec, render
 from .serialize import (
     canonical_json,
@@ -87,14 +87,13 @@ def _coherence_payload(mdd) -> dict:
 
 def _cmd_net_info(args) -> dict:
     net = build_network(args.n, args.steps)
-    table = distance_table(net)
-    diameter, average = network_stats(net)
+    dist = distances(net)
     return {
         "network": network_payload(net),
-        "diameter": diameter,
-        "average_distance": rational_payload(average),
-        "dist": list(table.dist),
-        "route_counts": [len(p) for p in table.minimal_paths],
+        "diameter": max(dist),
+        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
+        "dist": list(dist),
+        "route_counts": list(route_counts(net, dist)),
     }
 
 

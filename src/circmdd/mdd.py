@@ -27,13 +27,14 @@ from .errors import (
     WeightTieError,
     WrongVertexError,
 )
-from .intlin import norm1, primitive, vec_scale
-from .lattice import homogeneous_lattice
+from .intlin import primitive, vec_scale
 from .network import (
     CirculantNetwork,
     PathVector,
     distance_table,
+    distances,
     packed_width,
+    route_counts,
     routing_packer,
     vertex_of,
 )
@@ -424,49 +425,18 @@ def classify_double_loop_shape(mdd: Mdd) -> DoubleLoopShape:
     )
 
 
-def _lattice_ball(net: CirculantNetwork, bound: int):
-    """Nonzero homogeneous-lattice points of 1-norm at most bound (r <= 3)."""
-    lat = homogeneous_lattice(net)
-    r = net.r
-    points = []
-    if r == 2:
-        for x in range(-bound, bound + 1):
-            if x == 0:
-                continue
-            b = (x, -x)
-            if norm1(b) <= bound and lat.contains(b):
-                points.append(b)
-    else:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                b = (x, y, -x - y)
-                if (x or y) and norm1(b) <= bound and lat.contains(b):
-                    points.append(b)
-    return points
-
-
 def is_unique_mdd(net: CirculantNetwork) -> bool:
     """Whether the network has exactly one diagram.
 
-    For up to three steps this evaluates the lattice criterion: build
-    one diagram and look for a cell a and a nonzero homogeneous-lattice
-    vector b with a + b still nonnegative. Such a b has 1-norm at most
-    twice the diameter (its negative part is dominated by a), so the
-    search ball is finite. For more steps it falls back to counting the
-    enumeration.
+    That holds exactly when every vertex has one minimal routing, for
+    any number of steps. If so, the only choice of cells is a diagram:
+    a sub-vector of a minimal routing is minimal, so it is the one
+    routing of its own vertex. If a vertex has two minimal routings,
+    take a weight w that separates them; the term orders "degree, then
+    w, then lex" and "degree, then -w, then lex" pick different least
+    routings there, and each order's least routings form a coherent
+    diagram (the standard monomials of an initial ideal; Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 4-5), so there are two.
+    The counts come from route_counts, without a routing table.
     """
-    if net.r >= 4:
-        return len(enumerate_mdds(net, "all").mdds) == 1
-    if net.r == 1:
-        return True
-    base = build_coherent_mdd(
-        net, tuple(range(net.r - 1, -1, -1)), tie_policy="lex"
-    )
-    diameter = max(distance_table(net).dist)
-    image = list(base.image)
-    for b in _lattice_ball(net, 2 * diameter):
-        need = tuple(max(0, -c) for c in b)
-        for a in image:
-            if all(x >= t for x, t in zip(a, need)):
-                return False
-    return True
+    return all(c == 1 for c in route_counts(net, distances(net)))

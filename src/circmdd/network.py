@@ -247,7 +247,65 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     return DistanceTable(net, tuple(dist), tuple(paths))
 
 
+def distances(net: CirculantNetwork) -> tuple[int, ...]:
+    """Distances from vertex 0, by a breadth-first search over vertices.
+
+    O(n * r) and no routing is built; equal to distance_table(net).dist.
+    Raises DisconnectedError, as distance_table does, when vertex 0 does
+    not reach every vertex (only an unvalidated network can fail so).
+    """
+    n = net.n
+    steps = net.steps
+    dist = [-1] * n
+    dist[0] = 0
+    # the queue is the list of vertices reached, read while it grows
+    queue = [0]
+    for v in queue:
+        d = dist[v] + 1
+        for s in steps:
+            u = v + s
+            if u >= n:
+                u -= n
+            if dist[u] < 0:
+                dist[u] = d
+                queue.append(u)
+    if len(queue) < n:
+        raise DisconnectedError(
+            f"vertex 0 reaches {len(queue)} of {n} vertices", n=n
+        )
+    return tuple(dist)
+
+
+def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
+    """The number of minimal routings of every vertex, from dist alone.
+
+    dist is distances(net). After the steps s_0, ..., s_m have been
+    taken, count[i] is the number of minimal routings a of i with
+    a_j = 0 for every j > m. Any sub-vector of a minimal routing is
+    minimal, so the routings with a_m > 0 are exactly e_m plus one of
+    those counted for i - s_m, and there are some only when
+    dist[i - s_m] == dist[i] - 1. Taking the vertices in order of
+    distance, each step adds
+
+        count[i] += count[i - s_m]  if dist[i - s_m] == dist[i] - 1,
+
+    from count[0] = 1 and every other count 0: r integer terms per
+    vertex. Equal to the lengths of distance_table(net).minimal_paths.
+    """
+    n = net.n
+    order = sorted(range(1, n), key=dist.__getitem__)
+    count = [0] * n
+    count[0] = 1
+    for s in net.steps:
+        for i in order:
+            # i - s lies in (-n, n), and a negative index wraps
+            v = i - s
+            if dist[v] == dist[i] - 1:
+                count[i] += count[v]
+    return tuple(count)
+
+
 def network_stats(net: CirculantNetwork) -> tuple[int, Fraction]:
     """Diameter and exact average distance from vertex 0."""
-    table = distance_table(net)
-    return max(table.dist), Fraction(sum(table.dist), net.n)
+    dist = distances(net)
+    return max(dist), Fraction(sum(dist), net.n)

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+from circmdd import build_network, distance_table, is_unique_mdd, network_stats
 from circmdd.cli import main
 
 
@@ -29,6 +31,20 @@ def test_net_info():
     assert doc["average_distance"] == {"num": 9, "den": 7}
     assert doc["dist"] == [0, 1, 1, 2, 1, 2, 2]
     assert doc["route_counts"] == [1] * 7
+
+
+def test_net_info_builds_no_routing_table():
+    # distances and route counts come from a vertex search, so neither
+    # the command nor the library calls that need no routing fill the
+    # table cache
+    distance_table.cache_clear()
+    doc = run_json(["net", "info", "56", "9,17,33"])
+    assert (doc["diameter"], doc["average_distance"]) == (10, {"num": 71, "den": 14})
+    assert max(doc["route_counts"]) == 10
+    net = build_network(56, [9, 17, 33])
+    assert network_stats(net) == (10, Fraction(71, 14))
+    assert not is_unique_mdd(net)
+    assert distance_table.cache_info().misses == 0
 
 
 def test_mdd_build_json_and_renders():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from circmdd import CirculantNetwork, build_network, distance_table
+from circmdd import CirculantNetwork, build_network, distance_table, distances
 from circmdd.errors import CircmddError, DisconnectedError
 
 from oracles import minimal_paths_by_scan
@@ -51,3 +51,5 @@ def test_single_loop_fills_its_coordinate_field(n):
 def test_unvalidated_disconnected_network_raises():
     with pytest.raises(DisconnectedError):
         distance_table(CirculantNetwork(6, (2, 4)))
+    with pytest.raises(DisconnectedError):
+        distances(CirculantNetwork(6, (2, 4)))

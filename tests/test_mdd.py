@@ -358,7 +358,9 @@ def test_is_unique_examples():
 
 def test_is_unique_agrees_with_enumeration():
     for n, steps in [(7, [1, 2, 4]), (8, [2, 3, 7]), (9, [1, 4, 7]), (6, [1, 3, 5]),
-                     (13, [1, 3, 9]), (6, [1, 3]), (8, [1, 3, 5, 7])]:
+                     (13, [1, 3, 9]), (6, [1, 3]), (8, [1, 3, 5, 7]),
+                     (5, [1, 2, 3, 4]), (13, [1, 3, 4, 9]), (11, [1, 2, 3, 4, 5]),
+                     (14, [1, 3, 5, 7, 9])]:
         net = build_network(n, steps)
         assert is_unique_mdd(net) == (len(enumerate_mdds(net).mdds) == 1)
 

@@ -17,7 +17,9 @@ from circmdd import (
     ZeroStepError,
     build_network,
     distance_table,
+    distances,
     network_stats,
+    route_counts,
     vertex_of,
 )
 
@@ -129,6 +131,23 @@ def test_table_matches_exhaustive_oracle(n, steps):
 def test_dist_matches_plain_bfs(n, steps):
     net = build_network(n, steps)
     assert list(distance_table(net).dist) == bfs_distances(n, net.steps)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_distances_and_route_counts_match_the_table(r):
+    rng = random.Random(700 + r)
+    checked = 0
+    while checked < 40:
+        n = rng.randrange(r + 1, 200)
+        try:
+            net = build_network(n, rng.sample(range(1, n), r))
+        except CircmddError:
+            continue
+        checked += 1
+        table = distance_table(net)
+        dist = distances(net)
+        assert dist == table.dist, net
+        assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
 
 
 @pytest.mark.parametrize(

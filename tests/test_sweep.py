@@ -3,13 +3,14 @@
 Every three-step network with n <= 28 is covered, one per class under
 multiplying the steps by a unit of Z_n: that relabels the vertices and
 leaves distances, routing counts, lattices and diagram counts as they
-are. Each network is checked three ways: the fan's diagram count equals
+are. Each network is checked four ways: the fan's diagram count equals
 the brute-force coherent count, every octant Hilbert basis equals the
-definition-level indecomposable filter, and the uniqueness criterion
-agrees with the enumeration. A second sweep builds the diagram of every
-sector representative and every wall ray of the fan, with both tie
-policies, against the definition-level census: wall rays lie on tie
-lines, so they reach the weight-tie check.
+definition-level indecomposable filter, the uniqueness criterion
+agrees with the enumeration, and the breadth-first distances and the
+route counts equal the routing table's. A second sweep builds the
+diagram of every sector representative and every wall ray of the fan,
+with both tie policies, against the definition-level census: wall rays
+lie on tie lines, so they reach the weight-tie check.
 """
 
 from itertools import combinations
@@ -25,11 +26,14 @@ from circmdd import (
     build_coherent_mdd,
     build_network,
     coherent_fan,
+    distance_table,
+    distances,
     enumerate_mdds,
     hilbert_basis,
     homogeneous_lattice,
     is_coherent,
     is_unique_mdd,
+    route_counts,
 )
 from circmdd.intlin import norm1
 
@@ -62,6 +66,10 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
     ties = 0
     for steps in unit_classes(n):
         net = build_network(n, steps)
+        table = distance_table(net)
+        dist = distances(net)
+        assert dist == table.dist, net
+        assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
         mdds = enumerate_mdds(net, "all").mdds
         coherent = sum(1 for m in mdds if is_coherent(m).coherent)
         fan = coherent_fan(net)
