@@ -17,7 +17,6 @@ materialised only to report a failed witness check or a refutation.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,11 +26,6 @@ from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
 from .mdd import Mdd
 from .network import distance_table, packed_width, routing_packer
-
-
-# (network, every vertex's routings packed by routing_packer), set by
-# enumerate_mdds for the duration of its coherence filter only
-SHARED_PACKED_ROUTINGS: ContextVar = ContextVar("SHARED_PACKED_ROUTINGS", default=None)
 
 
 @dataclass(frozen=True)
@@ -178,6 +172,18 @@ def _feasible(directions, r: int):
     return _solve_fm(directions, r - 1)
 
 
+def _directions(codes, r: int, width: int):
+    """Decoded differences of routing_packer codes of the given field
+    width, and their distinct primitive reduced directions, sorted."""
+    shifts = [width * (r - 1 - k) for k in range(r)]
+    # a bias of half a field on every field keeps each one nonnegative
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = sum(half << shift for shift in shifts)
+    diffs = [tuple(((c + bias) >> shift & mask) - half for shift in shifts) for c in codes]
+    return diffs, sorted({primitive(_reduced_coords(d)) for d in diffs})
+
+
 def is_coherent(mdd: Mdd) -> CoherenceResult:
     """Decide coherence exactly; witness weight or irreducible refutation.
 
@@ -185,9 +191,8 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     b - D(i), and a few dozen distinct vectors stand for tens of
     thousands of constraints, so everything is decided per distinct
     vector: routings are packed into integers (see routing_packer,
-    whose spare bit per field lets a difference decode uniquely; the
-    codes are reused when SHARED_PACKED_ROUTINGS holds them for this
-    network), and the differences are collected in one set. The cells
+    whose spare bit per field lets a difference decode uniquely), and
+    the differences are collected in one set. The cells
     must be minimal routings of their vertices, as in every diagram the
     library builds or validates. The witness is returned as a primitive
     sum-zero integer weight and re-checked against every distinct
@@ -204,12 +209,8 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
             "coherence is decided for at most four steps", r=r
         )
     paths = distance_table(net).minimal_paths
-    shared = SHARED_PACKED_ROUTINGS.get()
-    if shared is not None and shared[0] == net:
-        packed = shared[1]
-    else:
-        # one vertex at a time
-        packed = map(routing_packer(net.n, r), paths)
+    # one vertex at a time
+    packed = map(routing_packer(net.n, r), paths)
     width = packed_width(net.n)
     shifts = [width * (r - 1 - k) for k in range(r)]
     codes: set[int] = set()
@@ -222,13 +223,7 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
         witness = tuple(range(r - 1, -1, -1)) if r >= 2 else (1,)
         return CoherenceResult(True, witness, None)
 
-    # a bias of half a field on every field keeps each one nonnegative
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bias = sum(half << shift for shift in shifts)
-    diffs = [tuple(((c + bias) >> shift & mask) - half for shift in shifts) for c in codes]
-    directions = sorted({primitive(_reduced_coords(d)) for d in diffs})
-
+    diffs, directions = _directions(codes, r, width)
     solution = _feasible(directions, r)
     if solution is not None:
         witness = _weight_from_coords(solution, r)

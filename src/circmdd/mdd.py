@@ -35,7 +35,6 @@ from .network import (
     distances,
     packed_width,
     route_counts,
-    routing_packer,
     vertex_of,
 )
 
@@ -302,85 +301,117 @@ def enumerate_mdds(
 ) -> EnumerationResult:
     """All diagrams of the network by exhaustive backtracking.
 
-    Vertices are visited in (distance, vertex) order choosing one
-    minimal routing each; a choice is kept only if all its one-arc
-    predecessors are already chosen cells, which is exactly the
-    down-closure condition. The budget caps the number of routings
-    tried. The search runs on routings packed into integers (see
-    routing_packer): the predecessor of a routing along step j is its
-    code minus one unit of field j, compared with the code chosen at
-    vertex i - s_j, and a complete choice is read back from the table
-    by routing index. routing_choice_count is the number of assignments
-    satisfying the minimality condition alone (the product of the
-    per-vertex routing counts). With mode="coherent_only" the
-    enumerated diagrams are filtered by is_coherent, which reuses the
-    codes.
+    Vertices are visited in (distance, vertex) order, from distances(net)
+    alone. A cell of vertex i minus one arc of step j is the cell of
+    i - s_j, so each cell of i is cells[i - s_j] + e_j for a step j with
+    dist[i - s_j] == dist[i] - 1, which is minimal. Such a candidate is
+    kept only if each of its one-arc predecessors is the cell chosen
+    there (down-closure), so a vertex tries at most r of them. Cells are
+    packed into integers (see routing_packer); diagrams are sorted by
+    code, which is lexicographic order. Entering a partial diagram adds
+    the route count of its next vertex to the visits, as many routings
+    as trying each would cost, and the budget caps the visits: it bounds
+    the set of partial diagrams visited. routing_choice_count is the
+    product of the route counts (the choices minimality alone allows).
+
+    mode="coherent_only" keeps the coherent diagrams. The candidates at
+    vertex i other than its cell D(i) are the minimal generators of the
+    ideal off the image that are minimal routings of i. Any other
+    minimal routing b of i is g + c for such a g of a vertex v, and
+    D(v) + c is a minimal routing of i lighter than b under any weight
+    preferring each D(v) to its generators; repeating reaches D(i). So
+    coherence is the feasibility of the cone of these g - D(i), decided
+    as in is_coherent.
     """
-    from .coherence import SHARED_PACKED_ROUTINGS, is_coherent  # avoids a cycle
+    from .coherence import _directions, _feasible  # avoids a cycle
 
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
-    table = distance_table(net)
     n = net.n
     r = net.r
-    steps = net.steps
-    paths = table.minimal_paths
-    order = sorted(range(n), key=lambda i: (table.dist[i], i))
-    choice_count = prod(len(p) for p in paths)
+    dist = distances(net)
+    counts = route_counts(net, dist)
+    order = sorted(range(n), key=dist.__getitem__)
 
     # one field per coordinate, first coordinate highest; fields never
-    # carry, and the codes are shared with the coherence filter
+    # carry, and a difference of two codes decodes (see packed_width)
     width = packed_width(n)
     mask = (1 << width) - 1
     shifts = [width * (r - 1 - j) for j in range(r)]
-    codes = list(map(routing_packer(n, r), paths))
-    arcs = [(s, shift, 1 << shift) for s, shift in zip(steps, shifts)]
+    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, shifts)]
+    # a candidate is taken along its first step j only, so once: its code
+    # lies below unit << width, and only the fields after j need checks
+    arcs = [(s, unit, unit << width, checks[j + 1:]) for j, (s, _, unit) in enumerate(checks)]
 
-    cells = [-1] * n  # chosen code per vertex, -1 when none
-    chosen = [0] * n  # index of the chosen routing per vertex
-    iters = [0] * n
-    results: list[tuple[PathVector, ...]] = []
+    cells = [0] * n  # chosen code per vertex
+    kids = [[0]] * n  # kept candidates per place
+    nxt = [0] * n  # index of the next candidate per place
+    forks = []  # places on the path with more than one candidate
+    leaves = []
+    gapsets = []  # per leaf, its generators minus its cells, packed
     visits = 0
     pos = 0
     while pos >= 0:
         if pos == n:
-            results.append(tuple(map(getitem, paths, chosen)))
+            leaves.append(tuple(cells))
+            if mode == "coherent_only":
+                gapsets.append({c - cells[order[p]] for p in forks for c in kids[p]} - {0})
             pos -= 1
             continue
         i = order[pos]
-        k = iters[pos]
-        options = codes[i]
-        if k >= len(options):
-            iters[pos] = 0
-            cells[i] = -1
-            pos -= 1
-            continue
-        iters[pos] = k + 1
-        code = options[k]
-        visits += 1
-        if visits > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the budget of {budget} choices",
-                budget=budget,
-            )
-        for s, shift, unit in arcs:
-            if code >> shift & mask and cells[(i - s) % n] != code - unit:
-                break
-        else:
-            cells[i] = code
-            chosen[i] = k
+        k = nxt[pos]
+        if not k:
+            visits += counts[i]
+            if visits > budget:
+                raise BudgetExceededError(
+                    f"enumeration exceeded the budget of {budget} choices",
+                    budget=budget,
+                )
+            if pos:
+                below = dist[i] - 1
+                options = kids[pos] = []
+                for s, unit, top, later in arcs:
+                    v = i - s  # in (-n, n), and a negative index wraps
+                    if dist[v] != below:
+                        continue
+                    cand = cells[v] + unit
+                    if cand >= top:
+                        continue
+                    for t, shift, u in later:
+                        if cand >> shift & mask and cells[i - t] != cand - u:
+                            break
+                    else:
+                        options.append(cand)
+                if len(options) > 1:
+                    forks.append(pos)
+        options = kids[pos]
+        if k < len(options):
+            nxt[pos] = k + 1
+            cells[i] = options[k]
             pos += 1
+        else:
+            nxt[pos] = 0
+            if k > 1:
+                forks.pop()
+            pos -= 1
 
-    mdds = tuple(Mdd(net, c) for c in sorted(results))
     if mode == "coherent_only":
-        token = SHARED_PACKED_ROUTINGS.set((net, codes))
-        try:
-            mdds = tuple(m for m in mdds if is_coherent(m).coherent)
-        finally:
-            SHARED_PACKED_ROUTINGS.reset(token)
-    return EnumerationResult(mdds, choice_count)
+        if r > 4:
+            raise UnsupportedArityError(
+                "coherence is decided for at most four steps", r=r
+            )
+        leaves = [
+            leaf
+            for leaf, gaps in zip(leaves, gapsets)
+            if _feasible(_directions(gaps, r, width)[1], r) is not None
+        ]
+    leaves.sort()
+    # equal cells share one tuple
+    unpack = {c: tuple(c >> shift & mask for shift in shifts) for c in set().union(*leaves)}
+    mdds = tuple(Mdd(net, tuple(map(unpack.__getitem__, leaf))) for leaf in leaves)
+    return EnumerationResult(mdds, prod(counts))
 
 
 def staircase_generators(mdd: Mdd) -> Staircase:

@@ -269,11 +269,16 @@ def test_coherence_results_are_pinned_on_random_networks():
         except BudgetExceededError:
             digest.update(f"{net} budget\n".encode())
             continue
+        kept = []
         for mdd in mdds:
             result = is_coherent(mdd)
             diagrams += 1
             incoherent += not result.coherent
             digest.update((repr(result) + "\n").encode())
+            if result.coherent:
+                kept.append(mdd)
+        # the enumeration's own filter decides from staircase generators
+        assert enumerate_mdds(net, "coherent_only", budget=200_000).mdds == tuple(kept), net
     assert (diagrams, incoherent) == (889, 36)
     assert digest.hexdigest() == COHERENCE_RESULTS_DIGEST
 

@@ -8,6 +8,8 @@ from circmdd import (
     SINGLE_NEGATIVE_SIGNS,
     build_family,
     build_network,
+    coherent_fan,
+    enumerate_mdds,
     hilbert_basis,
     homogeneous_lattice,
     verify_family,
@@ -100,3 +102,11 @@ def test_verify_family_q3_with_brute_force():
     assert v.brute_force_coherent_count == 15
     assert v.brute_force_match
     assert v.ok
+
+
+def test_q5_brute_force_matches_the_fan():
+    # every diagram of C992(33,161,801) is coherent: 21 = 3(q + 2)
+    lifted = build_family(5).lifted
+    assert coherent_fan(lifted).mdd_count == 21
+    for mode in ("all", "coherent_only"):
+        assert len(enumerate_mdds(lifted, mode).mdds) == 21, mode

@@ -270,14 +270,24 @@ def test_enumerate_budget_guard():
 @pytest.mark.parametrize(
     "n, steps, least",
     [(9, [1, 4, 7], 89), (8, [1, 3, 5, 7], 32), (104, [5, 17, 21, 22], 556),
-     (72, [19, 28, 64], 1827)],
+     (72, [19, 28, 64], 1827), (992, [33, 161, 801], 149964)],
 )
 def test_enumerate_least_sufficient_budget_is_pinned(n, steps, least):
-    # the budget counts every routing tried, so this pins the visit order
+    # every partial diagram visited counts the routings of its next
+    # vertex, so this pins the set of partial diagrams visited, not the
+    # order they are visited in
     net = build_network(n, steps)
     enumerate_mdds(net, budget=least)
     with pytest.raises(BudgetExceededError):
         enumerate_mdds(net, budget=least - 1)
+
+
+def test_enumerate_builds_no_routing_table():
+    distance_table.cache_clear()
+    for net in (build_network(8, [1, 3, 5, 7]), build_network(72, [19, 28, 64])):
+        for mode in ("all", "coherent_only"):
+            enumerate_mdds(net, mode)
+    assert distance_table.cache_info().currsize == 0
 
 
 def test_enumerate_mode_validation():

@@ -3,11 +3,12 @@
 Every three-step network with n <= 28 is covered, one per class under
 multiplying the steps by a unit of Z_n: that relabels the vertices and
 leaves distances, routing counts, lattices and diagram counts as they
-are. Each network is checked four ways: the fan's diagram count equals
-the brute-force coherent count, every octant Hilbert basis equals the
-definition-level indecomposable filter, the uniqueness criterion
-agrees with the enumeration, and the breadth-first distances and the
-route counts equal the routing table's. A second sweep builds the
+are. Each network is checked five ways: the fan's diagram count equals
+the brute-force coherent count, the enumeration's own coherence filter
+keeps exactly the diagrams is_coherent accepts, every octant Hilbert
+basis equals the definition-level indecomposable filter, the uniqueness
+criterion agrees with the enumeration, and the breadth-first distances
+and the route counts equal the routing table's. A second sweep builds the
 diagram of every sector representative and every wall ray of the fan,
 with both tie policies, against the definition-level census: wall rays
 lie on tie lines, so they reach the weight-tie check.
@@ -71,9 +72,10 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         assert dist == table.dist, net
         assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
         mdds = enumerate_mdds(net, "all").mdds
-        coherent = sum(1 for m in mdds if is_coherent(m).coherent)
+        coherent = tuple(m for m in mdds if is_coherent(m).coherent)
+        assert enumerate_mdds(net, "coherent_only").mdds == coherent, net
         fan = coherent_fan(net)
-        assert fan.mdd_count == coherent, net
+        assert fan.mdd_count == len(coherent), net
         ties += census_ties_against_definition(net, fan)
         assert is_unique_mdd(net) == (len(mdds) == 1), net
         lat = homogeneous_lattice(net)
