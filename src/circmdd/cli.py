@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: net info, mdd build/enumerate/check, lattice hilbert, fan,
-family build/verify. Output is canonical JSON on stdout (or a rendering
-for mdd build); domain errors exit 1 with a JSON error object on
-stderr; usage errors exit 2.
+family build/verify. Each prints one canonical JSON document built by
+serialize on stdout (mdd build prints render's text); domain errors exit
+1 with a JSON error object on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -20,18 +20,21 @@ from .lattice import (
     SINGLE_NEGATIVE_SIGNS,
     hilbert_basis,
     homogeneous_lattice,
-    octant,
-    signs_str,
 )
 from .mdd import enumerate_mdds, build_coherent_mdd, validate_mdd
 from .network import build_network, distances, route_counts
 from .render import RenderSpec, render
 from .serialize import (
     canonical_json,
-    mdd_payload,
-    network_payload,
+    enumeration_payload,
+    error_payload,
+    family_payload,
+    family_verification_payload,
+    fan_report_payload,
+    lattice_payload,
+    mdd_check_payload,
+    net_info_payload,
     parse_mdd_document,
-    rational_payload,
 )
 
 
@@ -55,67 +58,22 @@ def _weights_arg(text: str) -> list:
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
-        return rational_payload(value)
-    return value
-
-
-def _coherence_payload(mdd) -> dict:
-    if mdd.net.r > 4:
-        return {"coherent": None, "witness": None, "refutation": None}
-    result = is_coherent(mdd)
-    return {
-        "coherent": result.coherent,
-        "witness": list(result.witness) if result.witness else None,
-        "refutation": None
-        if result.refutation is None
-        else [
-            {
-                "vertex": c.vertex,
-                "chosen": list(c.chosen),
-                "alternative": list(c.alternative),
-            }
-            for c in result.refutation
-        ],
-    }
-
-
 def _cmd_net_info(args) -> dict:
     net = build_network(args.n, args.steps)
     dist = distances(net)
-    return {
-        "network": network_payload(net),
-        "diameter": max(dist),
-        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
-        "dist": list(dist),
-        "route_counts": list(route_counts(net, dist)),
-    }
+    return net_info_payload(net, dist, route_counts(net, dist))
 
 
-def _cmd_mdd_build(args):
+def _cmd_mdd_build(args) -> str:
     net = build_network(args.n, args.steps)
     mdd = build_coherent_mdd(net, args.weight, tie_policy=args.tie)
-    if args.format == "json":
-        return mdd_payload(mdd)
     return render(mdd, RenderSpec(format=args.format, layer_axis=args.layer_axis))
 
 
 def _cmd_mdd_enumerate(args) -> dict:
     net = build_network(args.n, args.steps)
     mode = "coherent_only" if args.coherent_only else "all"
-    result = enumerate_mdds(net, mode, budget=args.budget)
-    return {
-        "network": network_payload(net),
-        "mode": mode,
-        "mdd_count": len(result.mdds),
-        "routing_choice_count": result.routing_choice_count,
-        "mdds": [[list(cell) for cell in m.cells] for m in result.mdds],
-    }
+    return enumeration_payload(net, mode, enumerate_mdds(net, mode, budget=args.budget))
 
 
 def _cmd_mdd_check(args) -> dict:
@@ -128,116 +86,26 @@ def _cmd_mdd_check(args) -> dict:
     try:
         mdd = validate_mdd(net, cells)
     except CircmddError as exc:
-        return {
-            "network": network_payload(net),
-            "valid": False,
-            "violation": {
-                "code": exc.code,
-                "message": str(exc),
-                "details": _jsonable(exc.details),
-            },
-        }
-    payload = {"network": network_payload(net), "valid": True}
-    payload.update(_coherence_payload(mdd))
-    return payload
+        return mdd_check_payload(net, violation=exc)
+    return mdd_check_payload(net, is_coherent(mdd) if net.r <= 4 else None)
 
 
 def _cmd_lattice_hilbert(args) -> dict:
-    net = build_network(args.n, args.steps)
-    lat = homogeneous_lattice(net)
-    payload = {
-        "network": network_payload(net),
-        "basis": [list(b) for b in lat.basis],
-        "index": lat.index,
-        "octants": [],
-        "total_elements": 0,
-    }
-    if net.r == 3:
-        total = 0
-        for signs in SINGLE_NEGATIVE_SIGNS:
-            basis = hilbert_basis(OctantSemigroup(lat, signs))
-            payload["octants"].append(
-                {
-                    "octant": signs_str(signs),
-                    "elements": [list(a) for a in basis.elements],
-                }
-            )
-            total += len(basis.elements)
-        payload["total_elements"] = total
-    return payload
+    lat = homogeneous_lattice(build_network(args.n, args.steps))
+    signs = SINGLE_NEGATIVE_SIGNS if lat.r == 3 else ()
+    return lattice_payload(lat, [hilbert_basis(OctantSemigroup(lat, s)) for s in signs])
 
 
 def _cmd_fan(args) -> dict:
-    net = build_network(args.n, args.steps)
-    report = fan_report(net)
-    return {
-        "network": network_payload(net),
-        "candidates": [
-            {"ray": list(c.ray), "sources": [list(s) for s in c.sources]}
-            for c in report.candidates
-        ],
-        "walls": [
-            {"ray": list(w.ray), "witness": list(w.witness)} for w in report.walls
-        ],
-        "rejections": [
-            {
-                "ray": list(rej.ray),
-                "failed_condition": rej.failed_condition,
-                "reason": rej.reason,
-            }
-            for rej in report.rejections
-        ],
-        "sector_representatives": [
-            list(w) for w in report.summary.sector_representatives
-        ],
-        "mdd_count": report.summary.mdd_count,
-    }
-
-
-def _family_payload(fam) -> dict:
-    return {
-        "q": fam.q,
-        "k": fam.k,
-        "t": fam.t,
-        "base_network": network_payload(fam.base),
-        "lifted_network": network_payload(fam.lifted),
-        "predicted_hilbert": [
-            {"octant": signs_str(signs), "elements": [list(a) for a in elements]}
-            for signs, elements in fam.predicted_hilbert
-        ],
-        "predicted_mdd_count": fam.predicted_mdd_count,
-        "hypothesis_note": fam.hypothesis_note,
-    }
+    return fan_report_payload(fan_report(build_network(args.n, args.steps)))
 
 
 def _cmd_family_build(args) -> dict:
-    fam = build_family(args.q, k=args.k, t=args.t)
-    return _family_payload(fam)
+    return family_payload(build_family(args.q, k=args.k, t=args.t))
 
 
 def _cmd_family_verify(args) -> dict:
-    verification = verify_family(args.q, k=args.k, t=args.t)
-    payload = _family_payload(verification.family)
-    payload.update(
-        {
-            "octant_checks": [
-                {
-                    "octant": signs_str(c.signs),
-                    "expected": [list(a) for a in c.expected],
-                    "actual": [list(a) for a in c.actual],
-                    "match": c.match,
-                }
-                for c in verification.octant_checks
-            ],
-            "fan_mdd_count": verification.fan_mdd_count,
-            "fan_match": verification.fan_match,
-            "brute_force_total_count": verification.brute_force_total_count,
-            "brute_force_coherent_count": verification.brute_force_coherent_count,
-            "brute_force_match": verification.brute_force_match,
-            "ok": verification.ok,
-        }
-    )
-    return payload
+    return family_verification_payload(verify_family(args.q, k=args.k, t=args.t))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,19 +181,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
     except CircmddError as exc:
-        error = {
-            "error": {
-                "code": exc.code,
-                "message": str(exc),
-                "details": _jsonable(exc.details),
-            }
-        }
-        sys.stderr.write(canonical_json(error) + "\n")
+        sys.stderr.write(canonical_json({"error": error_payload(exc)}) + "\n")
         return 1
-    if isinstance(payload, str):
-        print(payload)
-    else:
-        print(canonical_json(payload))
+    print(payload if isinstance(payload, str) else canonical_json(payload))
     return 0
 
 

@@ -33,7 +33,7 @@ from .lattice import (
     homogeneous_lattice,
     octant_points_bounded,
 )
-from .mdd import Mdd, build_coherent_mdd
+from .mdd import build_coherent_mdd
 from .network import CirculantNetwork, build_network, distance_table, vertex_of
 
 

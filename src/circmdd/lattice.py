@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ArityMismatchError, UnsupportedArityError
-from .intlin import dot, hnf_rows, kernel_of_row, norm1, vec_neg
+from .intlin import dot, hnf_rows, kernel_of_row, vec_neg
 from .network import CirculantNetwork
 
 SINGLE_NEGATIVE_SIGNS = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
@@ -204,8 +204,8 @@ def hilbert_basis(oct: OctantSemigroup) -> HilbertBasis:
     p1, p2 = [i for i in range(3) if i != j]
     n = lat.net.n
     s = lat.net.steps
-    c1 = n // gcd(n, (s[p1] - s[j]) % n)
-    c2 = n // gcd(n, (s[p2] - s[j]) % n)
+    u, v = boundary_ray_minima(oct)
+    c1, c2 = u[p1], v[p2]
     points = set()
     for y in range(c1 + 1):
         for z in range(c2 + 1):

@@ -251,7 +251,7 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
         raise MalformedDocumentError(
             f"expected {net.n} cells, got {len(cells)}", expected=net.n, got=len(cells)
         )
-    table = distance_table(net)
+    dist = distances(net)
     for i, cell in enumerate(cells):
         if len(cell) != net.r:
             raise ArityMismatchError(
@@ -270,13 +270,13 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
                 vertex=i,
                 reached=vertex_of(net, cell),
             )
-        if sum(cell) != table.dist[i]:
+        if sum(cell) != dist[i]:
             raise NotMinimalError(
                 f"cell {cell} of vertex {i} has length {sum(cell)}, distance is "
-                f"{table.dist[i]}",
+                f"{dist[i]}",
                 vertex=i,
                 length=sum(cell),
-                distance=table.dist[i],
+                distance=dist[i],
             )
     for i, cell in enumerate(cells):
         for j, c in enumerate(cell):

@@ -10,15 +10,39 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import MalformedDocumentError
-from .fan import FanSummary
-from .lattice import HilbertBasis, signs_str
+from .coherence import CoherenceResult
+from .errors import CircmddError, MalformedDocumentError
+from .fan import FamilyNetwork, FamilyVerification, FanReport, FanSummary
+from .lattice import HilbertBasis, HomogeneousLattice, signs_str
 from .mdd import Mdd
 from .network import CirculantNetwork, DistanceTable, build_network
 
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=False)
+
+
+def _vectors(vecs) -> list:
+    return [list(a) for a in vecs]
+
+
+def _octant(signs, elements) -> dict:
+    return {"octant": signs_str(signs), "elements": _vectors(elements)}
+
+
+def _walls(walls) -> list:
+    return [{"ray": list(w.ray), "witness": list(w.witness)} for w in walls]
+
+
+def _plain(value):
+    """Error details as JSON values: tuples become arrays, rationals {num, den}."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, Fraction):
+        return rational_payload(value)
+    return value
 
 
 def network_payload(net: CirculantNetwork) -> dict:
@@ -30,6 +54,20 @@ def rational_payload(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def error_payload(exc: CircmddError) -> dict:
+    return {"code": exc.code, "message": str(exc), "details": _plain(exc.details)}
+
+
+def net_info_payload(net: CirculantNetwork, dist, counts) -> dict:
+    return {
+        "network": network_payload(net),
+        "diameter": max(dist),
+        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
+        "dist": list(dist),
+        "route_counts": list(counts),
+    }
+
+
 def mdd_payload(mdd: Mdd) -> dict:
     return {
         "network": network_payload(mdd.net),
@@ -39,47 +77,148 @@ def mdd_payload(mdd: Mdd) -> dict:
     }
 
 
-def distance_table_payload(table: DistanceTable) -> dict:
+def enumeration_payload(net: CirculantNetwork, mode: str, result) -> dict:
     return {
-        "network": network_payload(table.net),
-        "dist": list(table.dist),
-        "minimal_paths": [
-            [list(a) for a in vecs] for vecs in table.minimal_paths
+        "network": network_payload(net),
+        "mode": mode,
+        "mdd_count": len(result.mdds),
+        "routing_choice_count": result.routing_choice_count,
+        "mdds": [_vectors(m.cells) for m in result.mdds],
+    }
+
+
+def coherence_payload(result: CoherenceResult | None) -> dict:
+    """A coherence decision; all fields null when none was made (None)."""
+    if result is None:
+        return {"coherent": None, "witness": None, "refutation": None}
+    return {
+        "coherent": result.coherent,
+        "witness": list(result.witness) if result.witness else None,
+        "refutation": None
+        if result.refutation is None
+        else [
+            {
+                "vertex": c.vertex,
+                "chosen": list(c.chosen),
+                "alternative": list(c.alternative),
+            }
+            for c in result.refutation
         ],
     }
 
 
-def hilbert_payload(basis: HilbertBasis) -> dict:
+def mdd_check_payload(net: CirculantNetwork, coherence=None, violation=None) -> dict:
+    """`mdd check`: the violation of an invalid diagram, else its coherence."""
+    payload = {"network": network_payload(net), "valid": violation is None}
+    if violation is None:
+        return {**payload, **coherence_payload(coherence)}
+    return {**payload, "violation": error_payload(violation)}
+
+
+def distance_table_payload(table: DistanceTable) -> dict:
     return {
-        "network": network_payload(basis.octant.lattice.net),
-        "octant": signs_str(basis.octant.signs),
-        "elements": [list(a) for a in basis.elements],
+        "network": network_payload(table.net),
+        "dist": list(table.dist),
+        "minimal_paths": [_vectors(vecs) for vecs in table.minimal_paths],
+    }
+
+
+def hilbert_payload(basis: HilbertBasis) -> dict:
+    net = network_payload(basis.octant.lattice.net)
+    return {"network": net, **_octant(basis.octant.signs, basis.elements)}
+
+
+def lattice_payload(lat: HomogeneousLattice, bases) -> dict:
+    return {
+        "network": network_payload(lat.net),
+        "basis": _vectors(lat.basis),
+        "index": lat.index,
+        "octants": [_octant(b.octant.signs, b.elements) for b in bases],
+        "total_elements": sum(len(b.elements) for b in bases),
     }
 
 
 def fan_payload(summary: FanSummary) -> dict:
     return {
         "network": network_payload(summary.net),
-        "walls": [
-            {"ray": list(w.ray), "witness": list(w.witness)} for w in summary.walls
-        ],
-        "sector_representatives": [
-            list(w) for w in summary.sector_representatives
-        ],
+        "walls": _walls(summary.walls),
+        "sector_representatives": _vectors(summary.sector_representatives),
         "mdd_count": summary.mdd_count,
     }
 
 
+def fan_report_payload(report: FanReport) -> dict:
+    return {
+        "network": network_payload(report.net),
+        "candidates": [
+            {"ray": list(c.ray), "sources": _vectors(c.sources)}
+            for c in report.candidates
+        ],
+        "walls": _walls(report.walls),
+        "rejections": [
+            {
+                "ray": list(rej.ray),
+                "failed_condition": rej.failed_condition,
+                "reason": rej.reason,
+            }
+            for rej in report.rejections
+        ],
+        "sector_representatives": _vectors(report.summary.sector_representatives),
+        "mdd_count": report.summary.mdd_count,
+    }
+
+
+def family_payload(fam: FamilyNetwork) -> dict:
+    return {
+        "q": fam.q,
+        "k": fam.k,
+        "t": fam.t,
+        "base_network": network_payload(fam.base),
+        "lifted_network": network_payload(fam.lifted),
+        "predicted_hilbert": [_octant(s, e) for s, e in fam.predicted_hilbert],
+        "predicted_mdd_count": fam.predicted_mdd_count,
+        "hypothesis_note": fam.hypothesis_note,
+    }
+
+
+def family_verification_payload(verification: FamilyVerification) -> dict:
+    return {
+        **family_payload(verification.family),
+        "octant_checks": [
+            {
+                "octant": signs_str(c.signs),
+                "expected": _vectors(c.expected),
+                "actual": _vectors(c.actual),
+                "match": c.match,
+            }
+            for c in verification.octant_checks
+        ],
+        "fan_mdd_count": verification.fan_mdd_count,
+        "fan_match": verification.fan_match,
+        "brute_force_total_count": verification.brute_force_total_count,
+        "brute_force_coherent_count": verification.brute_force_coherent_count,
+        "brute_force_match": verification.brute_force_match,
+        "ok": verification.ok,
+    }
+
+
+_PAYLOADS = {
+    Mdd: mdd_payload,
+    FanSummary: fan_payload,
+    FanReport: fan_report_payload,
+    HilbertBasis: hilbert_payload,
+    DistanceTable: distance_table_payload,
+    FamilyNetwork: family_payload,
+    FamilyVerification: family_verification_payload,
+}
+
+
 def encode(value) -> str:
-    """Canonical JSON text for a diagram, fan, Hilbert basis or table."""
-    if isinstance(value, Mdd):
-        return canonical_json(mdd_payload(value))
-    if isinstance(value, FanSummary):
-        return canonical_json(fan_payload(value))
-    if isinstance(value, HilbertBasis):
-        return canonical_json(hilbert_payload(value))
-    if isinstance(value, DistanceTable):
-        return canonical_json(distance_table_payload(value))
+    """Canonical JSON text of a value; for a FanReport, FamilyNetwork or
+    FamilyVerification it is the document the CLI prints for it."""
+    for cls, payload in _PAYLOADS.items():
+        if isinstance(value, cls):
+            return canonical_json(payload(value))
     raise TypeError(f"no canonical encoding for {type(value).__name__}")
 
 

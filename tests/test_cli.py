@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from circmdd import build_network, distance_table, is_unique_mdd, network_stats
+from circmdd import (
+    build_coherent_mdd,
+    build_family,
+    build_network,
+    distance_table,
+    encode,
+    fan_report,
+    is_unique_mdd,
+    network_stats,
+    verify_family,
+)
 from circmdd.cli import main
 
 
@@ -210,6 +220,25 @@ def test_family_build_and_verify():
     assert lifted["lifted_network"] == {"n": 63, "steps": [11, 20, 38]}
     assert lifted["ok"] is True
     assert lifted["fan_mdd_count"] == lifted["brute_force_coherent_count"] == 12
+
+
+# Library values whose canonical encoding is the document the command
+# prints.
+ENCODED_BY_THE_LIBRARY = {
+    "fan 9 1,4,7": lambda: fan_report(build_network(9, [1, 4, 7])),
+    "fan 72 19,28,64": lambda: fan_report(build_network(72, [19, 28, 64])),
+    "family build 2": lambda: build_family(2),
+    "family verify 2": lambda: verify_family(2),
+    "mdd build 9 1,4,7 --weight 7,2,0": lambda: build_coherent_mdd(
+        build_network(9, [1, 4, 7]), (7, 2, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENCODED_BY_THE_LIBRARY))
+def test_library_encoding_is_the_cli_output(command):
+    value = ENCODED_BY_THE_LIBRARY[command]()
+    assert run_cli(command.split()) == (0, encode(value) + "\n", "")
 
 
 def test_family_build_rejects_bad_q():

@@ -290,6 +290,15 @@ def test_enumerate_builds_no_routing_table():
     assert distance_table.cache_info().currsize == 0
 
 
+def test_validate_builds_no_routing_table():
+    net = build_network(31, [1, 3, 7, 12, 20])
+    mdd = build_coherent_mdd(net, (9, 7, 5, 2, 1), tie_policy="lex")
+    assert max(map(sum, mdd.cells)) > 1
+    distance_table.cache_clear()
+    assert validate_mdd(net, mdd.cells) == mdd
+    assert distance_table.cache_info().misses == 0
+
+
 def test_enumerate_mode_validation():
     net = build_network(10, [1, 6])
     with pytest.raises(ValueError):
