@@ -8,13 +8,12 @@ of monomial ideals, which is what the staircase generators describe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count, product, repeat
+from itertools import compress, count, product
 from math import gcd, lcm, prod
-from operator import eq, getitem, mul
+from operator import eq, mul
 
 from .errors import (
     ArityMismatchError,
@@ -91,12 +90,13 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     minus one arc is the least routing of the vertex that arc leads back
     to. The least routing of every vertex therefore comes from those of
     its predecessors one level closer to 0, by dynamic programming over
-    the table's distance levels; each routing is carried as one integer
-    key, weight above the packed routing code. This is the "lex" result,
-    and also the "error" result whenever that does not raise, since then
+    the distance levels; each routing is carried as one integer key,
+    weight above the packed routing code. This is the "lex" result, and
+    also the "error" result whenever that does not raise, since then
     every least weight is unique. The scan itself runs only where a tie
-    can happen (see _first_tie), and each cell is the table's own
-    routing tuple, found by bisection.
+    can happen (see _first_tie), on routings walked per vertex, and each
+    cell is decoded once per network and shared (DistanceTable.cells).
+    For three steps no routing table is built.
     """
     if tie_policy not in ("error", "lex"):
         raise ValueError(f"tie_policy must be 'error' or 'lex', got {tie_policy!r}")
@@ -132,40 +132,27 @@ def _least_routings(table, iw) -> tuple[PathVector, ...]:
     routing is its weight shifted above its packed code, so keys add
     like routings and compare by weight, then lexicographically, and a
     vertex's key is the least key of a predecessor one level down plus
-    the key of the arc. The code leaves out the last coordinate, which
-    the others and the common length of a vertex's routings fix. Each
-    level's least keys are unpacked and their leading coordinates looked
-    up in the vertices' sorted routings: a shorter tuple sorts before
-    every tuple it begins.
+    the key of the arc. The codes are those of table.cells, which turns
+    each into its shared tuple.
     """
     r = table.net.r
-    # coordinates are below n, so fields never carry
-    width = table.net.n.bit_length()
-    shifts = [width * (r - 2 - j) for j in range(r - 1)]
-    codebits = (r - 1) * width
-    units = [(x << codebits) + (1 << s) for x, s in zip(iw, shifts)]
-    units.append(iw[-1] << codebits)
+    store = table.cells
+    codebits = store.bits
+    units = [(x << codebits) + (1 << s) for x, s in zip(iw, store.shifts)]
     # heavier than any key of a routing, plus any arc
     absent = (sum(map(abs, iw)) * (max(table.dist) + 1) + 1) << codebits
-    field = (1 << width) - 1
     code = (1 << codebits) - 1
-    paths = table.minimal_paths
     order, position, bounds, preds = table.levels
-    cells = [paths[0][0]] * len(paths)  # by place
+    codes = [0] * len(position)  # by place
     keys = [0, absent]
     for d in range(1, len(bounds) - 1):
         start, stop = bounds[d], bounds[d + 1]
         get = keys.__getitem__
         arms = [map(u.__add__, map(get, p[start:stop])) for u, p in zip(units, preds)]
         keys = list(map(min, *arms) if r > 1 else arms[0])
-        if r == 3:
-            lead = map(divmod, map(code.__and__, keys), repeat(1 << width))
-        else:
-            lead = (tuple(k >> s & field for s in shifts) for k in keys)
-        routes = list(map(paths.__getitem__, order[start:stop]))
-        cells[start:stop] = map(getitem, routes, map(bisect_left, routes, lead))
+        codes[start:stop] = map(code.__and__, keys)
         keys.append(absent)
-    return tuple(map(cells.__getitem__, position))
+    return tuple(map(store.__getitem__, map(codes.__getitem__, position)))
 
 
 def _first_tie(table, iw):
@@ -196,9 +183,9 @@ def _first_tie(table, iw):
     net = table.net
     n = net.n
     dist = table.dist
-    paths = table.minimal_paths
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
-        return _first_scan_tie(table, (i for i, p in enumerate(paths) if len(p) > 1), iw)
+        counts = route_counts(net, dist)
+        return _first_scan_tie(table, (i for i, c in enumerate(counts) if c > 1), iw)
     w0, w1, w2 = iw
     line = primitive((w1 - w2, w2 - w0, w0 - w1))
     e = vec_scale(line, n // gcd(n, sum(map(mul, line, net.steps))))
@@ -218,14 +205,13 @@ def _first_scan_tie(table, vertices, iw):
     """The first raise of the lexicographic scan over the given vertices,
     in the order given: (vertex, routing held, tied routing), or None.
     See build_coherent_mdd for the rule."""
-    paths = table.minimal_paths
     # three steps take the inline dot, which is faster than the sum
     three = len(iw) == 3
     if three:
         w0, w1, w2 = iw
     for i in vertices:
         best = None
-        for a in paths[i]:
+        for a in table.routings(i):
             if three:
                 x, y, z = a
                 val = w0 * x + w1 * y + w2 * z

@@ -40,18 +40,81 @@ class CirculantNetwork:
         return f"C{self.n}({','.join(map(str, self.steps))})"
 
 
+class _CellStore(dict):
+    """Routing tuples by packed code, each decoded on first use.
+
+    A code holds one field of n.bit_length() bits per coordinate, first
+    coordinate highest (minimal routings have coordinates below n, so
+    fields never carry). Every diagram built from the same store shares
+    its tuples.
+    """
+
+    def __init__(self, n: int, r: int):
+        width = n.bit_length()
+        self.bits = width * r  # every code lies below 1 << bits
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * (r - 1 - j) for j in range(r))
+
+    def __missing__(self, code: int) -> PathVector:
+        fields = map(self.mask.__and__, map(code.__rshift__, self.shifts))
+        cell = self[code] = tuple(fields)
+        return cell
+
+
 @dataclass(frozen=True)
 class DistanceTable:
-    """Distances from vertex 0 and every minimal routing vector per vertex.
+    """Distances from vertex 0, and what is derived from them on demand.
 
-    levels is derived from dist and cached on the instance, so it lives
-    and dies with the table (and with distance_table's cache); it takes
-    no part in equality, which compares the three fields.
+    minimal_paths, levels and cells are cached on the instance when
+    first read, so they live and die with the table (and with
+    distance_table's cache); they take no part in equality, which
+    compares net and dist.
     """
 
     net: CirculantNetwork
     dist: tuple[int, ...]
-    minimal_paths: tuple[tuple[PathVector, ...], ...]
+
+    @cached_property
+    def minimal_paths(self) -> tuple[tuple[PathVector, ...], ...]:
+        """Every minimal routing vector per vertex, each sorted
+        lexicographically (see _minimal_path_table)."""
+        return _minimal_path_table(self.net.n, self.net.steps)
+
+    @cached_property
+    def cells(self) -> _CellStore:
+        """The routing tuples of the diagrams built on this network."""
+        return _CellStore(self.net.n, self.net.r)
+
+    def routings(self, i: int) -> tuple[PathVector, ...]:
+        """The minimal routings of vertex i, sorted lexicographically.
+
+        Equal to minimal_paths[i]. For three steps no table is built:
+        the routings are the (x, y, d - x - y) of norm d = dist[i] that
+        reach i, that is x(s0 - s2) + y(s1 - s2) = i - d s2 (mod n). For
+        each x in 0..d the solutions y form one residue class mod n / g,
+        g = gcd(s1 - s2, n), so the walk takes O(d) steps plus one per
+        routing, already in lexicographic order.
+        """
+        if self.net.r != 3:
+            return self.minimal_paths[i]
+        n = self.net.n
+        s0, s1, s2 = self.net.steps
+        d = self.dist[i]
+        b = (s1 - s2) % n
+        g = math.gcd(b, n)
+        m = n // g
+        inv = pow(b // g, -1, m)
+        rhs = (i - d * s2) % n
+        a = (s0 - s2) % n
+        found = []
+        for x in range(d + 1):
+            if not rhs % g:
+                for y in range(rhs // g * inv % m, d - x + 1, m):
+                    found.append((x, y, d - x - y))
+            rhs -= a
+            if rhs < 0:
+                rhs += n
+        return tuple(found)
 
     @cached_property
     def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
@@ -176,7 +239,7 @@ def vertex_of(net: CirculantNetwork, a) -> int:
 
 
 def active_kernel(net: CirculantNetwork) -> str:
-    """Which minimal-path kernel distance_table uses for this network.
+    """Which kernel builds DistanceTable.minimal_paths for this network.
 
     There is one, so the answer is always "pure-python"; the function
     stays for callers that report it.
@@ -184,8 +247,8 @@ def active_kernel(net: CirculantNetwork) -> str:
     return "pure-python"
 
 
-def _minimal_path_table(n: int, steps) -> tuple[list[int], list[tuple[PathVector, ...]]]:
-    """Distances from vertex 0 plus all minimal routing vectors per vertex.
+def _minimal_path_table(n: int, steps) -> tuple[tuple[PathVector, ...], ...]:
+    """All minimal routing vectors per vertex.
 
     Level expansion: level d + 1 extends every minimal vector of level d
     by one arc of each step, dropping vectors that land on a vertex
@@ -232,27 +295,27 @@ def _minimal_path_table(n: int, steps) -> tuple[list[int], list[tuple[PathVector
             codes = frontier[u] = sorted(bucket)
             columns = [[(c >> shift) & mask for c in codes] for shift in shifts]
             paths[u] = tuple(zip(*columns))
-    return dist, paths
+    return tuple(paths)
 
 
 @lru_cache(maxsize=64)
 def distance_table(net: CirculantNetwork) -> DistanceTable:
-    """All distances and all minimal routing vectors of the network.
+    """The distances of the network, from distances(net).
 
-    P_i holds every vector of norm dist[i] reaching i, sorted
-    lexicographically (see _minimal_path_table). Cached per network;
-    the table is immutable and safe to share.
+    Cached per network, with everything the table derives on demand:
+    the routing vectors (minimal_paths, built only when read), the
+    distance levels and the cell store of the sector census. The table
+    is immutable and safe to share.
     """
-    dist, paths = _minimal_path_table(net.n, net.steps)
-    return DistanceTable(net, tuple(dist), tuple(paths))
+    return DistanceTable(net, distances(net))
 
 
 def distances(net: CirculantNetwork) -> tuple[int, ...]:
     """Distances from vertex 0, by a breadth-first search over vertices.
 
-    O(n * r) and no routing is built; equal to distance_table(net).dist.
-    Raises DisconnectedError, as distance_table does, when vertex 0 does
-    not reach every vertex (only an unvalidated network can fail so).
+    O(n * r) and no routing is built; distance_table(net).dist is this,
+    cached. Raises DisconnectedError when vertex 0 does not reach every
+    vertex (only an unvalidated network can fail so).
     """
     n = net.n
     steps = net.steps

@@ -12,6 +12,7 @@ from circmdd import (
     build_coherent_mdd,
     build_family,
     build_network,
+    coherent_fan,
     distance_table,
     encode,
     fan_report,
@@ -55,6 +56,19 @@ def test_net_info_builds_no_routing_table():
     assert network_stats(net) == (10, Fraction(71, 14))
     assert not is_unique_mdd(net)
     assert distance_table.cache_info().misses == 0
+
+
+def test_census_builds_no_routing_table():
+    # the sector census reads distances, levels and a few vertices'
+    # routings, so the fan and the family check leave the routing
+    # vectors of the cached tables unbuilt
+    distance_table.cache_clear()
+    assert run_json(["fan", "56", "9,17,33"])["mdd_count"] == 12
+    net = build_network(56, [9, 17, 33])
+    assert coherent_fan(net).mdd_count == 12
+    assert verify_family(5).ok
+    for lifted in (net, build_family(5).lifted):
+        assert "minimal_paths" not in vars(distance_table(lifted)), lifted
 
 
 def test_mdd_build_json_and_renders():

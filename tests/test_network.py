@@ -192,22 +192,46 @@ def test_derived_structures_live_and_die_with_the_table():
     net = build_network(56, [9, 17, 33])
     distance_table.cache_clear()
     table = distance_table(net)
-    levels = table.levels
-    assert vars(table)["levels"] is levels
-    assert distance_table(net).levels is levels
+    # nothing derived is built before it is read
+    assert set(vars(table)) == {"net", "dist"}
+    derived = {name: getattr(table, name) for name in ("minimal_paths", "levels", "cells")}
+    for name, value in derived.items():
+        assert vars(table)[name] is value
+        assert getattr(distance_table(net), name) is value
     gone = weakref.ref(table)
     distance_table.cache_clear()
     fresh = distance_table(net)
-    assert fresh is not table and "levels" not in vars(fresh)
-    del table, levels
+    assert fresh is not table and set(vars(fresh)) == {"net", "dist"}
+    del table, derived, value
     gc.collect()
     assert gone() is None
-    # equality and hashing still see only the three fields
-    assert [f.name for f in dataclasses.fields(DistanceTable)] == [
-        "net", "dist", "minimal_paths"
-    ]
-    fresh.levels
-    bare = DistanceTable(fresh.net, fresh.dist, fresh.minimal_paths)
-    assert "levels" in vars(fresh) and "levels" not in vars(bare)
+    # equality and hashing see only the two fields
+    assert [f.name for f in dataclasses.fields(DistanceTable)] == ["net", "dist"]
+    fresh.minimal_paths, fresh.levels, fresh.cells
+    bare = DistanceTable(fresh.net, fresh.dist)
+    assert set(vars(bare)) == {"net", "dist"}
     assert bare == fresh and hash(bare) == hash(fresh)
-    assert bare != DistanceTable(fresh.net, fresh.dist, fresh.minimal_paths[:-1] + ((),))
+    assert bare.minimal_paths == fresh.minimal_paths
+    assert bare != DistanceTable(fresh.net, fresh.dist[:-1] + (0,))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertex_routings_match_the_table(seed):
+    # the coset walk of a three-step vertex gives its row of the table,
+    # in order; every other network has gcd(s1 - s2, n) > 1, so the
+    # solutions y form a class modulo a proper divisor of n
+    rng = random.Random(900 + seed)
+    shared = 0
+    for k in range(30):
+        n = 2 * rng.randrange(2, 200)
+        s0, s2 = rng.sample(range(1, n), 2)
+        # an even difference shares the factor 2 with n
+        s1 = s2 + 2 * rng.randrange(1, n) if k % 2 else rng.randrange(1, n)
+        try:
+            net = build_network(n, [s0, s1, s2])
+        except CircmddError:
+            continue
+        shared += math.gcd(net.steps[1] - net.steps[2], n) > 1
+        table = distance_table(net)
+        assert [table.routings(i) for i in range(n)] == list(table.minimal_paths), net
+    assert shared >= 10

@@ -7,11 +7,12 @@ are. Each network is checked five ways: the fan's diagram count equals
 the brute-force coherent count, the enumeration's own coherence filter
 keeps exactly the diagrams is_coherent accepts, every octant Hilbert
 basis equals the definition-level indecomposable filter, the uniqueness
-criterion agrees with the enumeration, and the breadth-first distances
-and the route counts equal the routing table's. A second sweep builds the
-diagram of every sector representative and every wall ray of the fan,
-with both tie policies, against the definition-level census: wall rays
-lie on tie lines, so they reach the weight-tie check.
+criterion agrees with the enumeration, and the breadth-first distances,
+the route counts and the per-vertex routing walks equal the routing
+table's. A second sweep builds the diagram of every sector
+representative and every wall ray of the fan, with both tie policies,
+against the definition-level census: wall rays lie on tie lines, so
+they reach the weight-tie check.
 """
 
 from itertools import combinations
@@ -71,6 +72,7 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         dist = distances(net)
         assert dist == table.dist, net
         assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
+        assert tuple(map(table.routings, range(n))) == table.minimal_paths, net
         mdds = enumerate_mdds(net, "all").mdds
         coherent = tuple(m for m in mdds if is_coherent(m).coherent)
         assert enumerate_mdds(net, "coherent_only").mdds == coherent, net
