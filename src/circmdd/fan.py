@@ -13,7 +13,6 @@ diagrams.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 
@@ -93,53 +92,24 @@ def _plane_vector(p) -> tuple[int, int, int]:
     return (x, y - x, -y)
 
 
-class _Octants(dict):
-    """Hilbert basis and short points of the single-negative octants.
-
-    Maps a sign pattern to (generators, points), where the points are
-    the sorted nonzero octant points of 1-norm at most the largest
-    generator norm: every point that candidate screening or a wall
-    check of this lattice looks at. Each octant is computed on first
-    use.
-    """
-
-    def __init__(self, lat: HomogeneousLattice):
-        super().__init__()
-        self.lat = lat
-
-    def __missing__(self, signs):
-        oct = OctantSemigroup(self.lat, signs)
-        elements = hilbert_basis(oct).elements
-        bound = max(map(norm1, elements), default=0)
-        self[signs] = value = (elements, octant_points_bounded(oct, bound))
-        return value
-
-
-# The octant data of the fan that fan_report is computing, set for the
-# duration of that call only: candidate_rays and verify_wall use it for
-# that lattice instead of recomputing it per call.
-_FAN_OCTANTS: ContextVar[_Octants | None] = ContextVar("_FAN_OCTANTS", default=None)
-
-
 def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     """All rays that can separate two diagram cones of this lattice.
 
     Each Hilbert generator a of a single-negative octant is orthogonal
     to two opposite rays; a ray survives only if every octant point of
     norm at most ||a|| has nonnegative product with it (the one-sided
-    screening that a separating ray must satisfy). Survivors are
+    screening that a separating ray must satisfy). The 1-norm is linear
+    on an octant, so such a point is a sum of generators of norm at most
+    ||a||, and the screening tests those generators only. Survivors are
     deduplicated and sorted by angle.
     """
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
-    octants = _FAN_OCTANTS.get()
-    if octants is None or octants.lat != lat:
-        octants = _Octants(lat)
     found: dict[tuple[int, int, int], set] = {}
     for signs in SINGLE_NEGATIVE_SIGNS:
-        elements, pts = octants[signs]
+        elements = hilbert_basis(OctantSemigroup(lat, signs)).elements
         for a in elements:
-            nearby = [b for b in pts if norm1(b) <= norm1(a)]
+            nearby = [b for b in elements if norm1(b) <= norm1(a)]
             base = primitive(_orth_in_plane(a))
             for ray in (base, vec_neg(base)):
                 if all(dot(ray, b) >= 0 for b in nearby):
@@ -152,8 +122,15 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     return tuple(cands)
 
 
-def _check_wall_conditions(net, lat, table, octants, ray, a):
-    """None if a certifies the ray as a wall, else (condition, reason)."""
+def _check_wall_conditions(net, lat, table, ray, a):
+    """None if a certifies the ray as a wall, else (condition, reason).
+
+    Condition 3 tests the Hilbert generators of a's octant of norm at
+    most ||a||, which decides it (see candidate_rays). Only when one
+    fails are the octant points of norm at most ||a|| listed, to name
+    the lexicographically first failing point, which need not be a
+    generator.
+    """
     plus = tuple(max(c, 0) for c in a)
     minus = tuple(max(-c, 0) for c in a)
     v = vertex_of(net, plus)
@@ -169,60 +146,43 @@ def _check_wall_conditions(net, lat, table, octants, ray, a):
             f"part {plus} reaches vertex {v} in {half_len} arcs but the "
             f"distance is {table.dist[v]}",
         )
-    signs = tuple(-1 if c < 0 else 1 for c in a)
-    if octants is None:
-        # a one-off check computes only the points of norm at most ||a||
-        oct = OctantSemigroup(lat, signs)
-        elements = hilbert_basis(oct).elements
-        pts = octant_points_bounded(oct, norm1(a)) if a in elements else ()
-    else:
-        elements, pts = octants[signs]
+    oct = OctantSemigroup(lat, tuple(-1 if c < 0 else 1 for c in a))
+    elements = hilbert_basis(oct).elements
     if a not in elements:
         return (2, f"{a} is not a Hilbert generator of its octant")
-    # the points include every point of norm at most ||a||, sorted
     bound = norm1(a)
-    for b in pts:
-        if norm1(b) <= bound and dot(ray, b) < 0:
-            return (
-                3,
-                f"octant point {b} lies strictly on the negative side of the ray",
-            )
-    return None
+    if all(dot(ray, b) >= 0 for b in elements if norm1(b) <= bound):
+        return None
+    b = next(b for b in octant_points_bounded(oct, bound) if dot(ray, b) < 0)
+    return (3, f"octant point {b} lies strictly on the negative side of the ray")
 
 
 def verify_wall(net: CirculantNetwork, cand: RayCandidate):
     """Check a candidate ray against the network; Wall or WallRejection.
 
     The smallest nonzero lattice vector on the line orthogonal to the
-    ray (found by scanning multiples of the primitive direction, bounded
-    by the lattice index) is oriented to have a single negative entry
-    and must: route minimally on both sides, be a Hilbert generator of
-    its octant, and have no short octant point strictly on the negative
-    side of the ray.
+    ray is m*d, with d the primitive direction of that line and
+    m = n / gcd(n, d.s), the least m with m*(d.s) = 0 mod n. It is
+    oriented to have a single negative entry and must: route minimally
+    on both sides, be a Hilbert generator of its octant, and have no
+    short octant point strictly on the negative side of the ray.
+
+    m never exceeds the lattice index n / gcd(n, s0 - s2, s1 - s2): d
+    sums to zero, so d.s = d0(s0 - s2) + d1(s1 - s2), which that gcd
+    divides; hence the line always holds a lattice point.
     """
-    octants = _FAN_OCTANTS.get()
-    if octants is not None and octants.lat.net == net:
-        lat = octants.lat
-    else:
-        lat, octants = homogeneous_lattice(net), None
-        if lat.r != 3:
-            raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
+    lat = homogeneous_lattice(net)
+    if lat.r != 3:
+        raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     ray = cand.ray
     direction = primitive(_orth_in_plane(ray))
-    base = None
-    for m in range(1, lat.index + 1):
-        scaled = vec_scale(direction, m)
-        if lat.contains(scaled):
-            base = scaled
-            break
-    if base is None:
-        return WallRejection(ray, 0, "no lattice point on the orthogonal line")
+    base = vec_scale(direction, net.n // gcd(net.n, dot(direction, net.steps)))
     table = distance_table(net)
     attempts = []
     for a in (base, vec_neg(base)):
         if sum(1 for c in a if c < 0) != 1:
             continue
-        failure = _check_wall_conditions(net, lat, table, octants, ray, a)
+        failure = _check_wall_conditions(net, lat, table, ray, a)
         if failure is None:
             return Wall(ray=ray, witness=a)
         attempts.append(failure)
@@ -293,17 +253,13 @@ def fan_report(net: CirculantNetwork) -> FanReport:
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []
     rejections: list[WallRejection] = []
-    token = _FAN_OCTANTS.set(_Octants(lat))
-    try:
-        cands = candidate_rays(lat)
-        for cand in cands:
-            result = verify_wall(net, cand)
-            if isinstance(result, Wall):
-                walls.append(result)
-            else:
-                rejections.append(result)
-    finally:
-        _FAN_OCTANTS.reset(token)
+    cands = candidate_rays(lat)
+    for cand in cands:
+        result = verify_wall(net, cand)
+        if isinstance(result, Wall):
+            walls.append(result)
+        else:
+            rejections.append(result)
     walls.sort(key=lambda w: angular_key(_plane_coords(w.ray)))
     reps, mdds = _sample_sectors(net, walls)
     count = len({m.cells for m in mdds})

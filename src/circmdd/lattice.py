@@ -181,13 +181,19 @@ def boundary_ray_minima(oct: OctantSemigroup) -> tuple[tuple[int, ...], tuple[in
 def hilbert_basis(oct: OctantSemigroup) -> HilbertBasis:
     """Hilbert basis of an octant semigroup for a three-step network.
 
-    Every semigroup element is a nonnegative real combination of the two
-    boundary minima u and v, and subtracting integral multiples of u, v
-    stays inside the cone, so all indecomposable elements live in the
-    parallelepiped {y*u + x*v : 0 <= y, x <= 1}. In the coordinates of
-    the two positive entries that region is just a box, which is scanned
-    exhaustively; indecomposability is then a set lookup because both
-    parts of any splitting also lie in the box.
+    With j the negative coordinate, a single-negative octant is the
+    semigroup of (y, z) in N^2, the entries at the two positive
+    coordinates p1 < p2, with a*y + b*z = 0 mod n, where a = s_p1 - s_j
+    and b = s_p2 - s_j. Its Hilbert basis is the Hirzebruch-Jung
+    continued-fraction sequence from the y-axis to the z-axis (Oda,
+    Convex Bodies and Algebraic Geometry, 1.6). The least point on the
+    y-axis is h0 = (c1, 0) with c1 = n / gcd(n, a). The lattice has
+    covolume D = n / gcd(a, b, n), so its least positive z is
+    z1 = D / c1, and h1 = (y1, z1) with y1 in [0, c1) makes (h0, h1) a
+    basis. Each step h' = k*h - h_prev with k = ceil(y_prev / y) keeps a
+    basis and the least y >= 0, so k >= 2 and every h is a vertex of
+    the convex hull of the nonzero points; the walk ends on the z-axis
+    at (0, c2). The work is one step per generator.
     """
     lat = oct.lattice
     if lat.r != 3:
@@ -204,29 +210,20 @@ def hilbert_basis(oct: OctantSemigroup) -> HilbertBasis:
     p1, p2 = [i for i in range(3) if i != j]
     n = lat.net.n
     s = lat.net.steps
-    u, v = boundary_ray_minima(oct)
-    c1, c2 = u[p1], v[p2]
-    points = set()
-    for y in range(c1 + 1):
-        for z in range(c2 + 1):
-            if y == 0 and z == 0:
-                continue
-            a = [0, 0, 0]
-            a[p1] = y
-            a[p2] = z
-            a[j] = -(y + z)
-            a = tuple(a)
-            if dot(a, s) % n == 0:
-                points.add(a)
+    alpha, beta = (s[p1] - s[j]) % n, (s[p2] - s[j]) % n
+    g = gcd(n, alpha)
+    c1 = n // g
+    z1 = g // gcd(g, beta)
+    # alpha*y1 = -beta*z1 (mod n), solved in the units mod c1
+    y1 = -beta * z1 // g * pow(alpha // g, -1, c1) % c1
+    walk = [(c1, 0), (y1, z1)]
+    while walk[-1][0]:
+        (y0, z0), (y, z) = walk[-2:]
+        k = -(-y0 // y)
+        walk.append((k * y - y0, k * z - z0))
     elements = []
-    for a in points:
-        decomposable = False
-        for b in points:
-            if b != a:
-                rest = tuple(x - y for x, y in zip(a, b))
-                if rest in points:
-                    decomposable = True
-                    break
-        if not decomposable:
-            elements.append(a)
+    for y, z in walk:
+        a = [0, 0, 0]
+        a[p1], a[p2], a[j] = y, z, -(y + z)
+        elements.append(tuple(a))
     return HilbertBasis(oct, tuple(sorted(elements)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 
 def bfs_distances(n: int, steps) -> list[int]:
@@ -113,6 +113,36 @@ def single_negative_octant_points(n: int, steps, signs, bound: int):
                 a[p], a[q], a[j] = y, z, -(y + z)
                 out.append(tuple(a))
     return sorted(out)
+
+
+def rays_screened_by_points(n: int, steps) -> dict:
+    """Candidate rays of a three-step network by the one-sided screening.
+
+    In each single-negative octant the Hilbert generators are the
+    indecomposable points of 1-norm at most 2(c_p + c_q), where c_p is
+    the least positive multiple of (s_p - s_j) that is 0 mod n: every
+    generator lies in the parallelogram spanned by the two boundary
+    minima. Each generator a gives the two primitive sum-zero rays
+    orthogonal to it; a ray is kept when every octant point of 1-norm at
+    most ||a|| has a nonnegative product with it. Returns each kept ray
+    with the sorted generators that gave it.
+    """
+    found: dict = {}
+    for j in range(3):
+        signs = tuple(-1 if i == j else 1 for i in range(3))
+        p, q = [i for i in range(3) if i != j]
+        bound = sum(2 * n // gcd(n, steps[i] - steps[j]) for i in (p, q))
+        points = single_negative_octant_points(n, steps, signs, bound)
+        for a in indecomposable_filter(points):
+            size = sum(map(abs, a))
+            nearby = [b for b in points if sum(map(abs, b)) <= size]
+            d = (a[1] - a[2], a[2] - a[0], a[0] - a[1])
+            g = gcd(*d)
+            d = tuple(c // g for c in d)
+            for ray in (d, tuple(-c for c in d)):
+                if all(sum(map(prod, zip(ray, b))) >= 0 for b in nearby):
+                    found.setdefault(ray, set()).add(a)
+    return {ray: tuple(sorted(sources)) for ray, sources in found.items()}
 
 
 def octant_points_by_box_scan(n: int, steps, signs, bound: int):

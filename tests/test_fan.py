@@ -4,6 +4,7 @@ import pytest
 
 from circmdd import (
     BadLiftParamsError,
+    RayCandidate,
     UnsupportedArityError,
     Wall,
     WallRejection,
@@ -110,8 +111,8 @@ def test_fan_c7_1_2_4_unique():
 
 @pytest.mark.parametrize("n, steps", [(7, [1, 2, 4]), (8, [2, 3, 7]), (9, [1, 4, 7])])
 def test_standalone_verify_wall_matches_fan_report(n, steps):
-    # the fan shares its octant data between candidates; checking each
-    # candidate on its own must give the same walls and rejections
+    # checking each candidate on its own must give the walls and
+    # rejections of the fan, in the fan's order
     net = build_network(n, steps)
     report = fan_report(net)
     assert report.candidates == candidate_rays(homogeneous_lattice(net))
@@ -121,9 +122,7 @@ def test_standalone_verify_wall_matches_fan_report(n, steps):
     assert [x for x in results if isinstance(x, WallRejection)] == list(report.rejections)
 
 
-def test_fan_report_computes_each_octant_once(monkeypatch):
-    # candidate_rays and verify_wall share the fan's octant data only for
-    # the duration of fan_report, which still calls both
+def test_fan_report_verifies_each_candidate_once(monkeypatch):
     import circmdd.fan as fan
 
     calls = []
@@ -134,16 +133,28 @@ def test_fan_report_computes_each_octant_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("hilbert_basis", "candidate_rays", "verify_wall"):
+    for name in ("candidate_rays", "verify_wall"):
         monkeypatch.setattr(fan, name, counted(name, getattr(fan, name)))
     report = fan_report(build_network(9, [1, 4, 7]))
-    assert calls.count("hilbert_basis") == 3
     assert calls.count("candidate_rays") == 1
     assert calls.count("verify_wall") == len(report.candidates) > 0
-    assert fan._FAN_OCTANTS.get() is None
     with pytest.raises(UnsupportedArityError):
         fan_report(build_network(9, [1, 4]))
-    assert fan._FAN_OCTANTS.get() is None
+
+
+def test_condition_3_names_the_first_failing_point_not_a_generator():
+    # the screening decides condition 3 on generators, but the reason
+    # names the lexicographically first failing octant point: here
+    # (-4, 4, 0) = 2 * (-2, 2, 0), which is not a generator
+    net = build_network(12, [1, 7, 10])
+    result = verify_wall(net, RayCandidate((1, -2, 1), ()))
+    assert result == WallRejection(
+        (1, -2, 1),
+        3,
+        "octant point (-4, 4, 0) lies strictly on the negative side of the ray",
+    )
+    elements = hilbert_basis(octant(homogeneous_lattice(net), "-++")).elements
+    assert (-2, 2, 0) in elements and (-4, 4, 0) not in elements
 
 
 def test_family_census_call_counts_are_pinned(monkeypatch):

@@ -1,6 +1,8 @@
 """Homogeneous lattices, octant points, and Hilbert bases."""
 
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,7 +20,12 @@ from circmdd import (
 )
 from circmdd.intlin import hnf_rows
 
-from oracles import generates, indecomposable_filter, octant_points_by_box_scan
+from oracles import (
+    generates,
+    indecomposable_filter,
+    octant_points_by_box_scan,
+    single_negative_octant_points,
+)
 
 
 def lattice_of(n, steps):
@@ -162,6 +169,53 @@ def test_hilbert_matches_indecomposable_oracle(n, steps):
         bound = sum(map(abs, u)) + sum(map(abs, v))
         pts = octant_points_bounded(oct, bound)
         assert indecomposable_filter(pts) == list(hilbert_basis(oct).elements)
+
+
+def random_triple_loops(seed, count, max_n):
+    """Seeded three-step networks; every other one has a step difference
+    sharing a factor d > 1 with n, so some boundary minimum is below n."""
+    rng = random.Random(seed)
+    nets = []
+    while len(nets) < count:
+        n = rng.randint(4, max_n)
+        if len(nets) % 2:
+            divisors = [d for d in range(2, n // 2 + 1) if n % d == 0]
+            if not divisors:
+                continue
+            d = rng.choice(divisors)
+            s0 = rng.randrange(1, n)
+            s1 = (s0 + d * rng.randrange(1, n // d)) % n
+            steps = [s0, s1, rng.randrange(1, n)]
+        else:
+            steps = rng.sample(range(1, n), 3)
+        if len(set(steps)) == 3 and 0 not in steps and gcd(n, *steps) == 1:
+            nets.append((n, sorted(steps)))
+    return nets
+
+
+def test_hilbert_walk_matches_indecomposable_oracle_on_random_networks():
+    # every non-uniform pattern: the two-negative ones are the negated
+    # single-negative octants. Each generator lies in the triangle of
+    # 0 and the boundary minima u, v (the hull of the nonzero points
+    # contains the segment uv), so its norm is at most max(|u|, |v|)
+    nets = random_triple_loops(seed=11, count=200, max_n=300)
+    shared = 0
+    for n, steps in nets:
+        lat = lattice_of(n, steps)
+        for signs in SINGLE_NEGATIVE_SIGNS:
+            oct = OctantSemigroup(lat, signs)
+            u, v = boundary_ray_minima(oct)
+            shared += max(map(abs, u)) < n or max(map(abs, v)) < n
+            bound = max(sum(map(abs, u)), sum(map(abs, v)))
+            expected = indecomposable_filter(
+                single_negative_octant_points(n, steps, signs, bound)
+            )
+            assert list(hilbert_basis(oct).elements) == expected, (n, steps, signs)
+            negated = tuple(-s for s in signs)
+            assert list(hilbert_basis(OctantSemigroup(lat, negated)).elements) == (
+                sorted(tuple(-c for c in a) for a in expected)
+            ), (n, steps, negated)
+    assert shared >= 100
 
 
 @pytest.mark.parametrize("n,steps", [(9, [1, 4, 7]), (8, [2, 3, 7]), (13, [1, 3, 9])])

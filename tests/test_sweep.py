@@ -3,10 +3,11 @@
 Every three-step network with n <= 28 is covered, one per class under
 multiplying the steps by a unit of Z_n: that relabels the vertices and
 leaves distances, routing counts, lattices and diagram counts as they
-are. Each network is checked five ways: the fan's diagram count equals
+are. Each network is checked six ways: the fan's diagram count equals
 the brute-force coherent count, the enumeration's own coherence filter
 keeps exactly the diagrams is_coherent accepts, every octant Hilbert
-basis equals the definition-level indecomposable filter, the uniqueness
+basis equals the definition-level indecomposable filter, the candidate
+rays equal those screened over every short octant point, the uniqueness
 criterion agrees with the enumeration, and the breadth-first distances,
 the route counts and the per-vertex routing walks equal the routing
 table's. A second sweep builds the diagram of every sector
@@ -27,6 +28,7 @@ from circmdd import (
     boundary_ray_minima,
     build_coherent_mdd,
     build_network,
+    candidate_rays,
     coherent_fan,
     distance_table,
     distances,
@@ -43,6 +45,7 @@ from oracles import (
     coherent_cells_by_definition,
     indecomposable_filter,
     minimal_paths_by_scan,
+    rays_screened_by_points,
     single_negative_octant_points,
 )
 
@@ -92,6 +95,8 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
             assert list(hilbert_basis(oct).elements) == indecomposable_filter(
                 points
             ), (net, signs)
+        rays = {c.ray: c.sources for c in candidate_rays(lat)}
+        assert rays == rays_screened_by_points(n, net.steps), net
     assert ties or n < 6, n  # wall rays reach the weight-tie check
 
 
