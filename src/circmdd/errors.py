@@ -65,6 +65,10 @@ class BadFamilyParamsError(CircmddError):
     code = "bad-family-params"
 
 
+class BadRayError(CircmddError):
+    code = "bad-ray"
+
+
 class MalformedDocumentError(CircmddError):
     code = "malformed-document"
 

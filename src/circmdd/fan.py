@@ -5,10 +5,13 @@ Weight vectors matter only up to positive scale and shifts along
 same diagram form open convex cones whose boundary rays are orthogonal
 to Hilbert generators of the octant semigroups; candidate rays are
 generated from those Hilbert bases, verified against the network, and
-the open sectors between verified rays are sampled to collect the
-distinct coherent diagrams. Also provides the size lift that preserves
-the homogeneous lattice and the geometric-step families with many
-diagrams.
+the open sectors between verified rays are sampled to count the
+distinct coherent diagrams. Sectors are told apart by the lead sets of
+the reduced Groebner bases of the lattice ideal, which are their
+diagrams' staircases, so a diagram is built only for a network with no
+unit step or with a single sector. Also provides the size lift that
+preserves the homogeneous lattice and the geometric-step families with
+many diagrams.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from math import gcd
 from .errors import (
     BadFamilyParamsError,
     BadLiftParamsError,
+    BadRayError,
     InternalInconsistencyError,
     UnsupportedArityError,
     WeightTieError,
@@ -32,7 +36,7 @@ from .lattice import (
     homogeneous_lattice,
     octant_points_bounded,
 )
-from .mdd import build_coherent_mdd
+from .mdd import _lattice_ideal_basis, _sector_leads, build_coherent_mdd
 from .network import CirculantNetwork, build_network, distance_table, vertex_of
 
 
@@ -169,12 +173,15 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
 
     m never exceeds the lattice index n / gcd(n, s0 - s2, s1 - s2): d
     sums to zero, so d.s = d0(s0 - s2) + d1(s1 - s2), which that gcd
-    divides; hence the line always holds a lattice point.
+    divides; hence the line always holds a lattice point. A ray that
+    is zero or does not sum to zero raises BadRayError.
     """
     lat = homogeneous_lattice(net)
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     ray = cand.ray
+    if sum(ray) or not any(ray):
+        raise BadRayError(f"ray {ray} is not a nonzero sum-zero vector", ray=list(ray))
     direction = primitive(_orth_in_plane(ray))
     base = vec_scale(direction, net.n // gcd(net.n, dot(direction, net.steps)))
     table = distance_table(net)
@@ -191,7 +198,14 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
 
 
 def _sample_sectors(net, walls):
-    """One generic weight per open sector and the diagram it builds."""
+    """One generic weight per open sector, and its census key.
+
+    A sector's representative is the sum of its two walls' plane
+    vectors, slid toward the opening wall past any weight tie. The key
+    is the lead set of the reduced Groebner basis of the lattice ideal
+    (_sector_leads), each sector's basis started from the previous
+    one's, or the diagram's cells when no step is a unit mod n.
+    """
     if not walls:
         rep = (1, 0, -1)
         try:
@@ -201,13 +215,14 @@ def _sample_sectors(net, walls):
                 "no verified walls but the network still admits weight ties",
                 detail=str(exc),
             ) from exc
-        return [rep], [mdd]
+        return [rep], [mdd.cells]
     if len(walls) == 1:
         raise InternalInconsistencyError(
             "a complete fan cannot have exactly one boundary ray"
         )
     reps = []
-    mdds = []
+    keys = []
+    basis = _lattice_ideal_basis(net)
     m = len(walls)
     for i in range(m):
         a2 = _plane_coords(walls[i].ray)
@@ -225,8 +240,12 @@ def _sample_sectors(net, walls):
             )
         step = 1
         for _ in range(64):
+            w = _plane_vector(rep)
             try:
-                mdd = build_coherent_mdd(net, _plane_vector(rep), tie_policy="error")
+                if basis is None:
+                    key = build_coherent_mdd(net, w, tie_policy="error").cells
+                else:
+                    key, basis = _sector_leads(net, w, basis)
                 break
             except WeightTieError:
                 # slide toward the opening wall past any interior tie line;
@@ -237,18 +256,19 @@ def _sample_sectors(net, walls):
             raise InternalInconsistencyError(
                 "sector sampling found no generic weight", sector=i
             )
-        reps.append(_plane_vector(rep))
-        mdds.append(mdd)
-    return reps, mdds
+        reps.append(w)
+        keys.append(key)
+    return reps, keys
 
 
 def fan_report(net: CirculantNetwork) -> FanReport:
     """Candidates, verified walls, rejections, and the sector census.
 
-    The number of distinct diagrams collected from the sectors must
-    equal the number of verified walls (one diagram when there are
-    none); any discrepancy is raised as an internal inconsistency
-    rather than absorbed.
+    The census counts the distinct keys of the sectors' diagrams: their
+    lead sets (staircases) when a step is a unit mod n, else their
+    cells (see _sample_sectors). That number must equal the number of
+    verified walls (one diagram when there are none); any discrepancy
+    is raised as an internal inconsistency rather than absorbed.
     """
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []
@@ -261,8 +281,8 @@ def fan_report(net: CirculantNetwork) -> FanReport:
         else:
             rejections.append(result)
     walls.sort(key=lambda w: angular_key(_plane_coords(w.ray)))
-    reps, mdds = _sample_sectors(net, walls)
-    count = len({m.cells for m in mdds})
+    reps, keys = _sample_sectors(net, walls)
+    count = len(set(keys))
     expected = len(walls) if walls else 1
     if count != expected:
         raise InternalInconsistencyError(

@@ -125,7 +125,9 @@ class DistanceTable:
         places bounds[d] to bounds[d + 1] - 1. For the vertex i at place
         p of a level d >= 1, pred[j][p] is the index of i - s_j within
         level d - 1 when that vertex is at distance d - 1, and the size
-        of level d - 1 otherwise. Built from dist alone, for the census.
+        of level d - 1 otherwise. Built from dist alone, for
+        build_coherent_mdd (and the census of a network with no unit
+        step).
         """
         n = self.net.n
         steps = self.net.steps
@@ -303,9 +305,10 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     """The distances of the network, from distances(net).
 
     Cached per network, with everything the table derives on demand:
-    the routing vectors (minimal_paths, built only when read), the
-    distance levels and the cell store of the sector census. The table
-    is immutable and safe to share.
+    the routing vectors (minimal_paths, built only when read), and the
+    distance levels and the cell store of build_coherent_mdd. The
+    sector census reads dist, and the levels and cells only for a
+    network with no unit step. The table is immutable and safe to share.
     """
     return DistanceTable(net, distances(net))
 

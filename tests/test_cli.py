@@ -59,16 +59,19 @@ def test_net_info_builds_no_routing_table():
 
 
 def test_census_builds_no_routing_table():
-    # the sector census reads distances, levels and a few vertices'
-    # routings, so the fan and the family check leave the routing
-    # vectors of the cached tables unbuilt
+    # with a unit step the sector census reads distances and a few
+    # vertices' routings only, so the fan and the family check leave the
+    # routing vectors, the distance levels and the cell store of the
+    # cached tables unbuilt
     distance_table.cache_clear()
     assert run_json(["fan", "56", "9,17,33"])["mdd_count"] == 12
     net = build_network(56, [9, 17, 33])
     assert coherent_fan(net).mdd_count == 12
     assert verify_family(5).ok
     for lifted in (net, build_family(5).lifted):
-        assert "minimal_paths" not in vars(distance_table(lifted)), lifted
+        built = vars(distance_table(lifted))
+        for name in ("minimal_paths", "levels", "cells"):
+            assert name not in built, (lifted, name)
 
 
 def test_mdd_build_json_and_renders():

@@ -1,9 +1,14 @@
 """Candidate rays, wall verification, fans, and lifts."""
 
+import random
+from math import gcd
+
 import pytest
 
 from circmdd import (
     BadLiftParamsError,
+    BadRayError,
+    Mdd,
     RayCandidate,
     UnsupportedArityError,
     Wall,
@@ -20,13 +25,19 @@ from circmdd import (
     is_coherent,
     lift_network,
     octant,
+    staircase_generators,
     verify_family,
     verify_wall,
 )
 from circmdd.intlin import dot
+from circmdd.mdd import _lattice_ideal_basis, _sector_leads
 
 import oracles
-from oracles import mdds_by_backtracking
+from oracles import (
+    coherent_cells_by_definition,
+    mdds_by_backtracking,
+    minimal_paths_by_scan,
+)
 
 C9_RAYS = {
     (2, -1, -1), (-1, 2, -1), (-1, -1, 2),
@@ -157,24 +168,79 @@ def test_condition_3_names_the_first_failing_point_not_a_generator():
     assert (-2, 2, 0) in elements and (-4, 4, 0) not in elements
 
 
+@pytest.mark.parametrize("ray", [(0, 0, 0), (1, 1, 1), (1, 2, 3)])
+def test_verify_wall_rejects_degenerate_rays(ray):
+    # a zero ray has no orthogonal line, and a ray off the sum-zero
+    # plane is no weight direction of the fan
+    net = build_network(9, [1, 4, 7])
+    with pytest.raises(BadRayError) as info:
+        verify_wall(net, RayCandidate(ray, ()))
+    assert info.value.details == {"ray": list(ray)}
+
+
+def sector_lead_sets(net):
+    """Each sector representative of the fan with its lead set, each
+    sector's Groebner basis started from the previous one's, as the
+    census does."""
+    keyed = []
+    basis = _lattice_ideal_basis(net)
+    for w in coherent_fan(net).sector_representatives:
+        leads, basis = _sector_leads(net, w, basis)
+        keyed.append((w, leads))
+    return keyed
+
+
+def test_lead_sets_match_the_definition_on_random_unit_step_networks():
+    # with a unit step the census key is the lead set of the reduced
+    # Groebner basis, which must be the staircase of the diagram the
+    # definition picks for the sector's weight
+    rng = random.Random(12)
+    nets = sectors = 0
+    while nets < 400:
+        n = rng.randrange(8, 160)
+        steps = rng.sample(range(1, n), 3)
+        if all(gcd(s, n) > 1 for s in steps):
+            continue
+        net = build_network(n, steps)
+        nets += 1
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        for w, leads in sector_lead_sets(net):
+            tag, cells = coherent_cells_by_definition(n, net.steps, w, paths=paths)
+            assert tag == "cells", (net, w)
+            assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
+            sectors += 1
+    assert sectors == 701
+
+
+def test_family_q8_lead_sets_are_the_coherent_staircases():
+    # brute force finds the 30 coherent diagrams of C5402(91,577,4471);
+    # their staircases are exactly the fan's lead sets
+    net = build_family(8).lifted
+    mdds = enumerate_mdds(net, "coherent_only").mdds
+    assert len(mdds) == 30
+    keys = [leads for _, leads in sector_lead_sets(net)]
+    assert len(keys) == len(set(keys)) == 30
+    assert set(keys) == {staircase_generators(m).generators for m in mdds}
+
+
 def test_family_census_call_counts_are_pinned(monkeypatch):
-    # family verify 2, 5 and 8 build 72 sector diagrams, 9 of them
+    # family verify 2, 5 and 8 tie-check 72 sector weights, 9 of them
     # retried past a weight tie; perfbench's family-ladder expects both
     import circmdd.fan as fan
 
-    build = fan.build_coherent_mdd
+    key = fan._sector_leads
     calls = []
     retries = []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         try:
-            return build(*args, **kwargs)
+            return key(*args, **kwargs)
         except WeightTieError:
             retries.append(args[1])
             raise
 
-    monkeypatch.setattr(fan, "build_coherent_mdd", counted)
+    monkeypatch.setattr(fan, "_sector_leads", counted)
     for q in (2, 5, 8):
         assert verify_family(q).ok
     assert (len(calls), len(retries)) == (72, 9)

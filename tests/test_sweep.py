@@ -13,7 +13,10 @@ the route counts and the per-vertex routing walks equal the routing
 table's. A second sweep builds the diagram of every sector
 representative and every wall ray of the fan, with both tie policies,
 against the definition-level census: wall rays lie on tie lines, so
-they reach the weight-tie check.
+they reach the weight-tie check. It also checks every sector's census
+key: the lead set of its reduced Groebner basis, which must be the
+staircase of the definition's diagram, or on the 115 networks with no
+unit step, the diagram itself.
 """
 
 from itertools import combinations
@@ -22,6 +25,7 @@ from math import gcd
 import pytest
 
 from circmdd import (
+    Mdd,
     OctantSemigroup,
     SINGLE_NEGATIVE_SIGNS,
     WeightTieError,
@@ -38,8 +42,10 @@ from circmdd import (
     is_coherent,
     is_unique_mdd,
     route_counts,
+    staircase_generators,
 )
 from circmdd.intlin import norm1
+from circmdd.mdd import _lattice_ideal_basis, _sector_leads
 
 from oracles import (
     coherent_cells_by_definition,
@@ -64,6 +70,17 @@ def unit_classes(n):
 
 def test_sweep_size():
     assert sum(len(list(unit_classes(n))) for n in range(4, MAX_N + 1)) == 1745
+
+
+def test_sweep_has_networks_without_a_unit_step():
+    # their census keys are diagrams, not lead sets, e.g. C6(2,3,4)
+    pivotless = [
+        (n, steps)
+        for n in range(4, MAX_N + 1)
+        for steps in unit_classes(n)
+        if _lattice_ideal_basis(build_network(n, steps)) is None
+    ]
+    assert (6, (2, 3, 4)) in pivotless and len(pivotless) == 115
 
 
 @pytest.mark.parametrize("n", range(4, MAX_N + 1))
@@ -102,9 +119,18 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
 
 def census_ties_against_definition(net, fan):
     """Check the diagram of every sector and wall weight of the fan, both
-    tie policies, against the definition; return the number of ties."""
+    tie policies, and the census key of every sector against the
+    definition; return the number of ties."""
     ties = 0
     _, paths = minimal_paths_by_scan(net.n, net.steps)
+    # with a unit step the key is the sector's lead set, the staircase
+    # of its diagram; otherwise it is the diagram, checked below
+    basis = _lattice_ideal_basis(net)
+    if basis is not None:
+        for w in fan.sector_representatives:
+            leads, basis = _sector_leads(net, w, basis)
+            _, cells = coherent_cells_by_definition(net.n, net.steps, w, paths=paths)
+            assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
     for w in fan.sector_representatives + tuple(wall.ray for wall in fan.walls):
         for policy in ("error", "lex"):
             expected = coherent_cells_by_definition(
