@@ -139,11 +139,11 @@ def _lattice_ideal_basis(net: CirculantNetwork):
     With s_p a unit mod n these are x_p^n - 1 and x_j - x_p^c_j for
     c_j = s_j / s_p mod n: modulo them the ring is C[t]/(t^n - 1), of
     dimension n, as is the ring modulo I_L. None when no step is a
-    unit, or r != 3.
+    unit.
     """
     n = net.n
     p = next((p for p, s in enumerate(net.steps) if gcd(s, n) == 1), None)
-    if net.r != 3 or p is None:
+    if p is None:
         return None
     inv = pow(net.steps[p], -1, n)
     basis = []
