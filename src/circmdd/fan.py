@@ -9,9 +9,10 @@ the open sectors between verified rays are sampled to count the
 distinct coherent diagrams. Sectors are told apart by the lead sets of
 the reduced Groebner bases of the lattice ideal, which are their
 diagrams' staircases, so a diagram is built only for a network with no
-unit step or with a single sector. Also provides the size lift that
-preserves the homogeneous lattice and the geometric-step families with
-many diagrams.
+unit step or with a single sector; each basis after the first is one
+flip away from its neighbour's, across the wall between them. Also
+provides the size lift that preserves the homogeneous lattice and the
+geometric-step families with many diagrams.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     UnsupportedArityError,
     WeightTieError,
 )
+from .groebner import _lattice_ideal_basis, _sector_leads
 from .intlin import angular_key, cross, dot, norm1, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
@@ -36,7 +38,7 @@ from .lattice import (
     homogeneous_lattice,
     octant_points_bounded,
 )
-from .mdd import _lattice_ideal_basis, _sector_leads, build_coherent_mdd
+from .mdd import build_coherent_mdd
 from .network import CirculantNetwork, build_network, distance_table, vertex_of
 
 
@@ -203,8 +205,11 @@ def _sample_sectors(net, walls):
     A sector's representative is the sum of its two walls' plane
     vectors, slid toward the opening wall past any weight tie. The key
     is the lead set of the reduced Groebner basis of the lattice ideal
-    (_sector_leads), each sector's basis started from the previous
-    one's, or the diagram's cells when no step is a unit mod n.
+    (_sector_leads), or the diagram's cells when no step is a unit mod
+    n. Buchberger's algorithm gives the first sector's basis; every
+    later sector's comes from the previous one's by one flip across the
+    wall between them. A flip whose checks fail falls back to
+    Buchberger, so a wrong wall cannot change a key.
     """
     if not walls:
         rep = (1, 0, -1)
@@ -225,6 +230,9 @@ def _sample_sectors(net, walls):
     basis = _lattice_ideal_basis(net)
     m = len(walls)
     for i in range(m):
+        # sector i lies between walls i and i + 1, so it is entered from
+        # sector i - 1 across wall i
+        crossed = walls[i].ray if i else None
         a2 = _plane_coords(walls[i].ray)
         b2 = _plane_coords(walls[(i + 1) % m].ray)
         cr = cross(a2, b2)
@@ -245,7 +253,7 @@ def _sample_sectors(net, walls):
                 if basis is None:
                     key = build_coherent_mdd(net, w, tie_policy="error").cells
                 else:
-                    key, basis = _sector_leads(net, w, basis)
+                    key, basis = _sector_leads(net, w, basis, crossed)
                 break
             except WeightTieError:
                 # slide toward the opening wall past any interior tie line;
@@ -268,7 +276,10 @@ def fan_report(net: CirculantNetwork) -> FanReport:
     lead sets (staircases) when a step is a unit mod n, else their
     cells (see _sample_sectors). That number must equal the number of
     verified walls (one diagram when there are none); any discrepancy
-    is raised as an internal inconsistency rather than absorbed.
+    is raised as an internal inconsistency rather than absorbed. The
+    census flips each basis across the verified walls, but a flip that
+    does not fit its wall falls back to Buchberger's algorithm, so the
+    keys, and this check, do not rest on the walls being right.
     """
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []

@@ -1,0 +1,225 @@
+"""Reduced Groebner bases of the lattice ideal of a three-step network.
+
+The sector census of the fan keys each sector by the leads of the
+reduced Groebner basis of I_L = <x^a+ - x^a- : a.s = 0 mod n> for the
+sector's weight, which are the staircase generators of its coherent
+diagram. The first sector's basis comes from Buchberger's algorithm,
+every later one from one flip across the wall between neighbours.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from .mdd import _integer_weights
+from .network import CirculantNetwork
+
+
+def _lattice_ideal_basis(net: CirculantNetwork):
+    """Vectors a whose binomials x^a+ - x^a- generate the lattice ideal
+    I_L of a three-step network, L = {a : a.s = 0 mod n}, or None.
+
+    With s_p a unit mod n these are x_p^n - 1 and x_j - x_p^c_j for
+    c_j = s_j / s_p mod n: modulo them the ring is C[t]/(t^n - 1), of
+    dimension n, as is the ring modulo I_L. None when no step is a
+    unit.
+    """
+    n = net.n
+    p = next((p for p, s in enumerate(net.steps) if gcd(s, n) == 1), None)
+    if p is None:
+        return None
+    inv = pow(net.steps[p], -1, n)
+    basis = []
+    for j, s in enumerate(net.steps):
+        a = [0, 0, 0]
+        a[j] = 1
+        a[p] = n if j == p else -(s * inv % n)
+        basis.append(tuple(a))
+    return basis
+
+
+def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
+    """(leads, basis): the sorted leads of the reduced Groebner basis of
+    the lattice ideal for the weight w, and the vectors of that basis.
+
+    Raises WeightTieError exactly as build_coherent_mdd(net, w) does.
+    basis holds vectors whose binomials generate I_L, such as
+    _lattice_ideal_basis(net) or the basis this returned for another
+    weight. The term order is "degree, then w, then lex", so the
+    standard monomials of the initial ideal are the least routings of
+    the vertices, the diagram of w, and the leads are
+    staircase_generators(build_coherent_mdd(net, w)).generators
+    (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4-5;
+    Conti-Traverso 1991).
+
+    With a wall ray, basis must be one this returned for a weight on
+    the far side of that wall, and the new basis is one flip across it
+    (_flip). Without a wall, or when a check of the flip fails,
+    Buchberger's algorithm completes basis (_buchberger). Either way the
+    result is the reduced basis for w, so the leads do not depend on
+    the path taken.
+    """
+    _, iw = _integer_weights(net, w, True)
+    elements = None if wall is None else _flip(basis, wall, iw)
+    if elements is None:
+        elements = _buchberger(basis, iw)
+    return tuple(sorted(g[:3] for g in elements)), [g[3:] for g in elements]
+
+
+def _normal_form(elements, u0, u1, u2):
+    """The monomial u reduced by elements (lead, vector), inline, until
+    no lead divides it. A monomial u led by g+ is reduced to u - k g in
+    one step, k the least u_i // g+_i over g+_i > 0."""
+    while True:
+        for l0, l1, l2, a0, a1, a2 in elements:
+            if l0 <= u0 and l1 <= u1 and l2 <= u2:
+                k = u0 // l0 if l0 else u1 // l1 if l1 else u2 // l2
+                if l1 and u1 // l1 < k:
+                    k = u1 // l1
+                if l2 and u2 // l2 < k:
+                    k = u2 // l2
+                u0 -= k * a0
+                u1 -= k * a1
+                u2 -= k * a2
+                break
+        else:
+            return u0, u1, u2
+
+
+def _reduce_trailing(elements):
+    """Replace each vector's trailing term by its normal form, in place.
+    With minimal leads this makes a Groebner basis the reduced one."""
+    for i, (l0, l1, l2, a0, a1, a2) in enumerate(elements):
+        t0, t1, t2 = _normal_form(elements, l0 - a0, l1 - a1, l2 - a2)
+        elements[i] = (l0, l1, l2, l0 - t0, l1 - t1, l2 - t2)
+
+
+def _buchberger(basis, iw):
+    """The reduced Groebner basis of the ideal of basis for the integer
+    weights iw, as (lead, vector) tuples, inline.
+
+    Binomials are held as vectors a, led by a+ when (sum a, iw.a, a) is
+    lexicographically positive. A queued vector is kept as the
+    difference of the normal forms of its two parts, when nonzero; the
+    S-vector of two elements is their difference, and pairs with
+    coprime leads are skipped (Buchberger's first criterion). An element
+    whose lead the new lead divides goes back to the queue, so the leads
+    stay minimal.
+    """
+    w0, w1, w2 = iw
+    elements = []
+    # the queue is read while it grows, first in, first out
+    queue = list(basis)
+    for a0, a1, a2 in queue:
+        l0, l1, l2 = a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0
+        p0, p1, p2 = _normal_form(elements, l0, l1, l2)
+        q0, q1, q2 = _normal_form(elements, l0 - a0, l1 - a1, l2 - a2)
+        a0, a1, a2 = p0 - q0, p1 - q1, p2 - q2
+        if (a0 + a1 + a2, w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) < (0, 0, 0, 0, 0):
+            a0, a1, a2 = -a0, -a1, -a2
+        elif not (a0 or a1 or a2):
+            continue
+        l0, l1, l2 = a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0
+        kept = []
+        for g in elements:
+            if l0 <= g[0] and l1 <= g[1] and l2 <= g[2]:
+                queue.append(g[3:])
+            else:
+                kept.append(g)
+                if (l0 and g[0]) or (l1 and g[1]) or (l2 and g[2]):
+                    queue.append((g[3] - a0, g[4] - a1, g[5] - a2))
+        kept.append((l0, l1, l2, a0, a1, a2))
+        elements = kept
+    _reduce_trailing(elements)
+    return elements
+
+
+def _flip(basis, wall, iw):
+    """The reduced Groebner basis for the integer weights iw, from the
+    one across the wall ray, as in _buchberger; None when a check fails.
+
+    One flip of Fukuda-Jensen-Thomas ("Computing Groebner fans", Math.
+    Comp. 2007), the local step of the Groebner walk
+    (Collart-Kalkbrener-Mall 1997). basis is a Groebner basis of I_L for
+    the order of some weight, each vector led by its plus part.
+
+    1. The wall must bound that order's cone: o.g >= 0 for the wall ray
+       o and every sum-zero g. The sum-zero g with o.g = 0 are parallel,
+       and with minimal leads at most one, e, is held; without it the
+       ray is no facet of the cone.
+    2. The initial ideal of I_L under "degree, then o" is generated by
+       the other leads and e, which is oriented by (iw.e, lex).
+       Buchberger's algorithm on these monomials and one binomial adds
+       each nonzero remainder of lcm(lead e, m) - e, for m a monomial
+       sharing a variable with lead e, as a monomial. The new leads are
+       the minimal monomials.
+    3. An old lead keeps its vector, lead e keeps e, and a new lead m
+       lifts to m - NF(m) under basis. Then each trailing term is
+       reduced under the new set, which gives the reduced basis for the
+       order "degree, then o, then iw, then lex".
+    4. Every sum-zero vector must be led under iw. Then the leads lie in
+       the initial ideal for iw, which so contains the one for the order
+       of step 3; both orders are degree-compatible, so the two ideals
+       have as many standard monomials of each degree at most d, and
+       are equal. The basis is then the reduced one for iw.
+
+    So the result is correct whether or not the ray is a true wall.
+    """
+    o0, o1, o2 = wall
+    e = None
+    for g in basis:
+        a0, a1, a2 = g
+        if a0 + a1 + a2 == 0:
+            d = o0 * a0 + o1 * a1 + o2 * a2
+            if d < 0:
+                return None
+            if d == 0:
+                if e is not None:
+                    return None
+                e = g
+    if e is None:
+        return None
+    old = [(a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0, a0, a1, a2)
+           for a0, a1, a2 in basis]
+    vectors = {g[:3]: g[3:] for g in old if g[3:] != e}
+    w0, w1, w2 = iw
+    e0, e1, e2 = e
+    if (w0 * e0 + w1 * e1 + w2 * e2, e0, e1, e2) < (0, 0, 0, 0):
+        e0, e1, e2 = -e0, -e1, -e2
+    f0, f1, f2 = e0 if e0 > 0 else 0, e1 if e1 > 0 else 0, e2 if e2 > 0 else 0
+    binomial = [(f0, f1, f2, e0, e1, e2)]
+    # the monomials are read while they grow
+    monomials = list(vectors)
+    for m0, m1, m2 in monomials:
+        if not ((f0 and m0) or (f1 and m1) or (f2 and m2)):
+            continue
+        u0, u1, u2 = _normal_form(
+            binomial,
+            (f0 if f0 > m0 else m0) - e0,
+            (f1 if f1 > m1 else m1) - e1,
+            (f2 if f2 > m2 else m2) - e2,
+        )
+        for x0, x1, x2 in monomials:
+            if x0 <= u0 and x1 <= u1 and x2 <= u2:
+                break  # u reduces to zero
+        else:
+            monomials.append((u0, u1, u2))
+    vectors[f0, f1, f2] = (e0, e1, e2)
+    elements = []
+    # a divisor sorts before its multiples, so each kept lead is minimal
+    for m in sorted(monomials + [(f0, f1, f2)], key=sum):
+        m0, m1, m2 = m
+        for g in elements:
+            if g[0] <= m0 and g[1] <= m1 and g[2] <= m2:
+                break
+        else:
+            a = vectors.get(m)
+            if a is None:
+                t0, t1, t2 = _normal_form(old, m0, m1, m2)
+                a = (m0 - t0, m1 - t1, m2 - t2)
+            elements.append(m + a)
+    _reduce_trailing(elements)
+    for _, _, _, a0, a1, a2 in elements:
+        if a0 + a1 + a2 == 0 and (w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) < (0, 0, 0, 0):
+            return None
+    return elements

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count, product
+from itertools import compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
 
@@ -130,99 +130,6 @@ def _integer_weights(net, w, check_ties: bool):
                 second=list(a),
             )
     return table, iw
-
-
-def _lattice_ideal_basis(net: CirculantNetwork):
-    """Vectors a whose binomials x^a+ - x^a- generate the lattice ideal
-    I_L of a three-step network, L = {a : a.s = 0 mod n}, or None.
-
-    With s_p a unit mod n these are x_p^n - 1 and x_j - x_p^c_j for
-    c_j = s_j / s_p mod n: modulo them the ring is C[t]/(t^n - 1), of
-    dimension n, as is the ring modulo I_L. None when no step is a
-    unit.
-    """
-    n = net.n
-    p = next((p for p, s in enumerate(net.steps) if gcd(s, n) == 1), None)
-    if p is None:
-        return None
-    inv = pow(net.steps[p], -1, n)
-    basis = []
-    for j, s in enumerate(net.steps):
-        a = [0, 0, 0]
-        a[j] = 1
-        a[p] = n if j == p else -(s * inv % n)
-        basis.append(tuple(a))
-    return basis
-
-
-def _sector_leads(net: CirculantNetwork, w, basis):
-    """(leads, basis): the sorted leads of the reduced Groebner basis of
-    the lattice ideal for the weight w, and the vectors of a Groebner
-    basis with those leads.
-
-    Raises WeightTieError exactly as build_coherent_mdd(net, w) does.
-    basis holds vectors whose binomials generate I_L, such as
-    _lattice_ideal_basis(net) or the basis this returned for another
-    weight, the cheaper start for a neighbouring sector. The term order
-    is "degree, then w, then lex", so the standard monomials of the
-    initial ideal are the least routings of the vertices, the diagram
-    of w, and the leads are
-    staircase_generators(build_coherent_mdd(net, w)).generators
-    (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4-5;
-    Conti-Traverso 1991).
-
-    Buchberger's algorithm on binomials held as vectors a, led by a+
-    when (sum a, w.a, a) is lexicographically positive. A monomial u
-    led by g+ is reduced to u - k g in one step, k the least u_i // g+_i
-    over g+_i > 0. A queued vector is kept as the difference of the
-    normal forms of its two parts, when nonzero; the S-vector of two
-    elements is their difference, and pairs with coprime leads are
-    skipped (Buchberger's first criterion). An element whose lead the
-    new lead divides goes back to the queue, so the leads stay minimal.
-    """
-    _, iw = _integer_weights(net, w, True)
-    w0, w1, w2 = iw
-    elements = []  # (lead, vector), inline
-
-    def normal_form(u0, u1, u2):
-        while True:
-            for l0, l1, l2, a0, a1, a2 in elements:
-                if l0 <= u0 and l1 <= u1 and l2 <= u2:
-                    k = u0 // l0 if l0 else u1 // l1 if l1 else u2 // l2
-                    if l1 and u1 // l1 < k:
-                        k = u1 // l1
-                    if l2 and u2 // l2 < k:
-                        k = u2 // l2
-                    u0 -= k * a0
-                    u1 -= k * a1
-                    u2 -= k * a2
-                    break
-            else:
-                return u0, u1, u2
-
-    # the queue is read while it grows, first in, first out
-    queue = list(basis)
-    for a0, a1, a2 in queue:
-        l0, l1, l2 = a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0
-        p0, p1, p2 = normal_form(l0, l1, l2)
-        q0, q1, q2 = normal_form(l0 - a0, l1 - a1, l2 - a2)
-        a0, a1, a2 = p0 - q0, p1 - q1, p2 - q2
-        if (a0 + a1 + a2, w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) < (0, 0, 0, 0, 0):
-            a0, a1, a2 = -a0, -a1, -a2
-        elif not (a0 or a1 or a2):
-            continue
-        l0, l1, l2 = a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0
-        kept = []
-        for g in elements:
-            if l0 <= g[0] and l1 <= g[1] and l2 <= g[2]:
-                queue.append(g[3:])
-            else:
-                kept.append(g)
-                if (l0 and g[0]) or (l1 and g[1]) or (l2 and g[2]):
-                    queue.append((g[3] - a0, g[4] - a1, g[5] - a2))
-        kept.append((l0, l1, l2, a0, a1, a2))
-        elements = kept
-    return tuple(sorted(g[:3] for g in elements)), [g[3:] for g in elements]
 
 
 def _least_routings(table, iw) -> tuple[PathVector, ...]:
@@ -503,25 +410,21 @@ def enumerate_mdds(
 def staircase_generators(mdd: Mdd) -> Staircase:
     """Minimal generators of the complement of the diagram image.
 
-    Every generator has each coordinate at most one above the image
-    maximum, so a box scan suffices: a point is a generator iff it is
-    outside the image and all its one-step decrements are inside.
+    A point is a generator iff it is outside the image and all its
+    one-step decrements are inside. A generator is nonzero, so one of
+    those decrements is a cell: every generator is some cell plus a unit
+    vector, and the r * n such candidates suffice.
     """
     image = set(mdd.cells)
     r = mdd.net.r
-    bounds = [max(cell[j] for cell in mdd.cells) + 1 for j in range(r)]
-    gens = []
-    for g in product(*(range(b + 1) for b in bounds)):
-        if g in image:
-            continue
-        minimal = True
+    gens = set()
+    for cell in image:
         for j in range(r):
-            if g[j]:
-                if g[:j] + (g[j] - 1,) + g[j + 1:] not in image:
-                    minimal = False
-                    break
-        if minimal:
-            gens.append(g)
+            g = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
+            if g not in image and all(
+                g[:i] + (g[i] - 1,) + g[i + 1:] in image for i in range(r) if g[i]
+            ):
+                gens.add(g)
     return Staircase(tuple(sorted(gens)))
 
 

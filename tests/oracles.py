@@ -256,3 +256,53 @@ def coherent_cells_by_definition(
                     return "tie", (v, routes[weights.index(least)], routes[j])
         cells.append(routes[weights.index(min(weights))])
     return "cells", tuple(cells)
+
+
+def staircase_generators_by_box_scan(cells):
+    """Minimal generators of the complement of a diagram's image.
+
+    Scans the whole box of side one above the largest coordinate: a
+    point is a generator iff it lies outside the image and each of its
+    one-step decrements lies inside.
+    """
+    image = set(cells)
+    r = len(cells[0])
+    bounds = [max(cell[j] for cell in cells) + 1 for j in range(r)]
+    gens = []
+    for g in product(*(range(b + 1) for b in bounds)):
+        if g in image:
+            continue
+        if all(g[:j] + (g[j] - 1,) + g[j + 1:] in image for j in range(r) if g[j]):
+            gens.append(g)
+    return tuple(sorted(gens))
+
+
+def standard_monomial_count(leads):
+    """How many monomials of three variables no lead divides.
+
+    The standard monomials (x0, x1, t) of one column are those with t
+    below the least l2 of a lead with l0 <= x0 and l1 <= x1. Columns
+    are scanned over the box below the pure powers of x0 and x1, and
+    that least l2 is carried from the columns (x0 - 1, x1) and
+    (x0, x1 - 1). Raises ValueError when a pure power is missing, since
+    then the count is infinite.
+    """
+    pure = []
+    for j in range(3):
+        powers = [l[j] for l in leads if sum(l) == l[j]]
+        if not powers:
+            raise ValueError(f"no pure power of x{j}: infinitely many monomials")
+        pure.append(min(powers))
+    b0, b1, b2 = pure
+    own = {}
+    for l0, l1, l2 in leads:
+        own[l0, l1] = min(l2, own.get((l0, l1), b2))
+    total = 0
+    below = [b2] * b1  # least l2 per x1 over the columns x0' <= x0 - 1
+    for x0 in range(b0):
+        least = b2
+        for x1 in range(b1):
+            least = min(least, below[x1], own.get((x0, x1), b2))
+            below[x1] = least
+            total += least
+    return total

@@ -30,7 +30,8 @@ from circmdd import (
     verify_wall,
 )
 from circmdd.intlin import dot
-from circmdd.mdd import _lattice_ideal_basis, _sector_leads
+import circmdd.groebner as groebner
+from circmdd.groebner import _lattice_ideal_basis, _sector_leads
 
 import oracles
 from oracles import (
@@ -178,16 +179,43 @@ def test_verify_wall_rejects_degenerate_rays(ray):
     assert info.value.details == {"ray": list(ray)}
 
 
-def sector_lead_sets(net):
-    """Each sector representative of the fan with its lead set, each
-    sector's Groebner basis started from the previous one's, as the
-    census does."""
+def sector_lead_sets(net, fan):
+    """Each sector representative of the fan with its lead set, as the
+    census computes them: Buchberger's algorithm for the first sector,
+    then one flip across each wall to the next."""
+    crossed = [None] + [wall.ray for wall in fan.walls[1:]]
     keyed = []
     basis = _lattice_ideal_basis(net)
-    for w in coherent_fan(net).sector_representatives:
-        leads, basis = _sector_leads(net, w, basis)
+    for w, wall in zip(fan.sector_representatives, crossed):
+        leads, basis = _sector_leads(net, w, basis, wall)
         keyed.append((w, leads))
     return keyed
+
+
+def count_groebner_paths(monkeypatch):
+    """(counts, flipped): the counts of Buchberger runs, flips and failed
+    flips, and the leads of each flipped basis, kept up to date while
+    the census runs."""
+    counts = {"buchberger": 0, "flips": 0, "fallbacks": 0}
+    flipped = []
+    buchberger, flip = groebner._buchberger, groebner._flip
+
+    def counted_buchberger(*args):
+        counts["buchberger"] += 1
+        return buchberger(*args)
+
+    def counted_flip(*args):
+        result = flip(*args)
+        if result is None:
+            counts["fallbacks"] += 1
+        else:
+            counts["flips"] += 1
+            flipped.append([g[:3] for g in result])
+        return result
+
+    monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
+    monkeypatch.setattr(groebner, "_flip", counted_flip)
+    return counts, flipped
 
 
 def test_lead_sets_match_the_definition_on_random_unit_step_networks():
@@ -204,12 +232,58 @@ def test_lead_sets_match_the_definition_on_random_unit_step_networks():
         net = build_network(n, steps)
         nets += 1
         _, paths = minimal_paths_by_scan(n, net.steps)
-        for w, leads in sector_lead_sets(net):
+        for w, leads in sector_lead_sets(net, coherent_fan(net)):
             tag, cells = coherent_cells_by_definition(n, net.steps, w, paths=paths)
             assert tag == "cells", (net, w)
             assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
             sectors += 1
     assert sectors == 701
+
+
+def test_flip_keys_equal_buchberger_keys_on_random_unit_step_networks(monkeypatch):
+    # the census flips each sector's basis across the wall it crosses;
+    # every key must equal the one Buchberger's algorithm gives from the
+    # generators of the lattice ideal, and no flip may fall back
+    counts, _ = count_groebner_paths(monkeypatch)
+    rng = random.Random(13)
+    nets = sectors = 0
+    while nets < 1000:
+        n = rng.randrange(8, 64)
+        steps = rng.sample(range(1, n), 3)
+        if all(gcd(s, n) > 1 for s in steps):
+            continue
+        net = build_network(n, steps)
+        fan = coherent_fan(net)
+        if len(fan.walls) < 2:
+            continue
+        nets += 1
+        start = _lattice_ideal_basis(net)
+        for w, leads in sector_lead_sets(net, fan):
+            assert leads == _sector_leads(net, w, start)[0], (net, w)
+            sectors += 1
+    # the census and the walk each flip into every sector but the first
+    assert counts["flips"] == 2 * (sectors - nets) and counts["fallbacks"] == 0
+    assert (nets, sectors) == (1000, 2275)
+
+
+def test_flips_across_any_ray_keep_the_key(monkeypatch):
+    # no key rests on the wall being right: from any sector's basis,
+    # across any ray, wall or not, the flip either passes its checks or
+    # falls back, and the leads are Buchberger's
+    counts, _ = count_groebner_paths(monkeypatch)
+    rng = random.Random(14)
+    for q in (2, 5):
+        net = build_family(q).lifted
+        fan = coherent_fan(net)
+        start = _lattice_ideal_basis(net)
+        keyed = [_sector_leads(net, w, start) for w in fan.sector_representatives]
+        rays = [wall.ray for wall in fan.walls] + [(1, -1, 0), (2, -1, -1), (1, 2, -3)]
+        for _ in range(100):
+            i, j = rng.randrange(len(keyed)), rng.randrange(len(keyed))
+            w = fan.sector_representatives[j]
+            ray = rng.choice(rays)
+            assert _sector_leads(net, w, keyed[i][1], ray)[0] == keyed[j][0], (q, i, w, ray)
+    assert counts["fallbacks"] > 0
 
 
 def test_family_q8_lead_sets_are_the_coherent_staircases():
@@ -218,7 +292,7 @@ def test_family_q8_lead_sets_are_the_coherent_staircases():
     net = build_family(8).lifted
     mdds = enumerate_mdds(net, "coherent_only").mdds
     assert len(mdds) == 30
-    keys = [leads for _, leads in sector_lead_sets(net)]
+    keys = [leads for _, leads in sector_lead_sets(net, coherent_fan(net))]
     assert len(keys) == len(set(keys)) == 30
     assert set(keys) == {staircase_generators(m).generators for m in mdds}
 
@@ -244,6 +318,28 @@ def test_family_census_call_counts_are_pinned(monkeypatch):
     for q in (2, 5, 8):
         assert verify_family(q).ok
     assert (len(calls), len(retries)) == (72, 9)
+
+
+def test_family_census_runs_buchberger_once_per_network(monkeypatch):
+    # family verify 2, 5 and 8: Buchberger's algorithm for the first
+    # sector of each lift, one flip into each of the other 11 + 20 + 29
+    counts, _ = count_groebner_paths(monkeypatch)
+    for q in (2, 5, 8):
+        assert verify_family(q).ok
+    assert counts == {"buchberger": 3, "flips": 60, "fallbacks": 0}
+
+
+def test_flipped_family_bases_have_n_standard_monomials(monkeypatch):
+    # the standard monomials of a flipped basis are a diagram: n of them
+    counts, flipped = count_groebner_paths(monkeypatch)
+    for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
+        fam = build_family(q)
+        flipped.clear()
+        assert coherent_fan(fam.lifted).mdd_count == fam.predicted_mdd_count
+        assert len(flipped) == fam.predicted_mdd_count - 1
+        for leads in flipped:
+            assert oracles.standard_monomial_count(leads) == fam.lifted.n, (q, leads)
+    assert counts["fallbacks"] == 0
 
 
 # Sector representatives of the family lifts. Some sectors need retries

@@ -31,6 +31,7 @@ from oracles import (
     coherent_cells_by_definition,
     is_down_closed,
     minimal_paths_by_scan,
+    staircase_generators_by_box_scan,
 )
 
 
@@ -336,6 +337,26 @@ def test_staircase_is_antichain_with_down_closed_complement():
         image = set(mdd.cells)
         for g in gens:
             assert g not in image
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_staircase_matches_the_box_scan_on_random_diagrams(r):
+    # the generators come from the cells plus one unit vector each; the
+    # oracle scans the whole box one above the largest coordinate
+    rng = random.Random(3007 + r)
+    diagrams = 0
+    while diagrams < 300:
+        n = rng.randrange(r + 2, 48)
+        steps = rng.sample(range(1, n), r)
+        try:
+            mdds = enumerate_mdds(build_network(n, steps), budget=20_000).mdds
+        except CircmddError:
+            continue
+        for mdd in rng.sample(mdds, min(len(mdds), 10)):
+            assert staircase_generators(mdd).generators == (
+                staircase_generators_by_box_scan(mdd.cells)
+            ), mdd
+            diagrams += 1
 
 
 def test_double_loop_shapes():

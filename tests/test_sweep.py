@@ -3,20 +3,22 @@
 Every three-step network with n <= 28 is covered, one per class under
 multiplying the steps by a unit of Z_n: that relabels the vertices and
 leaves distances, routing counts, lattices and diagram counts as they
-are. Each network is checked six ways: the fan's diagram count equals
+are. Each network is checked seven ways: the fan's diagram count equals
 the brute-force coherent count, the enumeration's own coherence filter
-keeps exactly the diagrams is_coherent accepts, every octant Hilbert
-basis equals the definition-level indecomposable filter, the candidate
-rays equal those screened over every short octant point, the uniqueness
-criterion agrees with the enumeration, and the breadth-first distances,
-the route counts and the per-vertex routing walks equal the routing
-table's. A second sweep builds the diagram of every sector
+keeps exactly the diagrams is_coherent accepts, the staircase of every
+diagram equals the one a scan of its bounding box finds, every octant
+Hilbert basis equals the definition-level indecomposable filter, the
+candidate rays equal those screened over every short octant point, the
+uniqueness criterion agrees with the enumeration, and the breadth-first
+distances, the route counts and the per-vertex routing walks equal the
+routing table's. A second sweep builds the diagram of every sector
 representative and every wall ray of the fan, with both tie policies,
 against the definition-level census: wall rays lie on tie lines, so
 they reach the weight-tie check. It also checks every sector's census
 key: the lead set of its reduced Groebner basis, which must be the
-staircase of the definition's diagram, or on the 115 networks with no
-unit step, the diagram itself.
+staircase of the definition's diagram, both as the census computes it
+(one flip across each wall) and by Buchberger's algorithm alone; or on
+the 115 networks with no unit step, the diagram itself.
 """
 
 from itertools import combinations
@@ -45,7 +47,7 @@ from circmdd import (
     staircase_generators,
 )
 from circmdd.intlin import norm1
-from circmdd.mdd import _lattice_ideal_basis, _sector_leads
+from circmdd.groebner import _lattice_ideal_basis, _sector_leads
 
 from oracles import (
     coherent_cells_by_definition,
@@ -53,6 +55,7 @@ from oracles import (
     minimal_paths_by_scan,
     rays_screened_by_points,
     single_negative_octant_points,
+    staircase_generators_by_box_scan,
 )
 
 MAX_N = 28
@@ -94,6 +97,10 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
         assert tuple(map(table.routings, range(n))) == table.minimal_paths, net
         mdds = enumerate_mdds(net, "all").mdds
+        for m in mdds:
+            assert staircase_generators(m).generators == (
+                staircase_generators_by_box_scan(m.cells)
+            ), (net, m)
         coherent = tuple(m for m in mdds if is_coherent(m).coherent)
         assert enumerate_mdds(net, "coherent_only").mdds == coherent, net
         fan = coherent_fan(net)
@@ -124,13 +131,18 @@ def census_ties_against_definition(net, fan):
     ties = 0
     _, paths = minimal_paths_by_scan(net.n, net.steps)
     # with a unit step the key is the sector's lead set, the staircase
-    # of its diagram; otherwise it is the diagram, checked below
-    basis = _lattice_ideal_basis(net)
+    # of its diagram; otherwise it is the diagram, checked below. The
+    # census flips each sector's basis across the wall it crosses; the
+    # chain without walls runs Buchberger's algorithm for every sector
+    basis = flipped = _lattice_ideal_basis(net)
     if basis is not None:
-        for w in fan.sector_representatives:
+        crossed = [None] + [wall.ray for wall in fan.walls[1:]]
+        for w, wall in zip(fan.sector_representatives, crossed):
             leads, basis = _sector_leads(net, w, basis)
+            flip_leads, flipped = _sector_leads(net, w, flipped, wall)
             _, cells = coherent_cells_by_definition(net.n, net.steps, w, paths=paths)
-            assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
+            staircase = staircase_generators(Mdd(net, cells)).generators
+            assert leads == flip_leads == staircase, (net, w)
     for w in fan.sector_representatives + tuple(wall.ray for wall in fan.walls):
         for policy in ("error", "lex"):
             expected = coherent_cells_by_definition(
