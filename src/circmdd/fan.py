@@ -8,11 +8,11 @@ generated from those Hilbert bases, verified against the network, and
 the open sectors between verified rays are sampled to count the
 distinct coherent diagrams. Sectors are told apart by the lead sets of
 the reduced Groebner bases of the lattice ideal, which are their
-diagrams' staircases, so a diagram is built only for a network with no
-unit step or with a single sector; each basis after the first is one
-flip away from its neighbour's, across the wall between them. Also
-provides the size lift that preserves the homogeneous lattice and the
-geometric-step families with many diagrams.
+diagrams' staircases, so a diagram is built only for a fan with a
+single sector; each basis after the first is one flip away from its
+neighbour's, across the wall between them. Also provides the size lift
+that preserves the homogeneous lattice and the geometric-step families
+with many diagrams.
 """
 
 from __future__ import annotations
@@ -205,11 +205,12 @@ def _sample_sectors(net, walls):
     A sector's representative is the sum of its two walls' plane
     vectors, slid toward the opening wall past any weight tie. The key
     is the lead set of the reduced Groebner basis of the lattice ideal
-    (_sector_leads), or the diagram's cells when no step is a unit mod
-    n. Buchberger's algorithm gives the first sector's basis; every
-    later sector's comes from the previous one's by one flip across the
-    wall between them. A flip whose checks fail falls back to
-    Buchberger, so a wrong wall cannot change a key.
+    (_sector_leads); without walls it is the single sector's diagram,
+    built to check that sector for ties. Buchberger's algorithm gives
+    the first sector's basis from _lattice_ideal_basis; every later
+    sector's comes from the previous one's by one flip across the wall
+    between them. A flip whose checks fail falls back to Buchberger, so
+    a wrong wall cannot change a key.
     """
     if not walls:
         rep = (1, 0, -1)
@@ -250,10 +251,7 @@ def _sample_sectors(net, walls):
         for _ in range(64):
             w = _plane_vector(rep)
             try:
-                if basis is None:
-                    key = build_coherent_mdd(net, w, tie_policy="error").cells
-                else:
-                    key, basis = _sector_leads(net, w, basis, crossed)
+                key, basis = _sector_leads(net, w, basis, crossed)
                 break
             except WeightTieError:
                 # slide toward the opening wall past any interior tie line;
@@ -272,14 +270,14 @@ def _sample_sectors(net, walls):
 def fan_report(net: CirculantNetwork) -> FanReport:
     """Candidates, verified walls, rejections, and the sector census.
 
-    The census counts the distinct keys of the sectors' diagrams: their
-    lead sets (staircases) when a step is a unit mod n, else their
-    cells (see _sample_sectors). That number must equal the number of
-    verified walls (one diagram when there are none); any discrepancy
-    is raised as an internal inconsistency rather than absorbed. The
-    census flips each basis across the verified walls, but a flip that
-    does not fit its wall falls back to Buchberger's algorithm, so the
-    keys, and this check, do not rest on the walls being right.
+    The census counts the distinct keys of the sectors' diagrams, their
+    lead sets or staircases (see _sample_sectors). That number must
+    equal the number of verified walls (one diagram when there are
+    none); any discrepancy is raised as an internal inconsistency
+    rather than absorbed. The census flips each basis across the
+    verified walls, but a flip that does not fit its wall falls back to
+    Buchberger's algorithm, so the keys, and this check, do not rest on
+    the walls being right.
     """
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []

@@ -17,25 +17,42 @@ from .network import CirculantNetwork
 
 def _lattice_ideal_basis(net: CirculantNetwork):
     """Vectors a whose binomials x^a+ - x^a- generate the lattice ideal
-    I_L of a three-step network, L = {a : a.s = 0 mod n}, or None.
+    I_L of a three-step network, L = {a : a.s = 0 mod n}, one vector
+    per variable, in variable order.
 
-    With s_p a unit mod n these are x_p^n - 1 and x_j - x_p^c_j for
-    c_j = s_j / s_p mod n: modulo them the ring is C[t]/(t^n - 1), of
-    dimension n, as is the ring modulo I_L. None when no step is a
-    unit.
+    Name the variables a, b, c, with a the first step of least
+    gcd(s, n) and b before c. With g = gcd(n, s_a) the vectors are
+
+        h_a e_a,  h_b e_b - u e_a,  h_c e_c - v e_b - x e_a,
+
+    for h_a = n / g, h_b = g / gcd(g, s_b), h_c = gcd(n, s_a, s_b) and
+    the u, v, x >= 0 that put these vectors in L: v mod h_b, then u and
+    x mod h_a, through the same modular inverses as hilbert_basis.
+    Under lex c > b > a their leads x_a^h_a, x_b^h_b and x_c^h_c are
+    pairwise coprime, so the binomials are a Groebner basis of an ideal
+    J in I_L whose quotient has dimension h_a h_b h_c = n, the index of
+    L (the steps generate Z_n). The ring modulo I_L has that dimension
+    too, so J = I_L (Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 4-5). With s_a a unit mod n, h_a = n and h_b = h_c = 1: the
+    binomials are x_a^n - 1 and x_j - x_a^c_j, c_j = s_j / s_a mod n.
     """
     n = net.n
-    p = next((p for p, s in enumerate(net.steps) if gcd(s, n) == 1), None)
-    if p is None:
-        return None
-    inv = pow(net.steps[p], -1, n)
-    basis = []
-    for j, s in enumerate(net.steps):
-        a = [0, 0, 0]
-        a[j] = 1
-        a[p] = n if j == p else -(s * inv % n)
-        basis.append(tuple(a))
-    return basis
+    s = net.steps
+    ia = min(range(3), key=lambda j: gcd(s[j], n))
+    ib, ic = [j for j in range(3) if j != ia]
+    sa, sb, sc = s[ia], s[ib], s[ic]
+    g = gcd(n, sa)
+    ha, hb, hc = n // g, g // gcd(g, sb), gcd(n, sa, sb)
+    # k*s_a = t mod n for t a multiple of g, solved in the units mod h_a
+    inv = pow(sa // g, -1, ha)
+    v = sc * pow(sb // hc, -1, hb) % hb
+    u = hb * sb // g * inv % ha
+    x = (hc * sc - v * sb) // g * inv % ha
+    basis = [[0, 0, 0] for _ in range(3)]
+    basis[ia][ia] = ha
+    basis[ib][ib], basis[ib][ia] = hb, -u
+    basis[ic][ic], basis[ic][ib], basis[ic][ia] = hc, -v, -x
+    return [tuple(a) for a in basis]
 
 
 def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
@@ -50,7 +67,7 @@ def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
     the vertices, the diagram of w, and the leads are
     staircase_generators(build_coherent_mdd(net, w)).generators
     (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4-5;
-    Conti-Traverso 1991).
+    Conti-Traverso 1991), whether or not a step is a unit mod n.
 
     With a wall ray, basis must be one this returned for a weight on
     the far side of that wall, and the new basis is one flip across it

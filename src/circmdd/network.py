@@ -126,8 +126,7 @@ class DistanceTable:
         p of a level d >= 1, pred[j][p] is the index of i - s_j within
         level d - 1 when that vertex is at distance d - 1, and the size
         of level d - 1 otherwise. Built from dist alone, for
-        build_coherent_mdd (and the census of a network with no unit
-        step).
+        build_coherent_mdd.
         """
         n = self.net.n
         steps = self.net.steps
@@ -307,8 +306,8 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     Cached per network, with everything the table derives on demand:
     the routing vectors (minimal_paths, built only when read), and the
     distance levels and the cell store of build_coherent_mdd. The
-    sector census reads dist, and the levels and cells only for a
-    network with no unit step. The table is immutable and safe to share.
+    sector census reads dist, and the levels and cells only for a fan
+    with a single sector. The table is immutable and safe to share.
     """
     return DistanceTable(net, distances(net))
 

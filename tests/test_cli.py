@@ -59,16 +59,18 @@ def test_net_info_builds_no_routing_table():
 
 
 def test_census_builds_no_routing_table():
-    # with a unit step the sector census reads distances and a few
-    # vertices' routings only, so the fan and the family check leave the
-    # routing vectors, the distance levels and the cell store of the
-    # cached tables unbuilt
+    # the sector census reads distances and a few vertices' routings
+    # only, so the fan and the family check leave the routing vectors,
+    # the distance levels and the cell store of the cached tables
+    # unbuilt, with or without a unit step: C30(2,22,27) has none
     distance_table.cache_clear()
     assert run_json(["fan", "56", "9,17,33"])["mdd_count"] == 12
+    doc = run_json(["fan", "30", "2,22,27"])
+    assert (len(doc["walls"]), doc["mdd_count"]) == (10, 10)
     net = build_network(56, [9, 17, 33])
     assert coherent_fan(net).mdd_count == 12
     assert verify_family(5).ok
-    for lifted in (net, build_family(5).lifted):
+    for lifted in (net, build_network(30, [2, 22, 27]), build_family(5).lifted):
         built = vars(distance_table(lifted))
         for name in ("minimal_paths", "levels", "cells"):
             assert name not in built, (lifted, name)

@@ -1,6 +1,7 @@
 """Candidate rays, wall verification, fans, and lifts."""
 
 import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -179,6 +180,66 @@ def test_verify_wall_rejects_degenerate_rays(ray):
     assert info.value.details == {"ray": list(ray)}
 
 
+def test_lattice_ideal_basis_with_a_unit_step_is_the_closed_form():
+    # x_p^n - 1 and x_j - x_p^c_j, c_j = s_j / s_p mod n, for the first
+    # unit step s_p
+    rng = random.Random(15)
+    nets = 0
+    while nets < 300:
+        n = rng.randrange(4, 400)
+        steps = rng.sample(range(1, n), 3)
+        p = next((p for p, s in enumerate(steps) if gcd(s, n) == 1), None)
+        if p is None:
+            continue
+        nets += 1
+        inv = pow(steps[p], -1, n)
+        expected = []
+        for j, s in enumerate(steps):
+            a = [0, 0, 0]
+            a[j] = 1
+            a[p] = n if j == p else -(s * inv % n)
+            expected.append(tuple(a))
+        assert _lattice_ideal_basis(build_network(n, steps)) == expected, (n, steps)
+
+
+def test_lattice_ideal_basis_generates_the_lattice_ideal():
+    # every vector lies in L, vector j has the plus part h_j e_j, and
+    # some lex order leads every vector by its plus part: coprime leads,
+    # so a Groebner basis, whose quotient has dimension prod h_j = n.
+    # Buchberger's algorithm from it leaves n standard monomials
+    rng = random.Random(16)
+    pivotless = 0
+    for _ in range(600):
+        n = rng.randrange(4, 300)
+        steps = rng.sample(range(1, n), 3)
+        if gcd(n, *steps) > 1:
+            continue
+        net = build_network(n, steps)
+        basis = _lattice_ideal_basis(net)
+        assert all(dot(a, net.steps) % n == 0 for a in basis), (net, basis)
+        plus = [[k for k in range(3) if a[k] > 0] for a in basis]
+        assert plus == [[0], [1], [2]], (net, basis)
+        assert basis[0][0] * basis[1][1] * basis[2][2] == n, (net, basis)
+        assert any(
+            all(a[next(k for k in order if a[k])] > 0 for a in basis)
+            for order in permutations(range(3))
+        ), (net, basis)
+        if any(gcd(s, n) == 1 for s in steps):
+            continue
+        pivotless += 1
+        for iw in ((0, 0, 0), (1, 0, -1), (-3, 1, 2)):
+            leads = [g[:3] for g in groebner._buchberger(basis, iw)]
+            assert oracles.standard_monomial_count(leads) == n, (net, iw)
+    assert pivotless == 24
+    # Z_30 = Z_5 x Z_3 x Z_2 on the steps 6, 10 and 15
+    assert _lattice_ideal_basis(build_network(30, [6, 10, 15])) == [
+        (5, 0, 0), (0, 3, 0), (0, 0, 2),
+    ]
+    assert _lattice_ideal_basis(build_network(6, [2, 3, 4])) == [
+        (3, 0, 0), (0, 2, 0), (-2, 0, 1),
+    ]
+
+
 def sector_lead_sets(net, fan):
     """Each sector representative of the fan with its lead set, as the
     census computes them: Buchberger's algorithm for the first sector,
@@ -218,52 +279,58 @@ def count_groebner_paths(monkeypatch):
     return counts, flipped
 
 
-def test_lead_sets_match_the_definition_on_random_unit_step_networks():
-    # with a unit step the census key is the lead set of the reduced
-    # Groebner basis, which must be the staircase of the diagram the
-    # definition picks for the sector's weight
+def test_lead_sets_match_the_definition_on_random_networks():
+    # the census key is the lead set of the reduced Groebner basis,
+    # which must be the staircase of the diagram the definition picks
+    # for the sector's weight, with or without a unit step
     rng = random.Random(12)
-    nets = sectors = 0
+    nets = sectors = pivotless = 0
     while nets < 400:
         n = rng.randrange(8, 160)
         steps = rng.sample(range(1, n), 3)
-        if all(gcd(s, n) > 1 for s in steps):
+        if gcd(n, *steps) > 1:
             continue
         net = build_network(n, steps)
         nets += 1
+        unit = any(gcd(s, n) == 1 for s in steps)
         _, paths = minimal_paths_by_scan(n, net.steps)
         for w, leads in sector_lead_sets(net, coherent_fan(net)):
             tag, cells = coherent_cells_by_definition(n, net.steps, w, paths=paths)
             assert tag == "cells", (net, w)
             assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
             sectors += 1
-    assert sectors == 701
+            pivotless += not unit
+    # 23 sectors of 15 networks with no unit step
+    assert (sectors, pivotless) == (699, 23)
 
 
-def test_flip_keys_equal_buchberger_keys_on_random_unit_step_networks(monkeypatch):
+def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
     # the census flips each sector's basis across the wall it crosses;
     # every key must equal the one Buchberger's algorithm gives from the
     # generators of the lattice ideal, and no flip may fall back
     counts, _ = count_groebner_paths(monkeypatch)
     rng = random.Random(13)
-    nets = sectors = 0
+    nets = sectors = pivotless = 0
     while nets < 1000:
         n = rng.randrange(8, 64)
         steps = rng.sample(range(1, n), 3)
-        if all(gcd(s, n) > 1 for s in steps):
+        if gcd(n, *steps) > 1:
             continue
         net = build_network(n, steps)
         fan = coherent_fan(net)
         if len(fan.walls) < 2:
             continue
         nets += 1
+        unit = any(gcd(s, n) == 1 for s in steps)
         start = _lattice_ideal_basis(net)
         for w, leads in sector_lead_sets(net, fan):
             assert leads == _sector_leads(net, w, start)[0], (net, w)
             sectors += 1
+            pivotless += not unit
     # the census and the walk each flip into every sector but the first
     assert counts["flips"] == 2 * (sectors - nets) and counts["fallbacks"] == 0
-    assert (nets, sectors) == (1000, 2275)
+    # 42 sectors of 21 networks with no unit step
+    assert (nets, sectors, pivotless) == (1000, 2275, 42)
 
 
 def test_flips_across_any_ray_keep_the_key(monkeypatch):

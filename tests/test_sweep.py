@@ -17,8 +17,8 @@ against the definition-level census: wall rays lie on tie lines, so
 they reach the weight-tie check. It also checks every sector's census
 key: the lead set of its reduced Groebner basis, which must be the
 staircase of the definition's diagram, both as the census computes it
-(one flip across each wall) and by Buchberger's algorithm alone; or on
-the 115 networks with no unit step, the diagram itself.
+(one flip across each wall) and by Buchberger's algorithm alone, on
+every network, the 115 with no unit step among them.
 """
 
 from itertools import combinations
@@ -76,12 +76,12 @@ def test_sweep_size():
 
 
 def test_sweep_has_networks_without_a_unit_step():
-    # their census keys are diagrams, not lead sets, e.g. C6(2,3,4)
+    # their lattice ideals have no generator x_p^n - 1, e.g. C6(2,3,4)
     pivotless = [
         (n, steps)
         for n in range(4, MAX_N + 1)
         for steps in unit_classes(n)
-        if _lattice_ideal_basis(build_network(n, steps)) is None
+        if all(gcd(s, n) > 1 for s in steps)
     ]
     assert (6, (2, 3, 4)) in pivotless and len(pivotless) == 115
 
@@ -130,19 +130,18 @@ def census_ties_against_definition(net, fan):
     definition; return the number of ties."""
     ties = 0
     _, paths = minimal_paths_by_scan(net.n, net.steps)
-    # with a unit step the key is the sector's lead set, the staircase
-    # of its diagram; otherwise it is the diagram, checked below. The
-    # census flips each sector's basis across the wall it crosses; the
-    # chain without walls runs Buchberger's algorithm for every sector
+    # the key is the sector's lead set, the staircase of its diagram.
+    # The census flips each sector's basis across the wall it crosses;
+    # the chain without walls runs Buchberger's algorithm for every
+    # sector
     basis = flipped = _lattice_ideal_basis(net)
-    if basis is not None:
-        crossed = [None] + [wall.ray for wall in fan.walls[1:]]
-        for w, wall in zip(fan.sector_representatives, crossed):
-            leads, basis = _sector_leads(net, w, basis)
-            flip_leads, flipped = _sector_leads(net, w, flipped, wall)
-            _, cells = coherent_cells_by_definition(net.n, net.steps, w, paths=paths)
-            staircase = staircase_generators(Mdd(net, cells)).generators
-            assert leads == flip_leads == staircase, (net, w)
+    crossed = [None] + [wall.ray for wall in fan.walls[1:]]
+    for w, wall in zip(fan.sector_representatives, crossed):
+        leads, basis = _sector_leads(net, w, basis)
+        flip_leads, flipped = _sector_leads(net, w, flipped, wall)
+        _, cells = coherent_cells_by_definition(net.n, net.steps, w, paths=paths)
+        staircase = staircase_generators(Mdd(net, cells)).generators
+        assert leads == flip_leads == staircase, (net, w)
     for w in fan.sector_representatives + tuple(wall.ray for wall in fan.walls):
         for policy in ("error", "lex"):
             expected = coherent_cells_by_definition(
