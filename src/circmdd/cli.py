@@ -9,6 +9,7 @@ serialize on stdout (mdd build prints render's text); domain errors exit
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -183,7 +184,14 @@ def main(argv=None) -> int:
     except CircmddError as exc:
         sys.stderr.write(canonical_json({"error": error_payload(exc)}) + "\n")
         return 1
-    print(payload if isinstance(payload, str) else canonical_json(payload))
+    try:
+        print(payload if isinstance(payload, str) else canonical_json(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; with stdout on devnull the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -8,11 +8,11 @@ generated from those Hilbert bases, verified against the network, and
 the open sectors between verified rays are sampled to count the
 distinct coherent diagrams. Sectors are told apart by the lead sets of
 the reduced Groebner bases of the lattice ideal, which are their
-diagrams' staircases, so a diagram is built only for a fan with a
-single sector; each basis after the first is one flip away from its
-neighbour's, across the wall between them. Also provides the size lift
-that preserves the homogeneous lattice and the geometric-step families
-with many diagrams.
+diagrams' staircases, and distances are normal-form degrees, so only a
+fan with one sector builds a diagram; each basis after the first is one
+flip away from its neighbour's, across the wall between them. Also
+provides the size lift that preserves the homogeneous lattice and the
+geometric-step families with many diagrams.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedArityError,
     WeightTieError,
 )
-from .groebner import _lattice_ideal_basis, _sector_leads
+from .groebner import _degree, _sector_leads, _wall_inputs
 from .intlin import angular_key, cross, dot, norm1, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
@@ -39,7 +39,7 @@ from .lattice import (
     octant_points_bounded,
 )
 from .mdd import build_coherent_mdd
-from .network import CirculantNetwork, build_network, distance_table, vertex_of
+from .network import CirculantNetwork, build_network, vertex_of
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     return tuple(cands)
 
 
-def _check_wall_conditions(net, lat, table, ray, a):
+def _check_wall_conditions(net, inputs, ray, a):
     """None if a certifies the ray as a wall, else (condition, reason).
 
     Condition 3 tests the Hilbert generators of a's octant of norm at
@@ -137,6 +137,7 @@ def _check_wall_conditions(net, lat, table, ray, a):
     the lexicographically first failing point, which need not be a
     generator.
     """
+    lat, octants, graded = inputs
     plus = tuple(max(c, 0) for c in a)
     minus = tuple(max(-c, 0) for c in a)
     v = vertex_of(net, plus)
@@ -146,24 +147,26 @@ def _check_wall_conditions(net, lat, table, ray, a):
             vector=list(a),
         )
     half_len = sum(plus)
-    if table.dist[v] != half_len:
+    dist = _degree(graded, plus)
+    if dist != half_len:
         return (
             1,
             f"part {plus} reaches vertex {v} in {half_len} arcs but the "
-            f"distance is {table.dist[v]}",
+            f"distance is {dist}",
         )
-    oct = OctantSemigroup(lat, tuple(-1 if c < 0 else 1 for c in a))
-    elements = hilbert_basis(oct).elements
+    signs = tuple(-1 if c < 0 else 1 for c in a)
+    elements = octants[signs]
     if a not in elements:
         return (2, f"{a} is not a Hilbert generator of its octant")
     bound = norm1(a)
     if all(dot(ray, b) >= 0 for b in elements if norm1(b) <= bound):
         return None
-    b = next(b for b in octant_points_bounded(oct, bound) if dot(ray, b) < 0)
+    points = octant_points_bounded(OctantSemigroup(lat, signs), bound)
+    b = next(b for b in points if dot(ray, b) < 0)
     return (3, f"octant point {b} lies strictly on the negative side of the ray")
 
 
-def verify_wall(net: CirculantNetwork, cand: RayCandidate):
+def verify_wall(net: CirculantNetwork, cand: RayCandidate, inputs=None):
     """Check a candidate ray against the network; Wall or WallRejection.
 
     The smallest nonzero lattice vector on the line orthogonal to the
@@ -172,13 +175,14 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
     oriented to have a single negative entry and must: route minimally
     on both sides, be a Hilbert generator of its octant, and have no
     short octant point strictly on the negative side of the ray.
+    fan_report passes its _wall_inputs.
 
     m never exceeds the lattice index n / gcd(n, s0 - s2, s1 - s2): d
     sums to zero, so d.s = d0(s0 - s2) + d1(s1 - s2), which that gcd
     divides; hence the line always holds a lattice point. A ray that
     is zero or does not sum to zero raises BadRayError.
     """
-    lat = homogeneous_lattice(net)
+    lat = homogeneous_lattice(net) if inputs is None else inputs[0]
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     ray = cand.ray
@@ -186,12 +190,12 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
         raise BadRayError(f"ray {ray} is not a nonzero sum-zero vector", ray=list(ray))
     direction = primitive(_orth_in_plane(ray))
     base = vec_scale(direction, net.n // gcd(net.n, dot(direction, net.steps)))
-    table = distance_table(net)
+    inputs = inputs or _wall_inputs(lat)
     attempts = []
     for a in (base, vec_neg(base)):
         if sum(1 for c in a if c < 0) != 1:
             continue
-        failure = _check_wall_conditions(net, lat, table, ray, a)
+        failure = _check_wall_conditions(net, inputs, ray, a)
         if failure is None:
             return Wall(ray=ray, witness=a)
         attempts.append(failure)
@@ -199,7 +203,7 @@ def verify_wall(net: CirculantNetwork, cand: RayCandidate):
     return WallRejection(ray=ray, failed_condition=condition, reason=reason)
 
 
-def _sample_sectors(net, walls):
+def _sample_sectors(net, walls, basis):
     """One generic weight per open sector, and its census key.
 
     A sector's representative is the sum of its two walls' plane
@@ -207,10 +211,10 @@ def _sample_sectors(net, walls):
     is the lead set of the reduced Groebner basis of the lattice ideal
     (_sector_leads); without walls it is the single sector's diagram,
     built to check that sector for ties. Buchberger's algorithm gives
-    the first sector's basis from _lattice_ideal_basis; every later
-    sector's comes from the previous one's by one flip across the wall
-    between them. A flip whose checks fail falls back to Buchberger, so
-    a wrong wall cannot change a key.
+    the first sector's basis from the graded basis; every later sector's
+    comes from the previous one's by one flip across the wall between
+    them. A flip whose checks fail falls back to Buchberger, so a wrong
+    wall cannot change a key.
     """
     if not walls:
         rep = (1, 0, -1)
@@ -228,7 +232,6 @@ def _sample_sectors(net, walls):
         )
     reps = []
     keys = []
-    basis = _lattice_ideal_basis(net)
     m = len(walls)
     for i in range(m):
         # sector i lies between walls i and i + 1, so it is entered from
@@ -274,23 +277,22 @@ def fan_report(net: CirculantNetwork) -> FanReport:
     lead sets or staircases (see _sample_sectors). That number must
     equal the number of verified walls (one diagram when there are
     none); any discrepancy is raised as an internal inconsistency
-    rather than absorbed. The census flips each basis across the
-    verified walls, but a flip that does not fit its wall falls back to
-    Buchberger's algorithm, so the keys, and this check, do not rest on
-    the walls being right.
+    rather than absorbed. The keys, and so this check, do not rest on
+    the walls being right (see _sample_sectors).
     """
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []
     rejections: list[WallRejection] = []
     cands = candidate_rays(lat)
+    inputs = _wall_inputs(lat)
     for cand in cands:
-        result = verify_wall(net, cand)
+        result = verify_wall(net, cand, inputs)
         if isinstance(result, Wall):
             walls.append(result)
         else:
             rejections.append(result)
     walls.sort(key=lambda w: angular_key(_plane_coords(w.ray)))
-    reps, keys = _sample_sectors(net, walls)
+    reps, keys = _sample_sectors(net, walls, inputs[2])
     count = len(set(keys))
     expected = len(walls) if walls else 1
     if count != expected:

@@ -100,13 +100,25 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     """
     if tie_policy not in ("error", "lex"):
         raise ValueError(f"tie_policy must be 'error' or 'lex', got {tie_policy!r}")
-    table, iw = _integer_weights(net, w, tie_policy == "error")
+    w, iw = _integer_weights(net, w)
+    table = distance_table(net)
+    if tie_policy == "error":
+        tie = _first_tie(table, iw)
+        if tie is not None:
+            raise _tie_error(w, *tie)
     return Mdd(net, _least_routings(table, iw))
 
 
-def _integer_weights(net, w, check_ties: bool):
-    """(distance_table(net), the weights scaled to integers); with
-    check_ties, raise the WeightTieError of the "error" policy."""
+def _tie_error(w, i, best, a):
+    return WeightTieError(
+        f"weight {w} does not separate minimal routings {best} and {a} to vertex {i}",
+        vertex=i, first=list(best), second=list(a),
+    )
+
+
+def _integer_weights(net, w):
+    """(w as a tuple, w scaled to integers by a positive scale, which
+    keeps their order and ties)."""
     w = tuple(Fraction(x) if not isinstance(x, int) else x for x in w)
     if len(w) != net.r:
         raise ArityMismatchError(
@@ -114,22 +126,8 @@ def _integer_weights(net, w, check_ties: bool):
             expected=net.r,
             got=len(w),
         )
-    # a positive scale keeps the order and the ties of the weights exactly
     scale = lcm(*(x.denominator for x in w))
-    iw = tuple(x.numerator * (scale // x.denominator) for x in w)
-    table = distance_table(net)
-    if check_ties:
-        tie = _first_tie(table, iw)
-        if tie is not None:
-            i, best, a = tie
-            raise WeightTieError(
-                f"weight {w} does not separate minimal routings "
-                f"{best} and {a} to vertex {i}",
-                vertex=i,
-                first=list(best),
-                second=list(a),
-            )
-    return table, iw
+    return w, tuple(x.numerator * (scale // x.denominator) for x in w)
 
 
 def _least_routings(table, iw) -> tuple[PathVector, ...]:
@@ -185,40 +183,45 @@ def _first_tie(table, iw):
 
     So the scan runs on u first, and only if u raises on every vertex
     with a tie pair, in vertex order. In every other case it runs on
-    every vertex with more than one routing.
+    every vertex with more than one routing. Only build_coherent_mdd
+    needs the first tie.
     """
     net = table.net
-    n = net.n
     dist = table.dist
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
         counts = route_counts(net, dist)
-        return _first_scan_tie(table, (i for i, c in enumerate(counts) if c > 1), iw)
-    w0, w1, w2 = iw
-    line = primitive((w1 - w2, w2 - w0, w0 - w1))
-    e = vec_scale(line, n // gcd(n, sum(map(mul, line, net.steps))))
-    # -e would give the same u and h: (-e)+ = e- reaches the vertex of
-    # e+ at the same length
-    plus = tuple(max(c, 0) for c in e)
+        return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
+    plus = _tie_plus(net, iw)
     u = vertex_of(net, plus)
     h = sum(plus)
-    if dist[u] != h or _first_scan_tie(table, [u], iw) is None:
+    if dist[u] != h or _first_scan_tie(table.routings, [u], iw) is None:
         return None
     shifted = dist[-u:] + dist[:-u]  # shifted[i] == dist[i - u]
     tied = compress(count(), map(eq, map((-h).__add__, dist), shifted))
-    return _first_scan_tie(table, tied, iw)
+    return _first_scan_tie(table.routings, tied, iw)
 
 
-def _first_scan_tie(table, vertices, iw):
+def _tie_plus(net, iw):
+    """e+ for the e of _first_tie; (-e)+ = e- would reach the same
+    vertex at the same length."""
+    w0, w1, w2 = iw
+    line = primitive((w1 - w2, w2 - w0, w0 - w1))
+    e = vec_scale(line, net.n // gcd(net.n, sum(map(mul, line, net.steps))))
+    return tuple(max(c, 0) for c in e)
+
+
+def _first_scan_tie(routings, vertices, iw):
     """The first raise of the lexicographic scan over the given vertices,
-    in the order given: (vertex, routing held, tied routing), or None.
-    See build_coherent_mdd for the rule."""
+    in the order given, each vertex i scanning routings(i): (vertex,
+    routing held, tied routing), or None. See build_coherent_mdd for the
+    rule."""
     # three steps take the inline dot, which is faster than the sum
     three = len(iw) == 3
     if three:
         w0, w1, w2 = iw
     for i in vertices:
         best = None
-        for a in table.routings(i):
+        for a in routings(i):
             if three:
                 x, y, z = a
                 val = w0 * x + w1 * y + w2 * z

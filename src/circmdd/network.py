@@ -89,32 +89,11 @@ class DistanceTable:
         """The minimal routings of vertex i, sorted lexicographically.
 
         Equal to minimal_paths[i]. For three steps no table is built:
-        the routings are the (x, y, d - x - y) of norm d = dist[i] that
-        reach i, that is x(s0 - s2) + y(s1 - s2) = i - d s2 (mod n). For
-        each x in 0..d the solutions y form one residue class mod n / g,
-        g = gcd(s1 - s2, n), so the walk takes O(d) steps plus one per
-        routing, already in lexicographic order.
+        they are the routings of i of length dist[i] (_routings).
         """
         if self.net.r != 3:
             return self.minimal_paths[i]
-        n = self.net.n
-        s0, s1, s2 = self.net.steps
-        d = self.dist[i]
-        b = (s1 - s2) % n
-        g = math.gcd(b, n)
-        m = n // g
-        inv = pow(b // g, -1, m)
-        rhs = (i - d * s2) % n
-        a = (s0 - s2) % n
-        found = []
-        for x in range(d + 1):
-            if not rhs % g:
-                for y in range(rhs // g * inv % m, d - x + 1, m):
-                    found.append((x, y, d - x - y))
-            rhs -= a
-            if rhs < 0:
-                rhs += n
-        return tuple(found)
+        return _routings(self.net, i, self.dist[i])
 
     @cached_property
     def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
@@ -157,6 +136,35 @@ class DistanceTable:
                     v = i - s
                     pred[j][p] = position[v] - below if dist[v] < d else start - below
         return order, position, bounds, pred
+
+
+def _routings(net: CirculantNetwork, i: int, d: int) -> tuple[PathVector, ...]:
+    """The routings of length d of vertex i of a three-step network,
+    sorted lexicographically; its minimal routings when d is its distance.
+
+    They are the (x, y, d - x - y) that reach i, that is
+    x(s0 - s2) + y(s1 - s2) = i - d s2 (mod n). For each x in 0..d the
+    solutions y form one residue class mod n / g, g = gcd(s1 - s2, n),
+    so the walk takes O(d) steps plus one per routing, already in
+    lexicographic order.
+    """
+    n = net.n
+    s0, s1, s2 = net.steps
+    b = (s1 - s2) % n
+    g = math.gcd(b, n)
+    m = n // g
+    inv = pow(b // g, -1, m)
+    rhs = (i - d * s2) % n
+    a = (s0 - s2) % n
+    found = []
+    for x in range(d + 1):
+        if not rhs % g:
+            for y in range(rhs // g * inv % m, d - x + 1, m):
+                found.append((x, y, d - x - y))
+        rhs -= a
+        if rhs < 0:
+            rhs += n
+    return tuple(found)
 
 
 def packed_width(n: int) -> int:
@@ -305,9 +313,10 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
     Cached per network, with everything the table derives on demand:
     the routing vectors (minimal_paths, built only when read), and the
-    distance levels and the cell store of build_coherent_mdd. The
-    sector census reads dist, and the levels and cells only for a fan
-    with a single sector. The table is immutable and safe to share.
+    distance levels and the cell store of build_coherent_mdd. A fan
+    with walls reads no table: its distances are normal-form degrees
+    (groebner._graded_basis); only a fan with a single sector builds
+    its diagram here. The table is immutable and safe to share.
     """
     return DistanceTable(net, distances(net))
 

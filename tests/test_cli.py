@@ -3,11 +3,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import circmdd
 from circmdd import (
     build_coherent_mdd,
     build_family,
@@ -59,10 +64,9 @@ def test_net_info_builds_no_routing_table():
 
 
 def test_census_builds_no_routing_table():
-    # the sector census reads distances and a few vertices' routings
-    # only, so the fan and the family check leave the routing vectors,
-    # the distance levels and the cell store of the cached tables
-    # unbuilt, with or without a unit step: C30(2,22,27) has none
+    # the fan and the family check build no routing vectors, distance
+    # levels or cell store for these networks, with or without a unit
+    # step: C30(2,22,27) has none
     distance_table.cache_clear()
     assert run_json(["fan", "56", "9,17,33"])["mdd_count"] == 12
     doc = run_json(["fan", "30", "2,22,27"])
@@ -288,6 +292,24 @@ def test_usage_error_exit_code_two():
     )
     assert code == 2
     assert "layer axis" in err
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # the reader is gone before the first byte is written, as with
+    # "circmdd fan 30 2,22,27 | head -c 0"
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(circmdd.__file__).parent.parent))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "circmdd.cli", "fan", "30", "2,22,27"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
 
 
 def test_output_is_byte_stable():

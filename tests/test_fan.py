@@ -19,6 +19,8 @@ from circmdd import (
     build_network,
     candidate_rays,
     coherent_fan,
+    distance_table,
+    distances,
     enumerate_mdds,
     fan_report,
     hilbert_basis,
@@ -29,10 +31,11 @@ from circmdd import (
     staircase_generators,
     verify_family,
     verify_wall,
+    vertex_of,
 )
 from circmdd.intlin import dot
 import circmdd.groebner as groebner
-from circmdd.groebner import _lattice_ideal_basis, _sector_leads
+from circmdd.groebner import _graded_basis, _lattice_ideal_basis, _sector_leads
 
 import oracles
 from oracles import (
@@ -240,13 +243,57 @@ def test_lattice_ideal_basis_generates_the_lattice_ideal():
     ]
 
 
+def test_graded_basis_degrees_are_the_distances():
+    # under a graded order the normal form of a routing is the least
+    # routing of its vertex, so its degree is the vertex's distance, and
+    # the standard monomials, one per vertex, number n
+    rng = random.Random(17)
+    nets = pivotless = 0
+    while nets < 400:
+        n = rng.randrange(4, 300)
+        steps = rng.sample(range(1, n), 3)
+        if gcd(n, *steps) > 1:
+            continue
+        net = build_network(n, steps)
+        nets += 1
+        pivotless += all(gcd(s, n) > 1 for s in steps)
+        basis = _graded_basis(net)
+        assert all(sum(a) >= 0 and dot(a, net.steps) % n == 0 for a in basis), net
+        leads = [tuple(max(c, 0) for c in a) for a in basis]
+        assert oracles.standard_monomial_count(leads) == n, net
+        dist = distances(net)
+        for _ in range(20):
+            a = tuple(rng.randrange(2 * n) for _ in range(3))
+            assert groebner._degree(basis, a) == dist[vertex_of(net, a)], (net, a)
+    assert pivotless == 15
+
+
+def test_fan_with_walls_reads_no_distances(monkeypatch):
+    # a fan with walls reads its distances as normal-form degrees, so
+    # neither the fan of the q = 8 lift nor the check of the q = 20 one
+    # runs the distance search or fills the table cache
+    import circmdd.mdd
+    import circmdd.network
+
+    def refused(net):
+        raise AssertionError(f"distances({net})")
+
+    monkeypatch.setattr(circmdd.network, "distances", refused)
+    monkeypatch.setattr(circmdd.mdd, "distances", refused)
+    distance_table.cache_clear()
+    assert fan_report(build_family(8).lifted).summary.mdd_count == 30
+    result = verify_family(20)
+    assert result.ok and result.fan_mdd_count == 66
+    assert distance_table.cache_info().misses == 0
+
+
 def sector_lead_sets(net, fan):
     """Each sector representative of the fan with its lead set, as the
-    census computes them: Buchberger's algorithm for the first sector,
-    then one flip across each wall to the next."""
+    census computes them: Buchberger's algorithm from the graded basis
+    for the first sector, then one flip across each wall to the next."""
     crossed = [None] + [wall.ray for wall in fan.walls[1:]]
     keyed = []
-    basis = _lattice_ideal_basis(net)
+    basis = _graded_basis(net)
     for w, wall in zip(fan.sector_representatives, crossed):
         leads, basis = _sector_leads(net, w, basis, wall)
         keyed.append((w, leads))
@@ -307,7 +354,7 @@ def test_lead_sets_match_the_definition_on_random_networks():
 def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
     # the census flips each sector's basis across the wall it crosses;
     # every key must equal the one Buchberger's algorithm gives from the
-    # generators of the lattice ideal, and no flip may fall back
+    # graded basis, and no flip may fall back
     counts, _ = count_groebner_paths(monkeypatch)
     rng = random.Random(13)
     nets = sectors = pivotless = 0
@@ -322,7 +369,7 @@ def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
             continue
         nets += 1
         unit = any(gcd(s, n) == 1 for s in steps)
-        start = _lattice_ideal_basis(net)
+        start = _graded_basis(net)
         for w, leads in sector_lead_sets(net, fan):
             assert leads == _sector_leads(net, w, start)[0], (net, w)
             sectors += 1
@@ -342,7 +389,7 @@ def test_flips_across_any_ray_keep_the_key(monkeypatch):
     for q in (2, 5):
         net = build_family(q).lifted
         fan = coherent_fan(net)
-        start = _lattice_ideal_basis(net)
+        start = _graded_basis(net)
         keyed = [_sector_leads(net, w, start) for w in fan.sector_representatives]
         rays = [wall.ray for wall in fan.walls] + [(1, -1, 0), (2, -1, -1), (1, 2, -3)]
         for _ in range(100):
@@ -387,13 +434,14 @@ def test_family_census_call_counts_are_pinned(monkeypatch):
     assert (len(calls), len(retries)) == (72, 9)
 
 
-def test_family_census_runs_buchberger_once_per_network(monkeypatch):
-    # family verify 2, 5 and 8: Buchberger's algorithm for the first
-    # sector of each lift, one flip into each of the other 11 + 20 + 29
+def test_family_census_runs_buchberger_twice_per_network(monkeypatch):
+    # family verify 2, 5 and 8: Buchberger's algorithm for the graded
+    # basis and for the first sector of each lift, one flip into each of
+    # the other 11 + 20 + 29
     counts, _ = count_groebner_paths(monkeypatch)
     for q in (2, 5, 8):
         assert verify_family(q).ok
-    assert counts == {"buchberger": 3, "flips": 60, "fallbacks": 0}
+    assert counts == {"buchberger": 6, "flips": 60, "fallbacks": 0}
 
 
 def test_flipped_family_bases_have_n_standard_monomials(monkeypatch):

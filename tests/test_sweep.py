@@ -18,9 +18,13 @@ they reach the weight-tie check. It also checks every sector's census
 key: the lead set of its reduced Groebner basis, which must be the
 staircase of the definition's diagram, both as the census computes it
 (one flip across each wall) and by Buchberger's algorithm alone, on
-every network, the 115 with no unit step among them.
+every network, the 115 with no unit step among them. And the census's
+tie check, which stops at one vertex, must raise exactly when the
+scan of build_coherent_mdd does, on sector representatives, the
+weights the census slides them to, wall rays and random weights.
 """
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -47,7 +51,8 @@ from circmdd import (
     staircase_generators,
 )
 from circmdd.intlin import norm1
-from circmdd.groebner import _lattice_ideal_basis, _sector_leads
+from circmdd.groebner import _graded_basis, _sector_leads
+from circmdd.mdd import _first_tie
 
 from oracles import (
     coherent_cells_by_definition,
@@ -88,6 +93,7 @@ def test_sweep_has_networks_without_a_unit_step():
 
 @pytest.mark.parametrize("n", range(4, MAX_N + 1))
 def test_every_triple_loop_agrees_with_the_oracles(n):
+    rng = random.Random(n)
     ties = 0
     for steps in unit_classes(n):
         net = build_network(n, steps)
@@ -106,6 +112,7 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         fan = coherent_fan(net)
         assert fan.mdd_count == len(coherent), net
         ties += census_ties_against_definition(net, fan)
+        census_ties_against_the_scan(net, fan, rng)
         assert is_unique_mdd(net) == (len(mdds) == 1), net
         lat = homogeneous_lattice(net)
         for signs in SINGLE_NEGATIVE_SIGNS:
@@ -133,8 +140,8 @@ def census_ties_against_definition(net, fan):
     # the key is the sector's lead set, the staircase of its diagram.
     # The census flips each sector's basis across the wall it crosses;
     # the chain without walls runs Buchberger's algorithm for every
-    # sector
-    basis = flipped = _lattice_ideal_basis(net)
+    # sector. Both start from the graded basis
+    basis = flipped = _graded_basis(net)
     crossed = [None] + [wall.ray for wall in fan.walls[1:]]
     for w, wall in zip(fan.sector_representatives, crossed):
         leads, basis = _sector_leads(net, w, basis)
@@ -155,3 +162,29 @@ def census_ties_against_definition(net, fan):
                 ties += 1
             assert got == expected, (net, w, policy)
     return ties
+
+
+def census_ties_against_the_scan(net, fan, rng):
+    """The census's tie check raises exactly when _first_tie finds a tie,
+    from the graded basis and from sector bases alike."""
+    table = distance_table(net)
+    walls = [wall.ray for wall in fan.walls]
+    weights = list(fan.sector_representatives) + walls
+    for a, b in zip(walls, walls[1:] + walls[:1]):
+        # the representative a + b, slid toward a as the census does
+        weights += [tuple(x + y + t * x for x, y in zip(a, b)) for t in (1, 3, 7)]
+    for _ in range(8):
+        x, y = rng.randrange(-12, 13), rng.randrange(-12, 13)
+        weights.append((x, y, -x - y))
+    bases = [_graded_basis(net)]
+    for k, w in enumerate(weights):
+        if not any(w):
+            continue
+        try:
+            _, basis = _sector_leads(net, w, bases[k % len(bases)])
+            raised = False
+            if len(bases) < 4:
+                bases.append(basis)
+        except WeightTieError:
+            raised = True
+        assert raised == (_first_tie(table, w) is not None), (net, w)
