@@ -8,11 +8,11 @@ through the origin in r-1 dimensions: a sign check for two steps, an
 angular sweep in the plane for three, strict Fourier-Motzkin
 elimination for four. Everything is integer or rational arithmetic.
 
-Constraints are decided per distinct difference vector b - D(i): a
-diagram of C1892(45,265,1585) has about 20,000 constraints but at most
-73 distinct vectors. The witness is checked against every distinct
-vector, and so against every constraint; single constraints are
-materialised only to report a failed witness check or a refutation.
+No routing table is needed: the differences D(v) + e_j - D(v + s_j),
+r per vertex, span the same cone as every constraint (see
+is_coherent), and a diagram of C1892(45,265,1585) has at most nine
+distinct ones. Single constraints are walked vertex by vertex only to
+report a failed witness check or a refutation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import lshift
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
 from .mdd import Mdd
-from .network import distance_table, packed_width, routing_packer
+from .network import distance_table, packed_width
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ def _feasible(directions, r: int):
 
 
 def _directions(codes, r: int, width: int):
-    """Decoded differences of routing_packer codes of the given field
-    width, and their distinct primitive reduced directions, sorted."""
+    """Decoded differences of packed codes (see packed_width) of the
+    given field width, and their distinct primitive reduced directions,
+    sorted."""
     shifts = [width * (r - 1 - k) for k in range(r)]
     # a bias of half a field on every field keeps each one nonnegative
     half = 1 << (width - 1)
@@ -187,20 +188,33 @@ def _directions(codes, r: int, width: int):
 def is_coherent(mdd: Mdd) -> CoherenceResult:
     """Decide coherence exactly; witness weight or irreducible refutation.
 
-    Every (vertex, alternative) constraint is a difference vector
-    b - D(i), and a few dozen distinct vectors stand for tens of
-    thousands of constraints, so everything is decided per distinct
-    vector: routings are packed into integers (see routing_packer,
-    whose spare bit per field lets a difference decode uniquely), and
-    the differences are collected in one set. The cells
-    must be minimal routings of their vertices, as in every diagram the
-    library builds or validates. The witness is returned as a primitive
-    sum-zero integer weight and re-checked against every distinct
-    difference, hence every constraint, before returning. On failure a subset of
-    constraints that is infeasible and loses infeasibility if any one is
-    dropped is produced by greedy deletion over the sorted directions;
-    each direction is reported by its least (vertex, alternative)
-    constraint.
+    The cells must be minimal routings of their vertices, as in every
+    diagram the library builds or validates. The cone is decided from
+    the differences D(v) + e_j - D(v + s_j) for every vertex v and step
+    j with dist[v + s_j] == dist[v] + 1, packed into integers (see
+    packed_width) and collected in one set. Each is a (vertex,
+    alternative) constraint or zero, and they include g - D(vertex(g))
+    for every staircase generator g that is a minimal routing, since
+    g - e_j is a cell for any j with g_j > 0. Those generator
+    constraints imply every constraint (see enumerate_mdds), so both
+    sets have the same open solution cone and the same extreme rays.
+
+    The witness, a primitive sum-zero integer weight, is then the one
+    the full list would give. _solve_1d reads only signs. _solve_sweep2
+    reads only the two normals that bound the unique gap larger than
+    pi, both extreme rays. Each system _solve_fm eliminates to defines
+    the same projected cone, and its back-substitution bounds lo and hi
+    are attained at extreme rays. So the witness depends only on the
+    extreme rays. It is re-checked against every difference before
+    returning, which by the same argument checks every constraint; on a
+    failure, the first (vertex, alternative) constraint it fails is
+    reported.
+
+    On infeasibility a subset of constraints that is infeasible and
+    loses infeasibility if any one is dropped is produced by greedy
+    deletion over the sorted directions of every constraint, walked
+    vertex by vertex through DistanceTable.routings; each direction is
+    reported by its least (vertex, alternative) constraint.
     """
     net = mdd.net
     r = net.r
@@ -208,16 +222,20 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
         raise UnsupportedArityError(
             "coherence is decided for at most four steps", r=r
         )
-    paths = distance_table(net).minimal_paths
-    # one vertex at a time
-    packed = map(routing_packer(net.n, r), paths)
+    table = distance_table(net)
+    dist = table.dist
     width = packed_width(net.n)
     shifts = [width * (r - 1 - k) for k in range(r)]
+    cells = [sum(map(lshift, cell, shifts)) for cell in mdd.cells]
     codes: set[int] = set()
-    for routes, chosen in zip(packed, mdd.cells):
-        if len(routes) > 1:
-            base = sum(map(lshift, chosen, shifts))
-            codes.update(map((-base).__add__, routes))
+    for s, shift in zip(net.steps, shifts):
+        # ahead[v] and later[v] belong to vertex v + s
+        ahead = dist[s:] + dist[:s]
+        later = cells[s:] + cells[:s]
+        unit = 1 << shift
+        codes.update(
+            c + unit - b for c, b, d, e in zip(cells, later, dist, ahead) if e == d + 1
+        )
     codes.discard(0)
     if not codes:
         witness = tuple(range(r - 1, -1, -1)) if r >= 2 else (1,)
@@ -228,7 +246,7 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     if solution is not None:
         witness = _weight_from_coords(solution, r)
         if any(dot(witness, d) <= 0 for d in diffs):
-            for con in _constraints(mdd, paths):
+            for con in _constraints(mdd, table):
                 if dot(witness, con.alternative) <= dot(witness, con.chosen):
                     raise InternalInconsistencyError(
                         f"witness {witness} fails constraint at vertex {con.vertex}",
@@ -237,6 +255,11 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
                     )
         return CoherenceResult(True, witness, None)
 
+    pairs = [
+        (primitive(_reduced_coords(vec_sub(con.alternative, con.chosen))), con)
+        for con in _constraints(mdd, table)
+    ]
+    directions = sorted({direction for direction, _ in pairs})
     core = list(directions)
     for direction in directions:
         trial = [p for p in core if p != direction]
@@ -246,19 +269,16 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     # of each core direction is its least
     wanted = set(core)
     refutation = []
-    for con in _constraints(mdd, paths):
-        direction = primitive(_reduced_coords(vec_sub(con.alternative, con.chosen)))
+    for direction, con in pairs:
         if direction in wanted:
             wanted.discard(direction)
             refutation.append(con)
-            if not wanted:
-                break
     return CoherenceResult(False, None, tuple(refutation))
 
 
-def _constraints(mdd: Mdd, paths):
+def _constraints(mdd: Mdd, table):
     """Every (vertex, alternative) constraint, in that order."""
-    for i, (routes, chosen) in enumerate(zip(paths, mdd.cells)):
-        for alt in routes:
+    for i, chosen in enumerate(mdd.cells):
+        for alt in table.routings(i):
             if alt != chosen:
                 yield RoutingConstraint(i, chosen, alt)

@@ -303,7 +303,7 @@ def enumerate_mdds(
     dist[i - s_j] == dist[i] - 1, which is minimal. Such a candidate is
     kept only if each of its one-arc predecessors is the cell chosen
     there (down-closure), so a vertex tries at most r of them. Cells are
-    packed into integers (see routing_packer); diagrams are sorted by
+    packed into integers (see packed_width); diagrams are sorted by
     code, which is lexicographic order. Entering a partial diagram adds
     the route count of its next vertex to the visits, as many routings
     as trying each would cost, and the budget caps the visits: it bounds

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import lshift
 
 from .errors import (
     ArityMismatchError,
@@ -65,10 +64,10 @@ class _CellStore(dict):
 class DistanceTable:
     """Distances from vertex 0, and what is derived from them on demand.
 
-    minimal_paths, levels and cells are cached on the instance when
-    first read, so they live and die with the table (and with
-    distance_table's cache); they take no part in equality, which
-    compares net and dist.
+    minimal_paths, levels, cells and the tail bits of the routing walk
+    are cached on the instance when first read, so they live and die
+    with the table (and with distance_table's cache); they take no part
+    in equality, which compares net and dist.
     """
 
     net: CirculantNetwork
@@ -77,8 +76,8 @@ class DistanceTable:
     @cached_property
     def minimal_paths(self) -> tuple[tuple[PathVector, ...], ...]:
         """Every minimal routing vector per vertex, each sorted
-        lexicographically (see _minimal_path_table)."""
-        return _minimal_path_table(self.net.n, self.net.steps)
+        lexicographically: routings(i) for every vertex i."""
+        return tuple(map(self.routings, range(self.net.n)))
 
     @cached_property
     def cells(self) -> _CellStore:
@@ -88,12 +87,24 @@ class DistanceTable:
     def routings(self, i: int) -> tuple[PathVector, ...]:
         """The minimal routings of vertex i, sorted lexicographically.
 
-        Equal to minimal_paths[i]. For three steps no table is built:
-        they are the routings of i of length dist[i] (_routings).
+        Three steps take the coset walk of _routings, which needs no
+        array beside dist. Other arities walk the coordinates in order
+        (_walk), guided by the tail bits.
         """
-        if self.net.r != 3:
-            return self.minimal_paths[i]
-        return _routings(self.net, i, self.dist[i])
+        if self.net.r == 3:
+            return _routings(self.net, i, self.dist[i])
+        return tuple(_walk(self.net.steps, self.dist, self._tails, i, 0))
+
+    @cached_property
+    def _tails(self) -> tuple[bytes, ...]:
+        """tails[m][i] is 1 when vertex i has a minimal routing over the
+        steps m + 1, ..., r - 1 alone, that is a nonzero route_counts
+        over those steps: r - 1 bytes objects of length n."""
+        n, steps = self.net.n, self.net.steps
+        return tuple(
+            bytes(c > 0 for c in route_counts(CirculantNetwork(n, steps[m:]), self.dist))
+            for m in range(1, len(steps))
+        )
 
     @cached_property
     def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
@@ -167,8 +178,35 @@ def _routings(net: CirculantNetwork, i: int, d: int) -> tuple[PathVector, ...]:
     return tuple(found)
 
 
+def _walk(steps, dist, tails, v: int, m: int):
+    """Coordinates m, ..., r - 1 of the minimal routings of vertex v
+    over the steps m, ..., r - 1, in lexicographic order.
+
+    Coordinate m takes a = 0, 1, ... while dist[v - a * s_m] == dist[v] - a
+    (a sub-routing of a minimal routing is minimal, so this fails for
+    every larger a once it fails), and the walk goes deeper only where
+    the tail bit says the later steps can route the rest. The last
+    coordinate is the distance left.
+    """
+    d = dist[v]
+    if m == len(tails):
+        yield (d,)
+        return
+    n = len(dist)
+    s = steps[m]
+    tail = tails[m]
+    for a in range(d + 1):
+        u = (v - a * s) % n
+        if dist[u] != d - a:
+            break
+        if tail[u]:
+            for rest in _walk(steps, dist, tails, u, m + 1):
+                yield (a, *rest)
+
+
 def packed_width(n: int) -> int:
-    """Bits per coordinate field of the codes of routing_packer(n, r).
+    """Bits per coordinate field of packed routing codes, first
+    coordinate highest, as enumerate_mdds and is_coherent pack cells.
 
     Coordinates of minimal routings are below n, so n.bit_length() bits
     hold them without carry and integer order is lexicographic order;
@@ -176,28 +214,6 @@ def packed_width(n: int) -> int:
     in (-n, n), decode uniquely.
     """
     return n.bit_length() + 1
-
-
-def routing_packer(n: int, r: int):
-    """A function packing the routings of one vertex into integer codes.
-
-    One field of packed_width(n) bits per coordinate, first coordinate
-    highest; the codes come in the order of the routings.
-    """
-    width = packed_width(n)
-    shifts = [width * (r - 1 - k) for k in range(r)]
-    if r == 3:
-        # packing inline takes a third of the time of the generic sum
-        s0, s1, _ = shifts
-
-        def pack(routes):
-            return [(x << s0) + (y << s1) + z for x, y, z in routes]
-    else:
-
-        def pack(routes):
-            return [sum(map(lshift, a, shifts)) for a in routes]
-
-    return pack
 
 
 def build_network(n: int, steps) -> CirculantNetwork:
@@ -248,63 +264,13 @@ def vertex_of(net: CirculantNetwork, a) -> int:
 
 
 def active_kernel(net: CirculantNetwork) -> str:
-    """Which kernel builds DistanceTable.minimal_paths for this network.
+    """Which kernel lists the routings of DistanceTable for this network.
 
-    There is one, so the answer is always "pure-python"; the function
-    stays for callers that report it.
+    There is one, the per-vertex walk of DistanceTable.routings, so the
+    answer is always "pure-python"; the function stays for callers that
+    report it.
     """
     return "pure-python"
-
-
-def _minimal_path_table(n: int, steps) -> tuple[tuple[PathVector, ...], ...]:
-    """All minimal routing vectors per vertex.
-
-    Level expansion: level d + 1 extends every minimal vector of level d
-    by one arc of each step, dropping vectors that land on a vertex
-    finished at an earlier level. Vectors are packed into integers, one
-    field of n.bit_length() bits per coordinate, first coordinate
-    highest. Coordinates are at most the diameter, which is below n, so
-    fields never carry and integer order is lexicographic order. Each
-    level is unpacked to sorted tuples as soon as it is complete; only
-    the frontier stays packed.
-    """
-    r = len(steps)
-    width = n.bit_length()
-    mask = (1 << width) - 1
-    shifts = [width * (r - 1 - l) for l in range(r)]
-    arcs = [(s % n, (1 << shift).__add__) for s, shift in zip(steps, shifts)]
-    dist = [-1] * n
-    paths: list[tuple[PathVector, ...]] = [()] * n
-    dist[0] = 0
-    paths[0] = ((0,) * r,)
-    frontier = {0: [0]}
-    done = 1
-    d = 0
-    while done < n:
-        if not frontier:
-            raise DisconnectedError(
-                f"vertex 0 reaches {done} of {n} vertices", n=n
-            )
-        d += 1
-        pending: dict[int, set[int]] = {}
-        for v, codes in frontier.items():
-            for s, add in arcs:
-                u = v + s
-                if u >= n:
-                    u -= n
-                du = dist[u]
-                if du == -1:
-                    dist[u] = d
-                    done += 1
-                    pending[u] = set(map(add, codes))
-                elif du == d:
-                    pending[u].update(map(add, codes))
-        frontier = {}
-        for u, bucket in pending.items():
-            codes = frontier[u] = sorted(bucket)
-            columns = [[(c >> shift) & mask for c in codes] for shift in shifts]
-            paths[u] = tuple(zip(*columns))
-    return tuple(paths)
 
 
 @lru_cache(maxsize=64)
@@ -312,8 +278,9 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     """The distances of the network, from distances(net).
 
     Cached per network, with everything the table derives on demand:
-    the routing vectors (minimal_paths, built only when read), and the
-    distance levels and the cell store of build_coherent_mdd. A fan
+    the tail bits of the routing walk, the whole routing table
+    (minimal_paths, which is_coherent does not read), and the distance
+    levels and the cell store of build_coherent_mdd. A fan
     with walls reads no table: its distances are normal-form degrees
     (groebner._graded_basis); only a fan with a single sector builds
     its diagram here. The table is immutable and safe to share.

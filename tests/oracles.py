@@ -306,3 +306,24 @@ def standard_monomial_count(leads):
             below[x1] = least
             total += least
     return total
+
+
+def coherent_diagrams_by_sectors(n: int, steps, representatives, paths=None):
+    """The cells of every coherent diagram of a three-step network, with
+    no cone solver, given one weight inside each sector of its fan.
+
+    A diagram is coherent when some weight makes each of its cells the
+    strictly lightest routing of its vertex; that weight can be moved
+    off the walls, into an open sector, without changing the diagram,
+    and every weight of a sector gives the same diagram. So a diagram
+    is coherent iff it is the least-weight diagram of one of the
+    representatives, read off the definition (coherent_cells_by_definition).
+    """
+    if paths is None:
+        _, paths = minimal_paths_by_scan(n, steps)
+    found = set()
+    for w in representatives:
+        kind, cells = coherent_cells_by_definition(n, steps, w, paths=paths)
+        assert kind == "cells", (n, steps, w)
+        found.add(cells)
+    return found

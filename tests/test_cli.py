@@ -345,6 +345,29 @@ GOLDEN_DOCUMENTS = {
         "network": {"n": 4, "steps": ["1", 3]},
         "cells": VALID_C4_CELLS,
     },
+    # coherent, so the output holds a witness: (3, -1, -2) from the
+    # angular sweep, and (0, -12, -7, 19) from Fourier-Motzkin elimination
+    "coherent-r3.json": {
+        "network": {"n": 9, "steps": [1, 4, 7]},
+        "cells": [
+            {"vertex": i, "path": list(path)}
+            for i, path in enumerate([
+                (0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 3), (0, 1, 0),
+                (0, 0, 2), (0, 2, 1), (0, 0, 1), (0, 2, 0),
+            ])
+        ],
+    },
+    "coherent-r4.json": {
+        "network": {"n": 10, "steps": [1, 3, 4, 7]},
+        "cells": [
+            {"vertex": i, "path": list(path)}
+            for i, path in enumerate([
+                (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0),
+                (0, 0, 1, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1),
+                (0, 0, 2, 0), (0, 3, 0, 0),
+            ])
+        ],
+    },
 }
 
 # Command, exit code, and sha256 of stdout + stderr. Any change to an
@@ -367,6 +390,8 @@ GOLDEN = {
     "mdd-check-valid": ("mdd check valid.json", 0, "dd9a3606ca47c350519cce577acfefa6fba34c222ca513260d533a5c510cd7dd"),
     "mdd-check-invalid": ("mdd check invalid.json", 0, "5f7a2baebe3e24aba66127cc4fe427b2d2a04d3bf9d006833c2982d4b355fc53"),
     "mdd-check-malformed": ("mdd check malformed.json", 1, "27937362a82d88d8afc73e685912349a7e34f4790f84b6dd29aa26a3442b4b86"),
+    "mdd-check-coherent-r3": ("mdd check coherent-r3.json", 0, "dfa21a7ef8f1e66971761a8bcb6297180fcc21c39799e2da0f820580a2a73eaf"),
+    "mdd-check-coherent-r4": ("mdd check coherent-r4.json", 0, "d84d512d66de484522a73905f4ce673d3444e8b24703d95111cf39e93325db04"),
     "lattice-hilbert-r2": ("lattice hilbert 10 1,6", 0, "3d75b36f421deb4fce7cbae1f43a8bc3f12286d6cddfdd7447286795e70fb8e8"),
     "lattice-hilbert-r3": ("lattice hilbert 8 2,3,7", 0, "7d5ac3e312670638a371a7b90ff30f5854d1783dbd63be7eaca9808f6b3c461e"),
     "lattice-hilbert-r4": ("lattice hilbert 8 1,3,5,7", 0, "1a17b52a2b0f17a8bc6eb3ee2dd44e08e54e1b2c678fd2991e83e18907dc2935"),

@@ -11,6 +11,7 @@ from circmdd import (
     build_coherent_mdd,
     build_network,
     distance_table,
+    distances,
     enumerate_mdds,
     is_coherent,
     validate_mdd,
@@ -313,12 +314,14 @@ def test_enumeration_matches_backtracking_oracle_on_random_networks(mode):
 
 
 def test_coherence_decides_each_difference_vector_once(monkeypatch):
-    # primitive runs once per distinct difference vector b - D(i) and
-    # once on the witness, not once per (vertex, alternative) constraint
+    # primitive runs once per distinct cell-plus-unit difference
+    # D(v) + e_j - D(v + s_j) and once on the witness, not once per
+    # (vertex, alternative) constraint
     from circmdd import coherence
 
     net = build_network(1892, [45, 265, 1585])
-    paths = distance_table(net).minimal_paths
+    n = net.n
+    dist = distances(net)
     calls = []
     monkeypatch.setattr(coherence, "primitive", lambda u: calls.append(u) or primitive(u))
     mdds = enumerate_mdds(net).mdds
@@ -327,9 +330,17 @@ def test_coherence_decides_each_difference_vector_once(monkeypatch):
         calls.clear()
         assert is_coherent(mdd).coherent
         distinct = {
-            vec_sub(alt, chosen)
-            for routes, chosen in zip(paths, mdd.cells)
-            for alt in routes
-            if alt != chosen
-        }
-        assert len(calls) == len(distinct) + 1 <= 74
+            tuple(x + (k == j) - y for k, (x, y) in enumerate(zip(cell, mdd.cells[(v + s) % n])))
+            for j, s in enumerate(net.steps)
+            for v, cell in enumerate(mdd.cells)
+            if dist[(v + s) % n] == dist[v] + 1
+        } - {(0, 0, 0)}
+        assert len(calls) == len(distinct) + 1 <= 10
+
+
+def test_coherence_builds_no_routing_table():
+    net = build_network(1892, [45, 265, 1585])
+    distance_table.cache_clear()
+    for mdd in enumerate_mdds(net).mdds:
+        assert is_coherent(mdd).coherent
+    assert "minimal_paths" not in vars(distance_table(net))

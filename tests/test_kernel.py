@@ -1,15 +1,24 @@
-"""The routing kernel against the exhaustive-scan oracle.
+"""The per-vertex routing walk against the exhaustive-scan oracle.
 
-distance_table packs each routing vector into one integer with a field
-of n.bit_length() bits per coordinate; these tests compare its tables
-with minimal_paths_by_scan, which uses plain tuples throughout.
+DistanceTable.routings lists the minimal routings of one vertex from
+the distances alone: the coset walk of _routings for three steps, and
+for every other arity a walk over the coordinates in order, guided by
+one byte per vertex and step. These tests compare its lists, and the
+table minimal_paths built from them, with minimal_paths_by_scan, which
+scans plain tuples.
 """
 
 import random
 
 import pytest
 
-from circmdd import CirculantNetwork, build_network, distance_table, distances
+from circmdd import (
+    CirculantNetwork,
+    DistanceTable,
+    build_network,
+    distance_table,
+    distances,
+)
 from circmdd.errors import CircmddError, DisconnectedError
 
 from oracles import minimal_paths_by_scan
@@ -19,9 +28,12 @@ MAX_N = {1: 200, 2: 150, 3: 100, 4: 60, 5: 40}
 
 
 def assert_matches_oracle(net):
-    table = distance_table(net)
+    table = DistanceTable(net, distances(net))
     dist, paths = minimal_paths_by_scan(net.n, net.steps)
     assert list(table.dist) == dist, net
+    assert [list(table.routings(i)) for i in range(net.n)] == paths, net
+    # the walk reads no table
+    assert "minimal_paths" not in vars(table)
     assert [list(p) for p in table.minimal_paths] == paths, net
 
 
@@ -44,7 +56,7 @@ def test_single_loop_fills_its_coordinate_field(n):
     # the last vertex needs n - 1 arcs, the largest coordinate any
     # network of size n can reach
     net = build_network(n, [1])
-    assert distance_table(net).minimal_paths[n - 1] == ((n - 1,),)
+    assert distance_table(net).routings(n - 1) == ((n - 1,),)
     assert_matches_oracle(net)
 
 

@@ -217,8 +217,8 @@ def test_derived_structures_live_and_die_with_the_table():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vertex_routings_match_the_table(seed):
-    # the coset walk of a three-step vertex gives its row of the table,
-    # in order; every other network has gcd(s1 - s2, n) > 1, so the
+    # the coset walk of a three-step vertex lists its minimal routings,
+    # in order, and so does the table built from it; every other network has gcd(s1 - s2, n) > 1, so the
     # solutions y form a class modulo a proper divisor of n
     rng = random.Random(900 + seed)
     shared = 0
@@ -233,5 +233,7 @@ def test_vertex_routings_match_the_table(seed):
             continue
         shared += math.gcd(net.steps[1] - net.steps[2], n) > 1
         table = distance_table(net)
-        assert [table.routings(i) for i in range(n)] == list(table.minimal_paths), net
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        assert [list(table.routings(i)) for i in range(n)] == paths, net
+        assert [list(p) for p in table.minimal_paths] == paths, net
     assert shared >= 10

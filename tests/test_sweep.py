@@ -3,29 +3,32 @@
 Every three-step network with n <= 28 is covered, one per class under
 multiplying the steps by a unit of Z_n: that relabels the vertices and
 leaves distances, routing counts, lattices and diagram counts as they
-are. Each network is checked seven ways: the fan's diagram count equals
-the brute-force coherent count, the enumeration's own coherence filter
-keeps exactly the diagrams is_coherent accepts, the staircase of every
-diagram equals the one a scan of its bounding box finds, every octant
-Hilbert basis equals the definition-level indecomposable filter, the
-candidate rays equal those screened over every short octant point, the
-uniqueness criterion agrees with the enumeration, and the breadth-first
-distances, the route counts and the per-vertex routing walks equal the
-routing table's. A second sweep builds the diagram of every sector
-representative and every wall ray of the fan, with both tie policies,
-against the definition-level census: wall rays lie on tie lines, so
-they reach the weight-tie check. It also checks every sector's census
-key: the lead set of its reduced Groebner basis, which must be the
-staircase of the definition's diagram, both as the census computes it
-(one flip across each wall) and by Buchberger's algorithm alone, on
-every network, the 115 with no unit step among them. And the census's
-tie check, which stops at one vertex, must raise exactly when the
-scan of build_coherent_mdd does, on sector representatives, the
-weights the census slides them to, wall rays and random weights.
+are. Each network is checked eight ways: the fan's diagram count equals
+the brute-force coherent count, is_coherent accepts exactly the
+least-weight diagrams of the fan's sector representatives (a check with
+no cone solver), the enumeration's own coherence filter keeps exactly
+the diagrams is_coherent accepts, the staircase of every diagram equals
+the one a scan of its bounding box finds, every octant Hilbert basis
+equals the definition-level indecomposable filter, the candidate rays
+equal those screened over every short octant point, the uniqueness
+criterion agrees with the enumeration, and the breadth-first distances,
+the route counts, the per-vertex routing walks and the table built from
+them equal those of an exhaustive scan. A second sweep builds the
+diagram of every sector representative and every wall ray of the fan,
+with both tie policies, against the definition-level census: wall rays
+lie on tie lines, so they reach the weight-tie check. It also checks
+every sector's census key: the lead set of its reduced Groebner basis,
+which must be the staircase of the definition's diagram, both as the
+census computes it (one flip across each wall) and by Buchberger's
+algorithm alone, on every network, the 115 with no unit step among them.
+And the census's tie check, which stops at one vertex, must raise
+exactly when the scan of build_coherent_mdd does, on sector
+representatives, the weights the census slides them to, wall rays and
+random weights.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 
 import pytest
@@ -56,6 +59,7 @@ from circmdd.mdd import _first_tie
 
 from oracles import (
     coherent_cells_by_definition,
+    coherent_diagrams_by_sectors,
     indecomposable_filter,
     minimal_paths_by_scan,
     rays_screened_by_points,
@@ -94,22 +98,30 @@ def test_sweep_has_networks_without_a_unit_step():
 @pytest.mark.parametrize("n", range(4, MAX_N + 1))
 def test_every_triple_loop_agrees_with_the_oracles(n):
     rng = random.Random(n)
-    ties = 0
+    ties = incoherent = 0
     for steps in unit_classes(n):
         net = build_network(n, steps)
         table = distance_table(net)
         dist = distances(net)
         assert dist == table.dist, net
-        assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
-        assert tuple(map(table.routings, range(n))) == table.minimal_paths, net
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        assert list(route_counts(net, dist)) == list(map(len, paths)), net
+        assert [list(table.routings(i)) for i in range(n)] == paths, net
+        assert [list(p) for p in table.minimal_paths] == paths, net
         mdds = enumerate_mdds(net, "all").mdds
         for m in mdds:
             assert staircase_generators(m).generators == (
                 staircase_generators_by_box_scan(m.cells)
             ), (net, m)
-        coherent = tuple(m for m in mdds if is_coherent(m).coherent)
-        assert enumerate_mdds(net, "coherent_only").mdds == coherent, net
         fan = coherent_fan(net)
+        by_sectors = coherent_diagrams_by_sectors(
+            n, net.steps, fan.sector_representatives, paths
+        )
+        verdicts = [is_coherent(m).coherent for m in mdds]
+        assert verdicts == [m.cells in by_sectors for m in mdds], net
+        coherent = tuple(compress(mdds, verdicts))
+        incoherent += len(mdds) - len(coherent)
+        assert enumerate_mdds(net, "coherent_only").mdds == coherent, net
         assert fan.mdd_count == len(coherent), net
         ties += census_ties_against_definition(net, fan)
         census_ties_against_the_scan(net, fan, rng)
@@ -129,6 +141,8 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         rays = {c.ray: c.sources for c in candidate_rays(lat)}
         assert rays == rays_screened_by_points(n, net.steps), net
     assert ties or n < 6, n  # wall rays reach the weight-tie check
+    # of the 3,338 diagrams, only two of C14(1,9,11) are incoherent
+    assert incoherent == (2 if n == 14 else 0), n
 
 
 def census_ties_against_definition(net, fan):
