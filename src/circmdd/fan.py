@@ -8,9 +8,10 @@ generated from those Hilbert bases, verified against the network, and
 the open sectors between verified rays are sampled to count the
 distinct coherent diagrams. Sectors are told apart by the lead sets of
 the reduced Groebner bases of the lattice ideal, which are their
-diagrams' staircases, and distances are normal-form degrees, so only a
-fan with one sector builds a diagram; each basis after the first is one
-flip away from its neighbour's, across the wall between them. Also
+diagrams' staircases, and distances are normal-form degrees, so no
+fan builds a diagram or an n-sized array. The census starts at the
+sector whose reduced basis is the graded one and reaches each other
+sector by one flip across the wall between neighbours. Also
 provides the size lift that preserves the homogeneous lattice and the
 geometric-step families with many diagrams.
 """
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedArityError,
     WeightTieError,
 )
-from .groebner import _degree, _sector_leads, _wall_inputs
+from .groebner import _degree, _is_led, _sector_leads, _wall_inputs
 from .intlin import angular_key, cross, dot, norm1, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
@@ -38,7 +39,6 @@ from .lattice import (
     homogeneous_lattice,
     octant_points_bounded,
 )
-from .mdd import build_coherent_mdd
 from .network import CirculantNetwork, build_network, vertex_of
 
 
@@ -98,7 +98,7 @@ def _plane_vector(p) -> tuple[int, int, int]:
     return (x, y - x, -y)
 
 
-def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
+def candidate_rays(lat: HomogeneousLattice, octants=None) -> tuple[RayCandidate, ...]:
     """All rays that can separate two diagram cones of this lattice.
 
     Each Hilbert generator a of a single-negative octant is orthogonal
@@ -107,13 +107,18 @@ def candidate_rays(lat: HomogeneousLattice) -> tuple[RayCandidate, ...]:
     screening that a separating ray must satisfy). The 1-norm is linear
     on an octant, so such a point is a sum of generators of norm at most
     ||a||, and the screening tests those generators only. Survivors are
-    deduplicated and sorted by angle.
+    deduplicated and sorted by angle. octants maps each single-negative
+    sign pattern to its Hilbert basis; fan_report passes those of its
+    _wall_inputs.
     """
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     found: dict[tuple[int, int, int], set] = {}
     for signs in SINGLE_NEGATIVE_SIGNS:
-        elements = hilbert_basis(OctantSemigroup(lat, signs)).elements
+        if octants is None:
+            elements = hilbert_basis(OctantSemigroup(lat, signs)).elements
+        else:
+            elements = octants[signs]
         for a in elements:
             nearby = [b for b in elements if norm1(b) <= norm1(a)]
             base = primitive(_orth_in_plane(a))
@@ -209,47 +214,53 @@ def _sample_sectors(net, walls, basis):
     A sector's representative is the sum of its two walls' plane
     vectors, slid toward the opening wall past any weight tie. The key
     is the lead set of the reduced Groebner basis of the lattice ideal
-    (_sector_leads); without walls it is the single sector's diagram,
-    built to check that sector for ties. Buchberger's algorithm gives
-    the first sector's basis from the graded basis; every later sector's
-    comes from the previous one's by one flip across the wall between
-    them. A flip whose checks fail falls back to Buchberger, so a wrong
-    wall cannot change a key.
+    (_sector_leads). The graded basis is already the reduced basis of
+    the sector whose representative leads it (_is_led), so the census
+    starts there, without a wall, and flips forward across each wall
+    into the next sector, wrapping round; without walls the single
+    sector is keyed at (1, 0, -1). When no representative leads the
+    graded basis, or a check fails, Buchberger's algorithm runs instead,
+    so a wrong wall cannot change a key.
     """
     if not walls:
         rep = (1, 0, -1)
         try:
-            mdd = build_coherent_mdd(net, rep, tie_policy="error")
+            key, _ = _sector_leads(net, rep, basis)
         except WeightTieError as exc:
             raise InternalInconsistencyError(
                 "no verified walls but the network still admits weight ties",
                 detail=str(exc),
             ) from exc
-        return [rep], [mdd.cells]
+        return [rep], [key]
     if len(walls) == 1:
         raise InternalInconsistencyError(
             "a complete fan cannot have exactly one boundary ray"
         )
-    reps = []
-    keys = []
     m = len(walls)
+    starts = []
     for i in range(m):
         # sector i lies between walls i and i + 1, so it is entered from
         # sector i - 1 across wall i
-        crossed = walls[i].ray if i else None
         a2 = _plane_coords(walls[i].ray)
         b2 = _plane_coords(walls[(i + 1) % m].ray)
         cr = cross(a2, b2)
         if cr > 0:
-            rep = (a2[0] + b2[0], a2[1] + b2[1])
+            starts.append((a2[0] + b2[0], a2[1] + b2[1]))
         elif cr == 0 and (a2[0] * b2[0] + a2[1] * b2[1]) < 0:
-            rep = (-a2[1], a2[0])  # half-plane sector: rotate the start ray
+            starts.append((-a2[1], a2[0]))  # half-plane sector: rotate the start ray
         else:
             raise InternalInconsistencyError(
                 "consecutive walls are not in convex position",
                 first=list(walls[i].ray),
                 second=list(walls[(i + 1) % m].ray),
             )
+    first = next((i for i, p in enumerate(starts) if _is_led(basis, _plane_vector(p))), 0)
+    reps = [None] * m
+    keys = [None] * m
+    for i in [*range(first, m), *range(first)]:
+        crossed = walls[i].ray if i != first else None
+        a2 = _plane_coords(walls[i].ray)
+        rep = starts[i]
         step = 1
         for _ in range(64):
             w = _plane_vector(rep)
@@ -265,8 +276,8 @@ def _sample_sectors(net, walls, basis):
             raise InternalInconsistencyError(
                 "sector sampling found no generic weight", sector=i
             )
-        reps.append(w)
-        keys.append(key)
+        reps[i] = w
+        keys[i] = key
     return reps, keys
 
 
@@ -283,8 +294,9 @@ def fan_report(net: CirculantNetwork) -> FanReport:
     lat = homogeneous_lattice(net)
     walls: list[Wall] = []
     rejections: list[WallRejection] = []
-    cands = candidate_rays(lat)
-    inputs = _wall_inputs(lat)
+    # candidate_rays refuses other arities before any octant is built
+    inputs = _wall_inputs(lat) if lat.r == 3 else (lat, None, None)
+    cands = candidate_rays(lat, inputs[1])
     for cand in cands:
         result = verify_wall(net, cand, inputs)
         if isinstance(result, Wall):

@@ -2,11 +2,14 @@
 
 The fan reads the distances it needs as normal-form degrees under one
 Groebner basis of I_L = <x^a+ - x^a- : a.s = 0 mod n> for a graded
-order, so a fan with walls builds no n-sized array. Its sector census
+order, so no fan builds an n-sized array. Its sector census
 keys each sector by the leads of the reduced Groebner basis for the
 sector's weight, which are the staircase generators of its coherent
-diagram. The first sector's basis comes from Buchberger's algorithm,
-every later one from one flip across the wall between neighbours.
+diagram. The graded basis is already the reduced basis of one sector,
+the one whose weight leads every sum-zero vector of it (_is_led); the
+census starts there and reaches every other sector by one flip across
+the wall between neighbours. Buchberger's algorithm runs for the graded
+basis and as the fallback of a failed check only.
 """
 
 from __future__ import annotations
@@ -106,18 +109,31 @@ def _degree(basis, a):
     return sum(_normal_form(_led(basis), *a))
 
 
+def _is_led(basis, iw):
+    """Whether every sum-zero vector a of basis is led by its plus part
+    under the integer weights iw: (iw.a, a) is lexicographically
+    positive. A reduced Groebner basis of I_L for a graded order, each
+    vector led by its plus part, is then the reduced one for iw (step 4
+    of _flip)."""
+    w0, w1, w2 = iw
+    return all(
+        a0 + a1 + a2 or (w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) > (0, 0, 0, 0)
+        for a0, a1, a2 in basis
+    )
+
+
 def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
     """(leads, basis): the sorted leads of the reduced Groebner basis of
     the lattice ideal for the weight w, and the vectors of that basis.
 
-    basis is a Groebner basis of I_L for a graded order: _graded_basis
-    or the basis this returned for another weight. Raises WeightTieError
-    exactly when build_coherent_mdd(net, w) raises, naming a tie at the
-    vertex u of e+ for the direction e of the ties of w, which need not
-    be the first tie. The proof in mdd._first_tie decides the raise at
-    u alone: there is one iff deg NF(e+) = |e+|, that is e+ is minimal,
-    and the scan of u's routings of length |e+| raises. A weight
-    parallel to (1, 1, 1) lies in no sector and raises
+    basis is the reduced Groebner basis of I_L for a graded order:
+    _graded_basis or the basis this returned for another weight. Raises
+    WeightTieError exactly when build_coherent_mdd(net, w) raises,
+    naming a tie at the vertex u of e+ for the direction e of the ties
+    of w, which need not be the first tie. The proof in mdd._first_tie
+    decides the raise at u alone: there is one iff deg NF(e+) = |e+|,
+    that is e+ is minimal, and the scan of u's routings of length |e+|
+    raises. A weight parallel to (1, 1, 1) lies in no sector and raises
     InternalInconsistencyError.
 
     The term order is "degree, then w, then lex", so the standard
@@ -129,7 +145,9 @@ def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
 
     With a wall ray, basis must be one this returned for a weight on
     the far side of that wall, and the new basis is one flip across it
-    (_flip). Without a wall, or when a check of the flip fails,
+    (_flip). Without a wall, basis is returned as it stands when w leads
+    every sum-zero vector of it (_is_led), which makes it the reduced
+    basis for w. When that check or a check of the flip fails,
     Buchberger's algorithm completes basis (_buchberger). Either way the
     result is the reduced basis for w, so the leads do not depend on
     the path taken.
@@ -145,7 +163,10 @@ def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
         tie = _first_scan_tie(lambda i: _routings(net, i, h), [vertex_of(net, plus)], iw)
         if tie is not None:
             raise _tie_error(w, *tie)
-    elements = None if wall is None else _flip(basis, wall, iw)
+    if wall is None:
+        elements = _led(basis) if _is_led(basis, iw) else None
+    else:
+        elements = _flip(basis, wall, iw)
     if elements is None:
         elements = _buchberger(basis, iw)
     return tuple(sorted(g[:3] for g in elements)), [g[3:] for g in elements]
@@ -242,11 +263,11 @@ def _flip(basis, wall, iw):
        lifts to m - NF(m) under basis. Then each trailing term is
        reduced under the new set, which gives the reduced basis for the
        order "degree, then o, then iw, then lex".
-    4. Every sum-zero vector must be led under iw. Then the leads lie in
-       the initial ideal for iw, which so contains the one for the order
-       of step 3; both orders are degree-compatible, so the two ideals
-       have as many standard monomials of each degree at most d, and
-       are equal. The basis is then the reduced one for iw.
+    4. Every sum-zero vector must be led under iw (_is_led). Then the
+       leads lie in the initial ideal for iw, which so contains the one
+       for the order of step 3; both orders are degree-compatible, so
+       the two ideals have as many standard monomials of each degree at
+       most d, and are equal. The basis is then the reduced one for iw.
 
     So the result is correct whether or not the ray is a true wall.
     """
@@ -303,7 +324,4 @@ def _flip(basis, wall, iw):
                 a = (m0 - t0, m1 - t1, m2 - t2)
             elements.append(m + a)
     _reduce_trailing(elements)
-    for _, _, _, a0, a1, a2 in elements:
-        if a0 + a1 + a2 == 0 and (w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) < (0, 0, 0, 0):
-            return None
-    return elements
+    return elements if _is_led([g[3:] for g in elements], iw) else None

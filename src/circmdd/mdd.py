@@ -247,7 +247,7 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
         raise MalformedDocumentError(
             f"expected {net.n} cells, got {len(cells)}", expected=net.n, got=len(cells)
         )
-    dist = distances(net)
+    dist = distance_table(net).dist
     for i, cell in enumerate(cells):
         if len(cell) != net.r:
             raise ArityMismatchError(

@@ -280,10 +280,10 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     Cached per network, with everything the table derives on demand:
     the tail bits of the routing walk, the whole routing table
     (minimal_paths, which is_coherent does not read), and the distance
-    levels and the cell store of build_coherent_mdd. A fan
-    with walls reads no table: its distances are normal-form degrees
-    (groebner._graded_basis); only a fan with a single sector builds
-    its diagram here. The table is immutable and safe to share.
+    levels and the cell store of build_coherent_mdd. No fan reads a
+    table: its distances are normal-form degrees
+    (groebner._graded_basis) and its sectors are keyed by Groebner lead
+    sets, walls or not. The table is immutable and safe to share.
     """
     return DistanceTable(net, distances(net))
 

@@ -212,6 +212,26 @@ def test_mdd_check_accepts_the_valid_c4_document(tmp_path):
     assert run_json(["mdd", "check", str(path)])["valid"] is True
 
 
+def test_mdd_check_runs_the_distance_search_once(tmp_path, monkeypatch):
+    # validation and the coherence check read the same cached table
+    import circmdd.network
+
+    path = tmp_path / "diagram.json"
+    path.write_text(encode(build_coherent_mdd(build_network(9, [1, 4, 7]), (7, 2, 0))))
+    search = circmdd.network.distances
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return search(net)
+
+    for module in (circmdd.network, circmdd.mdd, circmdd.cli):
+        monkeypatch.setattr(module, "distances", counted)
+    distance_table.cache_clear()
+    assert run_json(["mdd", "check", str(path)])["coherent"] is True
+    assert len(calls) == 1
+
+
 def test_lattice_hilbert():
     doc = run_json(["lattice", "hilbert", "8", "2,3,7"])
     assert doc["total_elements"] == 10

@@ -268,10 +268,11 @@ def test_graded_basis_degrees_are_the_distances():
     assert pivotless == 15
 
 
-def test_fan_with_walls_reads_no_distances(monkeypatch):
-    # a fan with walls reads its distances as normal-form degrees, so
-    # neither the fan of the q = 8 lift nor the check of the q = 20 one
-    # runs the distance search or fills the table cache
+def test_fan_reads_no_distances(monkeypatch):
+    # a fan reads its distances as normal-form degrees and keys a
+    # wall-less fan by its lead set, so neither the fan of the q = 8
+    # lift, nor that of C7(1,2,4), which has no walls, nor the check of
+    # the q = 20 lift runs the distance search or fills the table cache
     import circmdd.mdd
     import circmdd.network
 
@@ -282,15 +283,18 @@ def test_fan_with_walls_reads_no_distances(monkeypatch):
     monkeypatch.setattr(circmdd.mdd, "distances", refused)
     distance_table.cache_clear()
     assert fan_report(build_family(8).lifted).summary.mdd_count == 30
+    report = fan_report(build_network(7, [1, 2, 4]))
+    assert (report.walls, report.summary.mdd_count) == ((), 1)
     result = verify_family(20)
     assert result.ok and result.fan_mdd_count == 66
     assert distance_table.cache_info().misses == 0
 
 
 def sector_lead_sets(net, fan):
-    """Each sector representative of the fan with its lead set, as the
-    census computes them: Buchberger's algorithm from the graded basis
-    for the first sector, then one flip across each wall to the next."""
+    """Each sector representative of the fan with its lead set, by a walk
+    the census does not take: the first sector's basis from the graded
+    basis (_sector_leads without a wall), then one flip across each
+    wall to the next."""
     crossed = [None] + [wall.ray for wall in fan.walls[1:]]
     keyed = []
     basis = _graded_basis(net)
@@ -371,7 +375,7 @@ def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
         unit = any(gcd(s, n) == 1 for s in steps)
         start = _graded_basis(net)
         for w, leads in sector_lead_sets(net, fan):
-            assert leads == _sector_leads(net, w, start)[0], (net, w)
+            assert leads == tuple(sorted(g[:3] for g in groebner._buchberger(start, w))), (net, w)
             sectors += 1
             pivotless += not unit
     # the census and the walk each flip into every sector but the first
@@ -434,14 +438,60 @@ def test_family_census_call_counts_are_pinned(monkeypatch):
     assert (len(calls), len(retries)) == (72, 9)
 
 
-def test_family_census_runs_buchberger_twice_per_network(monkeypatch):
+def test_family_census_runs_buchberger_once_per_network(monkeypatch):
     # family verify 2, 5 and 8: Buchberger's algorithm for the graded
-    # basis and for the first sector of each lift, one flip into each of
-    # the other 11 + 20 + 29
+    # basis of each lift only, which is already one sector's reduced
+    # basis, and one flip into each of the other 11 + 20 + 29
     counts, _ = count_groebner_paths(monkeypatch)
     for q in (2, 5, 8):
         assert verify_family(q).ok
-    assert counts == {"buchberger": 6, "flips": 60, "fallbacks": 0}
+    assert counts == {"buchberger": 3, "flips": 60, "fallbacks": 0}
+
+
+def test_graded_basis_is_the_reduced_basis_of_one_sector():
+    # exactly one sector's representative leads the graded basis, and
+    # that sector's key, by Buchberger's algorithm from the generators
+    # of I_L, is the graded basis's leads: on the q = 2..14 lifts and on
+    # 100 random networks with walls
+    def check(net, fan):
+        graded = _graded_basis(net)
+        led = [w for w in fan.sector_representatives if groebner._is_led(graded, w)]
+        assert len(led) == 1, net
+        key = sorted(g[:3] for g in groebner._buchberger(_lattice_ideal_basis(net), led[0]))
+        assert key == sorted(tuple(max(c, 0) for c in a) for a in graded), net
+
+    for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
+        net = build_family(q).lifted
+        check(net, coherent_fan(net))
+    rng = random.Random(15)
+    walled = 0
+    while walled < 100:
+        n = rng.randrange(8, 200)
+        steps = rng.sample(range(1, n), 3)
+        if gcd(n, *steps) > 1:
+            continue
+        net = build_network(n, steps)
+        fan = coherent_fan(net)
+        if fan.walls:
+            check(net, fan)
+            walled += 1
+
+
+def test_fan_report_computes_each_octant_basis_once(monkeypatch):
+    # candidate_rays reads the octant bases of _wall_inputs
+    import circmdd.fan as fan
+    from circmdd.lattice import SINGLE_NEGATIVE_SIGNS
+
+    signs = []
+
+    def counted(oct):
+        signs.append(oct.signs)
+        return hilbert_basis(oct)
+
+    for module in (fan, groebner):
+        monkeypatch.setattr(module, "hilbert_basis", counted)
+    assert fan_report(build_family(8).lifted).summary.mdd_count == 30
+    assert sorted(signs) == sorted(SINGLE_NEGATIVE_SIGNS)
 
 
 def test_flipped_family_bases_have_n_standard_monomials(monkeypatch):

@@ -292,12 +292,17 @@ def test_enumerate_builds_no_routing_table():
 
 
 def test_validate_builds_no_routing_table():
+    # validation reads the cached distances, which a coherence check of
+    # the diagram then shares, and builds no routing, level or cell
     net = build_network(31, [1, 3, 7, 12, 20])
     mdd = build_coherent_mdd(net, (9, 7, 5, 2, 1), tie_policy="lex")
     assert max(map(sum, mdd.cells)) > 1
     distance_table.cache_clear()
     assert validate_mdd(net, mdd.cells) == mdd
-    assert distance_table.cache_info().misses == 0
+    assert distance_table.cache_info().misses == 1
+    built = vars(distance_table(net))
+    for name in ("minimal_paths", "levels", "cells"):
+        assert name not in built, name
 
 
 def test_enumerate_mode_validation():
