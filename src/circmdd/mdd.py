@@ -8,10 +8,11 @@ of monomial ideals, which is what the staircase generators describe.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
 
@@ -297,18 +298,28 @@ def enumerate_mdds(
 ) -> EnumerationResult:
     """All diagrams of the network by exhaustive backtracking.
 
-    Vertices are visited in (distance, vertex) order, from distances(net)
-    alone. A cell of vertex i minus one arc of step j is the cell of
-    i - s_j, so each cell of i is cells[i - s_j] + e_j for a step j with
-    dist[i - s_j] == dist[i] - 1, which is minimal. Such a candidate is
-    kept only if each of its one-arc predecessors is the cell chosen
-    there (down-closure), so a vertex tries at most r of them. Cells are
-    packed into integers (see packed_width); diagrams are sorted by
-    code, which is lexicographic order. Entering a partial diagram adds
-    the route count of its next vertex to the visits, as many routings
-    as trying each would cost, and the budget caps the visits: it bounds
-    the set of partial diagrams visited. routing_choice_count is the
-    product of the route counts (the choices minimality alone allows).
+    Places are the vertices in (distance, vertex) order, from
+    distances(net) alone. A cell of vertex i minus one arc of step j is
+    the cell of i - s_j, so each cell of i is cells[i - s_j] + e_j for a
+    tight predecessor i - s_j (one level down), kept only if each of its
+    one-arc predecessors is the cell chosen there (down-closure): at
+    most r options, set by the cells of the tight predecessors. Cells
+    are packed into integers (see packed_width); diagrams are sorted by
+    code, which is lexicographic order.
+
+    The leaves are those of the depth-first search that takes option 0
+    at each place it enters and, after each leaf or dead end, advances
+    the deepest place with another option and enters every later place
+    afresh; but a walk re-decides only the due places. Invariant: after
+    a walk, each place before its dead end (every place, after a leaf)
+    holds option choice[p] of the options the current cells give it, and
+    each later place that is not due holds option 0 of those. A changed
+    cell makes its tight successors due; advancing a place makes the
+    later places off option 0 due. Visits are counted as the plain
+    search counts them: entering a place adds its route count, as many
+    routings as trying each would cost, and the budget caps the visits.
+    routing_choice_count is the product of the route counts (the
+    choices minimality alone allows).
 
     mode="coherent_only" keeps the coherent diagrams. The candidates at
     vertex i other than its cell D(i) are the minimal generators of the
@@ -325,11 +336,11 @@ def enumerate_mdds(
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
-    n = net.n
-    r = net.r
+    n, r = net.n, net.r
     dist = distances(net)
     counts = route_counts(net, dist)
     order = sorted(range(n), key=dist.__getitem__)
+    pre = [0, *accumulate(map(counts.__getitem__, order))]  # visits before each place
 
     # one field per coordinate, first coordinate highest; fields never
     # carry, and a difference of two codes decodes (see packed_width)
@@ -340,58 +351,75 @@ def enumerate_mdds(
     # a candidate is taken along its first step j only, so once: its code
     # lies below unit << width, and only the fields after j need checks
     arcs = [(s, unit, unit << width, checks[j + 1:]) for j, (s, _, unit) in enumerate(checks)]
+    place = [0] * n
+    ins = [[] for _ in order]  # per place, the arcs from its tight predecessors
+    outs = [[] for _ in order]  # per place, the places of its tight successors
+    for p, i in enumerate(order):
+        place[i] = p
+        for arc in arcs:
+            v = i - arc[0]  # in (-n, n), and a negative index wraps
+            if dist[v] == dist[i] - 1:
+                ins[p].append(arc)
+                outs[place[v]].append(p)
 
     cells = [0] * n  # chosen code per vertex
-    kids = [[0]] * n  # kept candidates per place
-    nxt = [0] * n  # index of the next candidate per place
-    forks = []  # places on the path with more than one candidate
-    leaves = []
-    gapsets = []  # per leaf, its generators minus its cells, packed
+    kids = [[0]] * n  # options per place
+    choice = [0] * n  # index of the option taken per place
+    due = bytearray([0] + [1] * (n - 1))  # places to decide again; place 0 is vertex 0
+    forks = []  # sorted places with more than one option
+    leaves, gapsets = [], []  # gapsets: per leaf, its generators minus its cells
     visits = 0
-    pos = 0
-    while pos >= 0:
-        if pos == n:
+    f = -1  # the place advanced before this walk
+    while True:
+        p = due.find(1, f + 1)
+        while p >= 0:
+            i = order[p]
+            options = []
+            for s, unit, top, later in ins[p]:
+                cand = cells[i - s] + unit
+                if cand >= top:
+                    continue
+                for t, shift, u in later:
+                    if cand >> shift & mask and cells[i - t] != cand - u:
+                        break
+                else:
+                    options.append(cand)
+            if len(options) > 1 and len(kids[p]) < 2:
+                insort(forks, p)
+            elif len(options) < 2 and len(kids[p]) > 1:
+                forks.remove(p)
+            kids[p] = options
+            if not options:
+                break  # a dead end, left due
+            due[p] = choice[p] = 0
+            if cells[i] != options[0]:
+                cells[i] = options[0]
+                for q in outs[p]:
+                    due[q] = 1
+            p = due.find(1, p + 1)
+        dead = n if p < 0 else p
+        visits += pre[min(dead + 1, n)] - pre[f + 1]
+        if visits > budget:
+            raise BudgetExceededError(
+                f"enumeration exceeded the budget of {budget} choices",
+                budget=budget,
+            )
+        if p < 0:
             leaves.append(tuple(cells))
             if mode == "coherent_only":
-                gapsets.append({c - cells[order[p]] for p in forks for c in kids[p]} - {0})
-            pos -= 1
-            continue
-        i = order[pos]
-        k = nxt[pos]
+                gapsets.append({c - cells[order[q]] for q in forks for c in kids[q]} - {0})
+        # advance the deepest fork before the dead end with an option
+        # left; the forks passed over hold their last option, so are due
+        k = end = bisect_left(forks, dead)
+        while k and choice[forks[k - 1]] + 1 == len(kids[forks[k - 1]]):
+            k -= 1
         if not k:
-            visits += counts[i]
-            if visits > budget:
-                raise BudgetExceededError(
-                    f"enumeration exceeded the budget of {budget} choices",
-                    budget=budget,
-                )
-            if pos:
-                below = dist[i] - 1
-                options = kids[pos] = []
-                for s, unit, top, later in arcs:
-                    v = i - s  # in (-n, n), and a negative index wraps
-                    if dist[v] != below:
-                        continue
-                    cand = cells[v] + unit
-                    if cand >= top:
-                        continue
-                    for t, shift, u in later:
-                        if cand >> shift & mask and cells[i - t] != cand - u:
-                            break
-                    else:
-                        options.append(cand)
-                if len(options) > 1:
-                    forks.append(pos)
-        options = kids[pos]
-        if k < len(options):
-            nxt[pos] = k + 1
-            cells[i] = options[k]
-            pos += 1
-        else:
-            nxt[pos] = 0
-            if k > 1:
-                forks.pop()
-            pos -= 1
+            break
+        f = forks[k - 1]
+        choice[f] += 1
+        cells[order[f]] = kids[f][choice[f]]
+        for q in outs[f] + forks[k:end]:
+            due[q] = 1
 
     if mode == "coherent_only":
         if r > 4:
@@ -405,7 +433,8 @@ def enumerate_mdds(
         ]
     leaves.sort()
     # equal cells share one tuple
-    unpack = {c: tuple(c >> shift & mask for shift in shifts) for c in set().union(*leaves)}
+    codes = set().union(*leaves)
+    unpack = dict(zip(codes, zip(*[[c >> shift & mask for c in codes] for shift in shifts])))
     mdds = tuple(Mdd(net, tuple(map(unpack.__getitem__, leaf))) for leaf in leaves)
     return EnumerationResult(mdds, prod(counts))
 

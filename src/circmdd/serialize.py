@@ -78,12 +78,14 @@ def mdd_payload(mdd: Mdd) -> dict:
 
 
 def enumeration_payload(net: CirculantNetwork, mode: str, result) -> dict:
+    """`mdd enumerate`: each diagram's cells as the tuples they are,
+    uncopied; json.dumps writes a tuple as an array, as it does a list."""
     return {
         "network": network_payload(net),
         "mode": mode,
         "mdd_count": len(result.mdds),
         "routing_choice_count": result.routing_choice_count,
-        "mdds": [_vectors(m.cells) for m in result.mdds],
+        "mdds": [m.cells for m in result.mdds],
     }
 
 

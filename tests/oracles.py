@@ -227,6 +227,80 @@ def mdds_by_backtracking(n: int, steps):
     return sorted(found)
 
 
+def mdds_by_plain_dfs(net, budget=None):
+    """The enumerator's search as a plain depth-first loop.
+
+    Places are taken in (distance, vertex) order; after every leaf or
+    dead end the search backtracks to the deepest place with another
+    option and enters every later place afresh, recomputing its options
+    from the cells one arc below. Cells are packed as the library packs
+    them: n.bit_length() + 1 bits per coordinate, first coordinate
+    highest. Returns (leaves in search order, each a tuple of cells by
+    vertex; per leaf, its gapset: the packed differences of every option
+    from the chosen cell at each place with more than one option, zero
+    left out; visits: the route counts of every place entered; dead
+    ends: the places entered with no option). With a budget, returns
+    None as soon as the visits exceed it.
+    """
+    n, r = net.n, net.r
+    dist, paths = minimal_paths_by_scan(n, net.steps)
+    counts = list(map(len, paths))
+    order = sorted(range(n), key=dist.__getitem__)
+    width = n.bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [width * (r - 1 - j) for j in range(r)]
+    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, shifts)]
+    arcs = [(s, unit, unit << width, checks[j + 1:]) for j, (s, _, unit) in enumerate(checks)]
+    cells = [0] * n
+    kids = [[0]] * n
+    nxt = [0] * n
+    forks = []
+    leaves, gapsets = [], []
+    visits = dead_ends = 0
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            leaves.append(tuple(tuple(c >> s & mask for s in shifts) for c in cells))
+            gapsets.append({c - cells[order[p]] for p in forks for c in kids[p]} - {0})
+            pos -= 1
+            continue
+        i = order[pos]
+        k = nxt[pos]
+        if not k:
+            visits += counts[i]
+            if budget is not None and visits > budget:
+                return None
+            if pos:
+                below = dist[i] - 1
+                options = kids[pos] = []
+                for s, unit, top, later in arcs:
+                    v = i - s
+                    if dist[v] != below:
+                        continue
+                    cand = cells[v] + unit
+                    if cand >= top:
+                        continue
+                    for t, shift, u in later:
+                        if cand >> shift & mask and cells[i - t] != cand - u:
+                            break
+                    else:
+                        options.append(cand)
+                if len(options) > 1:
+                    forks.append(pos)
+                dead_ends += not options
+        options = kids[pos]
+        if k < len(options):
+            nxt[pos] = k + 1
+            cells[i] = options[k]
+            pos += 1
+        else:
+            nxt[pos] = 0
+            if k > 1:
+                forks.pop()
+            pos -= 1
+    return leaves, gapsets, visits, dead_ends
+
+
 def coherent_cells_by_definition(
     n: int, steps, w, tie_policy: str = "error", paths=None
 ):

@@ -407,6 +407,10 @@ GOLDEN = {
     "mdd-enumerate-budget": ("mdd enumerate 9 1,4,7 --budget 5", 1, "c77905d6937672f42ff5beb314d1bc814f3db1d9e71da1d98e8d0feefa76e715"),
     # 16 diagrams, 12 of them coherent: the four-step coherence path
     "mdd-enumerate-coherent-r4": ("mdd enumerate 104 5,17,21,22 --coherent-only", 0, "d46e67694fafe1eaaca6d7709305b71cff6527a3ff9f93dcae1b1505c7885d7c"),
+    "mdd-enumerate-coherent-q5": ("mdd enumerate 992 33,161,801 --coherent-only", 0, "d8e065fbcc15fc9924201bfe734cf6d229a5f05b93cf07079996b167f44e1023"),
+    "mdd-enumerate-coherent-c126": ("mdd enumerate 126 4,40,58,63 --coherent-only", 0, "afa8b6ab0da3cd663cf48028f7efd0501dae54db5a6ea206ca6257f1d2a3d32e"),
+    # one below the least budget that suffices (414,407)
+    "mdd-enumerate-budget-q6": ("mdd enumerate 1892 45,265,1585 --budget 414406", 1, "105d583f72d3e9512b4b41f4d78c9f10144e1e4f276d5565dac045e09ac85ce9"),
     "mdd-check-valid": ("mdd check valid.json", 0, "dd9a3606ca47c350519cce577acfefa6fba34c222ca513260d533a5c510cd7dd"),
     "mdd-check-invalid": ("mdd check invalid.json", 0, "5f7a2baebe3e24aba66127cc4fe427b2d2a04d3bf9d006833c2982d4b355fc53"),
     "mdd-check-malformed": ("mdd check malformed.json", 1, "27937362a82d88d8afc73e685912349a7e34f4790f84b6dd29aa26a3442b4b86"),

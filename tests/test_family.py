@@ -10,6 +10,7 @@ from circmdd import (
     build_network,
     coherent_fan,
     enumerate_mdds,
+    fan_report,
     hilbert_basis,
     homogeneous_lattice,
     verify_family,
@@ -116,3 +117,14 @@ def test_q5_brute_force_matches_the_fan():
     assert coherent_fan(lifted).mdd_count == 21
     for mode in ("all", "coherent_only"):
         assert len(enumerate_mdds(lifted, mode).mdds) == 21, mode
+
+
+def test_q11_brute_force_matches_the_fan():
+    # the paper's count 3(q + 2) = 39 at q = 11 by a search that shares no
+    # code with the fan; C17822(135,1475,16215) needs more than the
+    # default budget
+    lifted = build_family(11).lifted
+    count = fan_report(lifted).summary.mdd_count
+    assert count == 39
+    for mode in ("all", "coherent_only"):
+        assert len(enumerate_mdds(lifted, mode, budget=16_000_000).mdds) == count, mode

@@ -405,7 +405,7 @@ def test_flips_across_any_ray_keep_the_key(monkeypatch):
 
 
 def test_family_q8_lead_sets_are_the_coherent_staircases():
-    # brute force finds the 30 coherent diagrams of C5402(91,577,4471);
+    # brute force finds the 30 coherent diagrams of C5402(75,593,4737);
     # their staircases are exactly the fan's lead sets
     net = build_family(8).lifted
     mdds = enumerate_mdds(net, "coherent_only").mdds

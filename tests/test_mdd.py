@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from circmdd import (
     WeightTieError,
     WrongVertexError,
     build_coherent_mdd,
+    build_family,
     build_network,
     classify_double_loop_shape,
     distance_table,
@@ -24,12 +26,15 @@ from circmdd import (
     validate_mdd,
 )
 
+from circmdd.coherence import _directions, _feasible
 from circmdd.errors import CircmddError
+from circmdd.network import packed_width
 
 from oracles import (
     brute_force_mdds,
     coherent_cells_by_definition,
     is_down_closed,
+    mdds_by_plain_dfs,
     minimal_paths_by_scan,
     staircase_generators_by_box_scan,
 )
@@ -271,7 +276,9 @@ def test_enumerate_budget_guard():
 @pytest.mark.parametrize(
     "n, steps, least",
     [(9, [1, 4, 7], 89), (8, [1, 3, 5, 7], 32), (104, [5, 17, 21, 22], 556),
-     (72, [19, 28, 64], 1827), (992, [33, 161, 801], 149964)],
+     (72, [19, 28, 64], 1827), (992, [33, 161, 801], 149964),
+     (126, [4, 40, 58, 63], 5496), (1892, [45, 265, 1585], 414407),
+     (5402, [75, 593, 4737], 2234369)],
 )
 def test_enumerate_least_sufficient_budget_is_pinned(n, steps, least):
     # every partial diagram visited counts the routings of its next
@@ -281,6 +288,65 @@ def test_enumerate_least_sufficient_budget_is_pinned(n, steps, least):
     enumerate_mdds(net, budget=least)
     with pytest.raises(BudgetExceededError):
         enumerate_mdds(net, budget=least - 1)
+
+
+def test_enumerate_default_budget_refuses_the_q11_lift():
+    # the budget counts the routings the plain search accounts for, so
+    # C17822(135,1475,16215) needs more than the default 10,000,000
+    net = build_family(11).lifted
+    assert net == build_network(17822, [135, 1475, 16215])
+    with pytest.raises(BudgetExceededError):
+        enumerate_mdds(net)
+
+
+def check_against_plain_dfs(net, mode, budget=None):
+    """enumerate_mdds equals the plain search: the same diagrams, kept by
+    the same cone test of their gapsets in mode "coherent_only", the same
+    routing count, and the budget raises exactly below its visits.
+    Returns the dead ends the plain search met, or None past budget."""
+    found = mdds_by_plain_dfs(net, budget)
+    if found is None:
+        return None
+    leaves, gapsets, visits, dead_ends = found
+    r = net.r
+    if mode == "coherent_only" and r > 4:
+        with pytest.raises(UnsupportedArityError):
+            enumerate_mdds(net, mode, budget=visits)
+    else:
+        if mode == "coherent_only":
+            width = packed_width(net.n)
+            leaves = [
+                leaf
+                for leaf, gaps in zip(leaves, gapsets)
+                if _feasible(_directions(gaps, r, width)[1], r) is not None
+            ]
+        result = enumerate_mdds(net, mode, budget=visits)
+        assert [m.cells for m in result.mdds] == sorted(leaves), (net, mode)
+        _, paths = minimal_paths_by_scan(net.n, net.steps)
+        assert result.routing_choice_count == prod(map(len, paths)), net
+    with pytest.raises(BudgetExceededError):
+        enumerate_mdds(net, mode, budget=visits - 1)
+    return dead_ends
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_enumerate_equals_the_plain_search_on_random_networks(r):
+    rng = random.Random(1800 + r)
+    checked = with_dead_ends = 0
+    while checked < 80:
+        n = rng.randrange(r + 1, 110)
+        try:
+            net = build_network(n, rng.sample(range(1, n), r))
+        except CircmddError:
+            continue
+        for mode in ("all", "coherent_only"):
+            dead_ends = check_against_plain_dfs(net, mode, budget=200_000)
+        if dead_ends is not None:
+            checked += 1
+            with_dead_ends += dead_ends > 0
+    # seeded: 5 of the four-step networks and 30 of the five-step ones
+    # lead the search into dead ends, where a walk stops early
+    assert with_dead_ends >= {4: 5, 5: 30}.get(r, 0), with_dead_ends
 
 
 def test_enumerate_builds_no_routing_table():

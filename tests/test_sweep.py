@@ -24,7 +24,10 @@ algorithm alone, on every network, the 115 with no unit step among them.
 And the census's tie check, which stops at one vertex, must raise
 exactly when the scan of build_coherent_mdd does, on sector
 representatives, the weights the census slides them to, wall rays and
-random weights.
+random weights. A third sweep runs the plain depth-first search of the
+enumerator (oracles.mdds_by_plain_dfs) against enumerate_mdds, in both
+modes: the same diagrams, the same routing count, and the budget
+raising exactly below the plain search's visits.
 """
 
 import random
@@ -66,6 +69,7 @@ from oracles import (
     single_negative_octant_points,
     staircase_generators_by_box_scan,
 )
+from test_mdd import check_against_plain_dfs
 
 MAX_N = 28
 
@@ -143,6 +147,14 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
     assert ties or n < 6, n  # wall rays reach the weight-tie check
     # of the 3,338 diagrams, only two of C14(1,9,11) are incoherent
     assert incoherent == (2 if n == 14 else 0), n
+
+
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+def test_every_triple_loop_enumerates_as_the_plain_search(n):
+    for steps in unit_classes(n):
+        net = build_network(n, steps)
+        for mode in ("all", "coherent_only"):
+            check_against_plain_dfs(net, mode)
 
 
 def census_ties_against_definition(net, fan):
