@@ -2,13 +2,15 @@
 
 Subcommands: net info, mdd build/enumerate/check, lattice hilbert, fan,
 family build/verify. Each prints one canonical JSON document built by
-serialize on stdout (mdd build prints render's text); domain errors exit
-1 with a JSON error object on stderr; usage errors exit 2.
+serialize on stdout (mdd build prints render's text, and mdd enumerate
+the text serialize writes for it); domain errors exit 1 with a JSON
+error object on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -27,7 +29,7 @@ from .network import build_network, distances, route_counts
 from .render import RenderSpec, render
 from .serialize import (
     canonical_json,
-    enumeration_payload,
+    enumeration_json,
     error_payload,
     family_payload,
     family_verification_payload,
@@ -71,10 +73,10 @@ def _cmd_mdd_build(args) -> str:
     return render(mdd, RenderSpec(format=args.format, layer_axis=args.layer_axis))
 
 
-def _cmd_mdd_enumerate(args) -> dict:
+def _cmd_mdd_enumerate(args) -> str:
     net = build_network(args.n, args.steps)
     mode = "coherent_only" if args.coherent_only else "all"
-    return enumeration_payload(net, mode, enumerate_mdds(net, mode, budget=args.budget))
+    return enumeration_json(net, mode, enumerate_mdds(net, mode, budget=args.budget))
 
 
 def _cmd_mdd_check(args) -> dict:
@@ -109,7 +111,10 @@ def _cmd_family_verify(args) -> dict:
     return family_verification_payload(verify_family(args.q, k=args.k, t=args.t))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it was,
+    and --help measures the terminal when it prints."""
     parser = argparse.ArgumentParser(
         prog="circmdd",
         description="Minimum distance diagrams of multi-step circulant networks",

@@ -2,7 +2,9 @@
 
 Field order is fixed, vectors are integer arrays, rationals are
 {"num", "den"} in lowest terms, and dumps use compact separators, so
-output is byte-identical across runs and platforms.
+output is byte-identical across runs and platforms. The `mdd enumerate`
+document is written as text here (`enumeration_json`), with the bytes
+json.dumps would give it.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def net_info_payload(net: CirculantNetwork, dist, counts) -> dict:
         "network": network_payload(net),
         "diameter": max(dist),
         "average_distance": rational_payload(Fraction(sum(dist), net.n)),
-        "dist": list(dist),
-        "route_counts": list(counts),
+        "dist": dist,
+        "route_counts": counts,
     }
 
 
@@ -77,16 +79,24 @@ def mdd_payload(mdd: Mdd) -> dict:
     }
 
 
-def enumeration_payload(net: CirculantNetwork, mode: str, result) -> dict:
-    """`mdd enumerate`: each diagram's cells as the tuples they are,
-    uncopied; json.dumps writes a tuple as an array, as it does a list."""
-    return {
+def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
+    """`mdd enumerate`: the canonical JSON text of {network, mode,
+    mdd_count, routing_choice_count, mdds}, each diagram its cells as
+    arrays. Diagrams share most of their cells, and enumeration shares
+    one tuple per distinct cell, so each distinct cell is formatted once,
+    by one "%d" pattern of the network's arity."""
+    mdds = result.mdds
+    head = canonical_json({
         "network": network_payload(net),
         "mode": mode,
-        "mdd_count": len(result.mdds),
+        "mdd_count": len(mdds),
         "routing_choice_count": result.routing_choice_count,
-        "mdds": [m.cells for m in result.mdds],
-    }
+    })
+    pattern = "[" + ",".join(["%d"] * net.r) + "]"
+    distinct = set().union(*[m.cells for m in mdds])
+    text = dict(zip(distinct, map(pattern.__mod__, distinct))).__getitem__
+    diagrams = ",".join(["[" + ",".join(map(text, m.cells)) + "]" for m in mdds])
+    return f'{head[:-1]},"mdds":[{diagrams}]}}'
 
 
 def coherence_payload(result: CoherenceResult | None) -> dict:

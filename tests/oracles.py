@@ -401,3 +401,16 @@ def coherent_diagrams_by_sectors(n: int, steps, representatives, paths=None):
         assert kind == "cells", (n, steps, w)
         found.add(cells)
     return found
+
+
+def enumeration_payload(net, mode: str, result) -> dict:
+    """The `mdd enumerate` document as plain values, in its field order:
+    the reference serialize.enumeration_json must write byte for byte
+    when json.dumps encodes this with compact separators."""
+    return {
+        "network": {"n": net.n, "steps": list(net.steps)},
+        "mode": mode,
+        "mdd_count": len(result.mdds),
+        "routing_choice_count": result.routing_choice_count,
+        "mdds": [[list(cell) for cell in m.cells] for m in result.mdds],
+    }

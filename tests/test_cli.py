@@ -25,7 +25,7 @@ from circmdd import (
     network_stats,
     verify_family,
 )
-from circmdd.cli import main
+from circmdd.cli import _build_parser, main
 
 
 def run_cli(argv):
@@ -403,7 +403,13 @@ GOLDEN = {
     "mdd-build-svg": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg", 0, "f8756fa620364d89a66a483edb4fef1c0f9b153f93eeb96008b72d5d870588b5"),
     "mdd-build-tie-lex": ("mdd build 9 1,4 --weight 1,1 --tie lex", 0, "c8e563cd3ec4ee8d7e2579d927f2e32db8868c5414cee323fcbad43d416f3490"),
     "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
+    "mdd-build-layer-axis": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg --layer-axis 7", 2, "5e21ac22cd197308ac7b49dd062537450f87539d3c98e94b39471d20140b3753"),
     "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
+    # one to five steps: cells of every arity from 1-tuples up
+    "mdd-enumerate-r1": ("mdd enumerate 11 3", 0, "fc10f982dbbb70690721fb68e87aec4122efa75860108c7a2c31253a24f29a06"),
+    "mdd-enumerate-r2": ("mdd enumerate 10 1,6", 0, "4751ee1078285797b7bb0e23ee14afe068c1d31c633ef843e2d64f4e307b2017"),
+    "mdd-enumerate-coherent-r2": ("mdd enumerate 10 1,6 --coherent-only", 0, "38f88e3e8c9ddc636e2a3a48d59dc085d1d6621ea725e73ab86a57ca236c9f41"),
+    "mdd-enumerate-r5": ("mdd enumerate 24 3,7,11,12,22", 0, "ca0c44210c75f5d4e667ba43dc13eaf0066c7aad9dcea067fb22b50bbe776ba4"),
     "mdd-enumerate-budget": ("mdd enumerate 9 1,4,7 --budget 5", 1, "c77905d6937672f42ff5beb314d1bc814f3db1d9e71da1d98e8d0feefa76e715"),
     # 16 diagrams, 12 of them coherent: the four-step coherence path
     "mdd-enumerate-coherent-r4": ("mdd enumerate 104 5,17,21,22 --coherent-only", 0, "d46e67694fafe1eaaca6d7709305b71cff6527a3ff9f93dcae1b1505c7885d7c"),
@@ -434,13 +440,48 @@ GOLDEN = {
 }
 
 
+def assert_golden(case):
+    command, expected_code, digest = GOLDEN[case]
+    code, out, err = run_cli(command.split())
+    assert code == expected_code, case
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest, case
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_cli_output_matches_golden_digest(tmp_path, monkeypatch, case):
-    command, expected_code, digest = GOLDEN[case]
     for name, doc in GOLDEN_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(command.split())
-    assert code == expected_code
-    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+    assert_golden(case)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_keeps_no_option_of_an_earlier_call():
+    first = run_json(["mdd", "enumerate", "10", "1,6", "--coherent-only"])
+    assert first["mode"] == "coherent_only"
+    assert run_json(["mdd", "enumerate", "10", "1,6"])["mode"] == "all"
+
+
+def test_reused_parser_wraps_help_to_the_terminal_at_print_time(monkeypatch):
+    widths = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            main(["mdd", "build", "--help"])
+        widths.append(max(map(len, out.getvalue().splitlines())))
+    assert widths[0] < widths[1]
+
+
+def test_reused_parser_after_usage_and_domain_errors():
+    # argparse's own usage error, then a rejected option value (exit 2),
+    # a domain error (exit 1) and a valid command, on the one parser
+    with pytest.raises(SystemExit) as info:
+        run_cli(["mdd", "build", "9", "1,4"])
+    assert info.value.code == 2
+    for case in ("mdd-build-layer-axis", "net-info-disconnected", "mdd-enumerate-r2"):
+        assert_golden(case)
 

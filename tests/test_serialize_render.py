@@ -1,6 +1,7 @@
 """Canonical JSON encoding, parsing, and diagram rendering."""
 
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,10 @@ from circmdd import (
     render,
     validate_mdd,
 )
+from circmdd.errors import CircmddError
+from circmdd.serialize import canonical_json, enumeration_json
+
+from oracles import enumeration_payload
 
 
 def test_mdd_golden_encoding():
@@ -158,3 +163,23 @@ def test_json_format_matches_encode():
     net = build_network(9, [1, 4])
     mdd = build_coherent_mdd(net, (1, 2))
     assert render(mdd, RenderSpec("json")) == encode(mdd)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_enumeration_json_is_the_oracle_document_on_random_networks(r):
+    # coherence is decided for at most four steps, so five-step networks
+    # are written in mode "all" only
+    modes = ("all", "coherent_only") if r <= 4 else ("all",)
+    rng = random.Random(1900 + r)
+    checked = 0
+    while checked < 80:
+        n = rng.randrange(r + 1, 110)
+        try:
+            net = build_network(n, rng.sample(range(1, n), r))
+            results = [(mode, enumerate_mdds(net, mode, budget=200_000)) for mode in modes]
+        except CircmddError:
+            continue
+        for mode, result in results:
+            expected = canonical_json(enumeration_payload(net, mode, result))
+            assert enumeration_json(net, mode, result) == expected, (net, mode)
+        checked += 1

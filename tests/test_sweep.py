@@ -27,7 +27,9 @@ representatives, the weights the census slides them to, wall rays and
 random weights. A third sweep runs the plain depth-first search of the
 enumerator (oracles.mdds_by_plain_dfs) against enumerate_mdds, in both
 modes: the same diagrams, the same routing count, and the budget
-raising exactly below the plain search's visits.
+raising exactly below the plain search's visits. A fourth writes every
+enumeration, in both modes, and compares the text with json.dumps of
+oracles.enumeration_payload.
 """
 
 import random
@@ -59,10 +61,12 @@ from circmdd import (
 from circmdd.intlin import norm1
 from circmdd.groebner import _graded_basis, _sector_leads
 from circmdd.mdd import _first_tie
+from circmdd.serialize import canonical_json, enumeration_json
 
 from oracles import (
     coherent_cells_by_definition,
     coherent_diagrams_by_sectors,
+    enumeration_payload,
     indecomposable_filter,
     minimal_paths_by_scan,
     rays_screened_by_points,
@@ -155,6 +159,16 @@ def test_every_triple_loop_enumerates_as_the_plain_search(n):
         net = build_network(n, steps)
         for mode in ("all", "coherent_only"):
             check_against_plain_dfs(net, mode)
+
+
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+def test_every_triple_loop_enumeration_is_written_as_the_oracle(n):
+    for steps in unit_classes(n):
+        net = build_network(n, steps)
+        for mode in ("all", "coherent_only"):
+            result = enumerate_mdds(net, mode)
+            expected = canonical_json(enumeration_payload(net, mode, result))
+            assert enumeration_json(net, mode, result) == expected, (net, mode)
 
 
 def census_ties_against_definition(net, fan):
