@@ -2,9 +2,9 @@
 
 Subcommands: net info, mdd build/enumerate/check, lattice hilbert, fan,
 family build/verify. Each prints one canonical JSON document built by
-serialize on stdout (mdd build prints render's text, and mdd enumerate
-the text serialize writes for it); domain errors exit 1 with a JSON
-error object on stderr; usage errors exit 2.
+serialize on stdout (mdd build prints render's text, and net info and
+mdd enumerate the text serialize writes for them); domain errors exit 1
+with a JSON error object on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lattice import (
     homogeneous_lattice,
 )
 from .mdd import enumerate_mdds, build_coherent_mdd, validate_mdd
-from .network import build_network, distances, route_counts
+from .network import _bfs_levels, _count_routes, build_network
 from .render import RenderSpec, render
 from .serialize import (
     canonical_json,
@@ -36,7 +36,7 @@ from .serialize import (
     fan_report_payload,
     lattice_payload,
     mdd_check_payload,
-    net_info_payload,
+    net_info_json,
     parse_mdd_document,
 )
 
@@ -61,10 +61,10 @@ def _weights_arg(text: str) -> list:
     return out
 
 
-def _cmd_net_info(args) -> dict:
+def _cmd_net_info(args) -> str:
     net = build_network(args.n, args.steps)
-    dist = distances(net)
-    return net_info_payload(net, dist, route_counts(net, dist))
+    dist, levels = _bfs_levels(net)
+    return net_info_json(net, dist, _count_routes(net.steps, dist, levels))
 
 
 def _cmd_mdd_build(args) -> str:

@@ -12,7 +12,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
 
@@ -31,6 +31,9 @@ from .intlin import primitive, vec_scale
 from .network import (
     CirculantNetwork,
     PathVector,
+    _bfs_levels,
+    _count_routes,
+    _levels_of,
     distance_table,
     distances,
     packed_width,
@@ -338,8 +341,9 @@ def enumerate_mdds(
         budget = DEFAULT_ENUMERATION_BUDGET
     n, r = net.n, net.r
     dist = distances(net)
-    counts = route_counts(net, dist)
-    order = sorted(range(n), key=dist.__getitem__)
+    levels = _levels_of(dist)
+    order = list(chain.from_iterable(levels))
+    counts = _count_routes(net.steps, dist, levels)
     pre = [0, *accumulate(map(counts.__getitem__, order))]  # visits before each place
 
     # one field per coordinate, first coordinate highest; fields never
@@ -489,6 +493,7 @@ def is_unique_mdd(net: CirculantNetwork) -> bool:
     routings there, and each order's least routings form a coherent
     diagram (the standard monomials of an initial ideal; Sturmfels,
     Groebner Bases and Convex Polytopes, ch. 4-5), so there are two.
-    The counts come from route_counts, without a routing table.
+    The counts are route_counts over the levels of the breadth-first
+    search, without a routing table or a sort.
     """
-    return all(c == 1 for c in route_counts(net, distances(net)))
+    return all(c == 1 for c in _count_routes(net.steps, *_bfs_levels(net)))

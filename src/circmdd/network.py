@@ -12,7 +12,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .errors import (
     ArityMismatchError,
@@ -100,9 +100,10 @@ class DistanceTable:
         """tails[m][i] is 1 when vertex i has a minimal routing over the
         steps m + 1, ..., r - 1 alone, that is a nonzero route_counts
         over those steps: r - 1 bytes objects of length n."""
-        n, steps = self.net.n, self.net.steps
+        steps, dist = self.net.steps, self.dist
+        levels = _levels_of(dist)
         return tuple(
-            bytes(c > 0 for c in route_counts(CirculantNetwork(n, steps[m:]), self.dist))
+            bytes(c > 0 for c in _count_routes(steps[m:], dist, levels))
             for m in range(1, len(steps))
         )
 
@@ -289,61 +290,92 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
 
 def distances(net: CirculantNetwork) -> tuple[int, ...]:
-    """Distances from vertex 0, by a breadth-first search over vertices.
+    """Distances from vertex 0: the dist of _bfs_levels.
 
     O(n * r) and no routing is built; distance_table(net).dist is this,
     cached. Raises DisconnectedError when vertex 0 does not reach every
     vertex (only an unvalidated network can fail so).
     """
+    return tuple(_bfs_levels(net)[0])
+
+
+def _bfs_levels(net: CirculantNetwork) -> tuple[list[int], list[list[int]]]:
+    """(dist, levels): a breadth-first search from vertex 0, one distance
+    level at a time; levels[d] lists the vertices at distance d, in the
+    order the search reached them."""
     n = net.n
-    steps = net.steps
     dist = [-1] * n
     dist[0] = 0
-    # the queue is the list of vertices reached, read while it grows
-    queue = [0]
-    for v in queue:
-        d = dist[v] + 1
-        for s in steps:
-            u = v + s
-            if u >= n:
-                u -= n
-            if dist[u] < 0:
-                dist[u] = d
-                queue.append(u)
-    if len(queue) < n:
-        raise DisconnectedError(
-            f"vertex 0 reaches {len(queue)} of {n} vertices", n=n
-        )
-    return tuple(dist)
+    level = [0]
+    levels = [level]
+    reached = 1
+    while True:
+        d = len(levels)
+        found = []
+        for s in net.steps:
+            # v + s - n lies in [-n, n), and a negative index wraps
+            t = s - n
+            for v in level:
+                u = v + t
+                if dist[u] < 0:
+                    if u < 0:
+                        u += n
+                    dist[u] = d
+                    found.append(u)
+        if not found:
+            break
+        levels.append(found)
+        reached += len(found)
+        level = found
+    if reached < n:
+        raise DisconnectedError(f"vertex 0 reaches {reached} of {n} vertices", n=n)
+    return dist, levels
+
+
+def _count_routes(steps, dist, levels) -> tuple[int, ...]:
+    """route_counts over the given steps, from dist and its levels
+    (levels[d] the vertices at distance d, in any order)."""
+    count = [0] * len(dist)
+    count[0] = 1
+    for s in steps:
+        # level d + 1 after level d, so count[v] is final for this step
+        for below, level in enumerate(levels[1:]):
+            for i in level:
+                # i - s lies in (-n, n), and a negative index wraps
+                v = i - s
+                if dist[v] == below:
+                    count[i] += count[v]
+    return tuple(count)
+
+
+def _levels_of(dist) -> list[list[int]]:
+    """The vertices grouped by distance, as _bfs_levels lists them but in
+    vertex order within each level: one sort of the vertices."""
+    key = dist.__getitem__
+    return [list(level) for _, level in groupby(sorted(range(len(dist)), key=key), key)]
 
 
 def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
     """The number of minimal routings of every vertex, from dist alone.
 
-    dist is distances(net). After the steps s_0, ..., s_m have been
-    taken, count[i] is the number of minimal routings a of i with
-    a_j = 0 for every j > m. Any sub-vector of a minimal routing is
-    minimal, so the routings with a_m > 0 are exactly e_m plus one of
-    those counted for i - s_m, and there are some only when
-    dist[i - s_m] == dist[i] - 1. Taking the vertices in order of
-    distance, each step adds
+    dist is distances(net), or those of a network whose steps include
+    net's (DistanceTable._tails counts so over the later steps alone).
+    After the steps s_0, ..., s_m have been taken, count[i] is the
+    number of minimal routings a of i with a_j = 0 for every j > m. Any
+    sub-vector of a minimal routing is minimal, so the routings with
+    a_m > 0 are exactly e_m plus one of those counted for i - s_m, and
+    there are some only when dist[i - s_m] == dist[i] - 1. Taking the vertices level by level,
+    each step adds
 
         count[i] += count[i - s_m]  if dist[i - s_m] == dist[i] - 1,
 
     from count[0] = 1 and every other count 0: r integer terms per
-    vertex. Equal to the lengths of distance_table(net).minimal_paths.
+    vertex (_count_routes). Equal to the lengths of
+    distance_table(net).minimal_paths. The levels come from one sort
+    of the vertices; a caller that holds them (the levels of
+    _bfs_levels, say) calls _count_routes and sorts nothing.
     """
-    n = net.n
-    order = sorted(range(1, n), key=dist.__getitem__)
-    count = [0] * n
-    count[0] = 1
-    for s in net.steps:
-        for i in order:
-            # i - s lies in (-n, n), and a negative index wraps
-            v = i - s
-            if dist[v] == dist[i] - 1:
-                count[i] += count[v]
-    return tuple(count)
+    return _count_routes(net.steps, dist, _levels_of(dist))
 
 
 def network_stats(net: CirculantNetwork) -> tuple[int, Fraction]:

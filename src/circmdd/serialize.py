@@ -2,9 +2,9 @@
 
 Field order is fixed, vectors are integer arrays, rationals are
 {"num", "den"} in lowest terms, and dumps use compact separators, so
-output is byte-identical across runs and platforms. The `mdd enumerate`
-document is written as text here (`enumeration_json`), with the bytes
-json.dumps would give it.
+output is byte-identical across runs and platforms. Two documents are
+written as text here, with the bytes json.dumps would give them: `net
+info` (`net_info_json`) and `mdd enumerate` (`enumeration_json`).
 """
 
 from __future__ import annotations
@@ -60,16 +60,6 @@ def error_payload(exc: CircmddError) -> dict:
     return {"code": exc.code, "message": str(exc), "details": _plain(exc.details)}
 
 
-def net_info_payload(net: CirculantNetwork, dist, counts) -> dict:
-    return {
-        "network": network_payload(net),
-        "diameter": max(dist),
-        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
-        "dist": dist,
-        "route_counts": counts,
-    }
-
-
 def mdd_payload(mdd: Mdd) -> dict:
     return {
         "network": network_payload(mdd.net),
@@ -97,6 +87,25 @@ def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
     text = dict(zip(distinct, map(pattern.__mod__, distinct))).__getitem__
     diagrams = ",".join(["[" + ",".join(map(text, m.cells)) + "]" for m in mdds])
     return f'{head[:-1]},"mdds":[{diagrams}]}}'
+
+
+def net_info_json(net: CirculantNetwork, dist, counts) -> str:
+    """`net info`: the canonical JSON text of {network, diameter,
+    average_distance, dist, route_counts}. Distances run over 0..D and
+    most vertices share a few route counts, so each distance and each
+    distinct count is formatted once."""
+    diameter = max(dist)
+    head = canonical_json({
+        "network": network_payload(net),
+        "diameter": diameter,
+        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
+    })
+    level = list(map(str, range(diameter + 1))).__getitem__
+    distinct = set(counts)
+    text = dict(zip(distinct, map(str, distinct))).__getitem__
+    dist_text = ",".join(map(level, dist))
+    counts_text = ",".join(map(text, counts))
+    return f'{head[:-1]},"dist":[{dist_text}],"route_counts":[{counts_text}]}}'
 
 
 def coherence_payload(result: CoherenceResult | None) -> dict:

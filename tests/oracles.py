@@ -414,3 +414,17 @@ def enumeration_payload(net, mode: str, result) -> dict:
         "routing_choice_count": result.routing_choice_count,
         "mdds": [[list(cell) for cell in m.cells] for m in result.mdds],
     }
+
+
+def net_info_payload(net, dist, counts) -> dict:
+    """The `net info` document as plain values, in its field order: the
+    reference serialize.net_info_json must write byte for byte when
+    json.dumps encodes this with compact separators."""
+    mean = Fraction(sum(dist), net.n)
+    return {
+        "network": {"n": net.n, "steps": list(net.steps)},
+        "diameter": max(dist),
+        "average_distance": {"num": mean.numerator, "den": mean.denominator},
+        "dist": list(dist),
+        "route_counts": list(counts),
+    }

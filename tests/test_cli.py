@@ -49,14 +49,34 @@ def test_net_info():
     assert doc["route_counts"] == [1] * 7
 
 
-def test_net_info_builds_no_routing_table():
-    # distances and route counts come from a vertex search, so neither
+def count_searches(monkeypatch) -> list:
+    """The networks of every breadth-first search from here on: each
+    distance search of the library runs network._bfs_levels."""
+    import circmdd.network
+
+    search = circmdd.network._bfs_levels
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return search(net)
+
+    for module in (circmdd.network, circmdd.mdd, circmdd.cli):
+        monkeypatch.setattr(module, "_bfs_levels", counted)
+    return calls
+
+
+def test_net_info_builds_no_routing_table(monkeypatch):
+    # distances and route counts come from one vertex search, so neither
     # the command nor the library calls that need no routing fill the
     # table cache
     distance_table.cache_clear()
+    searches = count_searches(monkeypatch)
     doc = run_json(["net", "info", "56", "9,17,33"])
     assert (doc["diameter"], doc["average_distance"]) == (10, {"num": 71, "den": 14})
     assert max(doc["route_counts"]) == 10
+    assert len(searches) == 1
+    assert distance_table.cache_info().currsize == 0
     net = build_network(56, [9, 17, 33])
     assert network_stats(net) == (10, Fraction(71, 14))
     assert not is_unique_mdd(net)
@@ -214,22 +234,12 @@ def test_mdd_check_accepts_the_valid_c4_document(tmp_path):
 
 def test_mdd_check_runs_the_distance_search_once(tmp_path, monkeypatch):
     # validation and the coherence check read the same cached table
-    import circmdd.network
-
     path = tmp_path / "diagram.json"
     path.write_text(encode(build_coherent_mdd(build_network(9, [1, 4, 7]), (7, 2, 0))))
-    search = circmdd.network.distances
-    calls = []
-
-    def counted(net):
-        calls.append(net)
-        return search(net)
-
-    for module in (circmdd.network, circmdd.mdd, circmdd.cli):
-        monkeypatch.setattr(module, "distances", counted)
+    searches = count_searches(monkeypatch)
     distance_table.cache_clear()
     assert run_json(["mdd", "check", str(path)])["coherent"] is True
-    assert len(calls) == 1
+    assert len(searches) == 1
 
 
 def test_lattice_hilbert():
@@ -397,6 +407,10 @@ GOLDEN = {
     "net-info-r1": ("net info 11 3", 0, "21d47a13c8ab1a05d6163bf2f7cd9508fc77e30a37b80e6ad818be5cc6b4f6a3"),
     "net-info-r2": ("net info 10 1,6", 0, "ca8f7f66b14c5f35f8c1c7c664686f13fa8a27165ef2708ef8e36f4b0390a0c5"),
     "net-info-r3": ("net info 9 1,4,7", 0, "3b4dc48e2533edd11b8380de3af897551e41cd1bf3ab75acabcc2ed0d27f06da"),
+    "net-info-r4": ("net info 104 5,17,21,22", 0, "fbdb0551cb1ac50c2d01e34560a9c2851cb76c769c8f37aea2b89d7cf7c978ad"),
+    "net-info-r5": ("net info 24 3,7,11,12,22", 0, "fbacbf3ed3765ae111a962d5c43d37a58feb062ec2530ddb13b671f75f83673f"),
+    # diameter 10 and route counts up to 10: two-digit distances and counts
+    "net-info-two-digit-counts": ("net info 56 9,17,33", 0, "ec3c4bd1c166ffa10097484f10dd88f70fc52798fcb43e1df34ed9644eaf058f"),
     "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
     "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),

@@ -11,6 +11,7 @@ import pytest
 from circmdd import (
     ArityMismatchError,
     CircmddError,
+    CirculantNetwork,
     DisconnectedError,
     DistanceTable,
     DuplicateStepError,
@@ -22,6 +23,7 @@ from circmdd import (
     route_counts,
     vertex_of,
 )
+from circmdd.network import _bfs_levels, _count_routes
 
 from oracles import bfs_distances, minimal_paths_by_scan
 
@@ -148,6 +150,44 @@ def test_distances_and_route_counts_match_the_table(r):
         dist = distances(net)
         assert dist == table.dist, net
         assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
+
+
+def random_networks(seed: int, r: int, count: int, largest: int):
+    """count seeded random connected networks with r steps and n below
+    largest, n = r + 1 first (n = 2 for a single step)."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = r + 1 if not found else rng.randrange(r + 1, largest)
+        try:
+            found.append(build_network(n, rng.sample(range(1, n), r)))
+        except CircmddError:
+            continue
+    return found
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_bfs_levels_match_the_plain_search(r):
+    for net in random_networks(2000 + r, r, 40, 200):
+        n = net.n
+        dist, levels = _bfs_levels(net)
+        assert dist == bfs_distances(n, net.steps), net
+        # level d is the set of vertices at distance d, and the levels
+        # partition Z_n
+        for d, level in enumerate(levels):
+            assert set(level) == {v for v in range(n) if dist[v] == d}, (net, d)
+        assert sorted(v for level in levels for v in level) == list(range(n)), net
+        counts = _count_routes(net.steps, dist, levels)
+        assert counts == route_counts(net, dist), net
+        assert counts == tuple(map(len, distance_table(net).minimal_paths)), net
+
+
+def test_bfs_levels_of_a_disconnected_network_raise():
+    # the message and details distances gave before it ran on the levels
+    with pytest.raises(DisconnectedError) as info:
+        _bfs_levels(CirculantNetwork(6, (2, 4)))
+    assert str(info.value) == "vertex 0 reaches 3 of 6 vertices"
+    assert info.value.details == {"n": 6}
 
 
 @pytest.mark.parametrize(

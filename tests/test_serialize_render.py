@@ -13,6 +13,7 @@ from circmdd import (
     build_network,
     coherent_fan,
     distance_table,
+    distances,
     encode,
     enumerate_mdds,
     hilbert_basis,
@@ -20,12 +21,13 @@ from circmdd import (
     octant,
     parse_mdd_document,
     render,
+    route_counts,
     validate_mdd,
 )
 from circmdd.errors import CircmddError
-from circmdd.serialize import canonical_json, enumeration_json
+from circmdd.serialize import canonical_json, enumeration_json, net_info_json
 
-from oracles import enumeration_payload
+from oracles import enumeration_payload, net_info_payload
 
 
 def test_mdd_golden_encoding():
@@ -182,4 +184,23 @@ def test_enumeration_json_is_the_oracle_document_on_random_networks(r):
         for mode, result in results:
             expected = canonical_json(enumeration_payload(net, mode, result))
             assert enumeration_json(net, mode, result) == expected, (net, mode)
+        checked += 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_net_info_json_is_the_oracle_document_on_random_networks(r):
+    # n = r + 1 first: C2(1) for a single step; five steps on up to 300
+    # vertices reach route counts of several digits
+    rng = random.Random(2000 + r)
+    checked = 0
+    while checked < 60:
+        n = r + 1 if not checked else rng.randrange(r + 1, 300)
+        try:
+            net = build_network(n, rng.sample(range(1, n), r))
+        except CircmddError:
+            continue
+        dist = distances(net)
+        counts = route_counts(net, dist)
+        expected = canonical_json(net_info_payload(net, dist, counts))
+        assert net_info_json(net, dist, counts) == expected, net
         checked += 1

@@ -28,8 +28,9 @@ random weights. A third sweep runs the plain depth-first search of the
 enumerator (oracles.mdds_by_plain_dfs) against enumerate_mdds, in both
 modes: the same diagrams, the same routing count, and the budget
 raising exactly below the plain search's visits. A fourth writes every
-enumeration, in both modes, and compares the text with json.dumps of
-oracles.enumeration_payload.
+enumeration, in both modes, and every `net info` document, and compares
+the text with json.dumps of oracles.enumeration_payload and
+oracles.net_info_payload.
 """
 
 import random
@@ -61,7 +62,7 @@ from circmdd import (
 from circmdd.intlin import norm1
 from circmdd.groebner import _graded_basis, _sector_leads
 from circmdd.mdd import _first_tie
-from circmdd.serialize import canonical_json, enumeration_json
+from circmdd.serialize import canonical_json, enumeration_json, net_info_json
 
 from oracles import (
     coherent_cells_by_definition,
@@ -69,6 +70,7 @@ from oracles import (
     enumeration_payload,
     indecomposable_filter,
     minimal_paths_by_scan,
+    net_info_payload,
     rays_screened_by_points,
     single_negative_octant_points,
     staircase_generators_by_box_scan,
@@ -169,6 +171,16 @@ def test_every_triple_loop_enumeration_is_written_as_the_oracle(n):
             result = enumerate_mdds(net, mode)
             expected = canonical_json(enumeration_payload(net, mode, result))
             assert enumeration_json(net, mode, result) == expected, (net, mode)
+
+
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+def test_every_triple_loop_net_info_is_written_as_the_oracle(n):
+    for steps in unit_classes(n):
+        net = build_network(n, steps)
+        dist = distances(net)
+        counts = route_counts(net, dist)
+        expected = canonical_json(net_info_payload(net, dist, counts))
+        assert net_info_json(net, dist, counts) == expected, net
 
 
 def census_ties_against_definition(net, fan):
