@@ -101,17 +101,15 @@ def _solve_sweep2(cons):
     return None
 
 
-def _solve_fm(cons, d: int):
-    """Strict homogeneous feasibility by Fourier-Motzkin elimination.
+def _eliminate(cons, d: int):
+    """The constraints left when Fourier-Motzkin elimination drops the
+    last of d > 1 variables, as a set of primitive vectors, or None when
+    one of them reads 0 > 0.
 
-    Eliminating the last variable combines each pair of opposite-sign
-    constraints with positive multipliers, so strictness is preserved;
-    the witness is recovered by back substitution with exact rationals.
+    Each pair of opposite-sign constraints combines with positive
+    multipliers, so strictness is preserved, and the constraints free of
+    the last variable are kept. Integers only.
     """
-    if not cons:
-        return tuple(Fraction(0) for _ in range(d))
-    if d == 1:
-        return _solve_1d(cons)
     reduced = set()
     for c in cons:
         if c[d - 1] == 0:
@@ -131,6 +129,33 @@ def _solve_fm(cons, d: int):
             if not any(comb):
                 return None  # positive combination collapses to 0 > 0
             reduced.add(primitive(comb))
+    return reduced
+
+
+def _fm_feasible(cons, d: int) -> bool:
+    """Whether _solve_fm(cons, d) finds a witness, by elimination alone:
+    no back substitution and no Fraction."""
+    while cons and d > 1:
+        cons = _eliminate(cons, d)
+        if cons is None:
+            return False
+        d -= 1
+    return not cons or all(c[0] > 0 for c in cons) or all(c[0] < 0 for c in cons)
+
+
+def _solve_fm(cons, d: int):
+    """Strict homogeneous feasibility by Fourier-Motzkin elimination.
+
+    Each step drops the last variable (_eliminate); the witness is
+    recovered by back substitution with exact rationals.
+    """
+    if not cons:
+        return tuple(Fraction(0) for _ in range(d))
+    if d == 1:
+        return _solve_1d(cons)
+    reduced = _eliminate(cons, d)
+    if reduced is None:
+        return None
     sub = _solve_fm(sorted(reduced), d - 1)
     if sub is None:
         return None
@@ -170,6 +195,14 @@ def _feasible(directions, r: int):
     if r == 3:
         return _solve_sweep2(directions)
     return _solve_fm(directions, r - 1)
+
+
+def _has_solution(directions, r: int) -> bool:
+    """Whether _feasible(directions, r) finds a witness; four steps
+    decide it without building one (_fm_feasible)."""
+    if r == 4:
+        return _fm_feasible(directions, 3)
+    return _feasible(directions, r) is not None
 
 
 def _directions(codes, r: int, width: int):

@@ -9,9 +9,10 @@ of monomial ideals, which is what the staircase generators describe.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
@@ -31,6 +32,7 @@ from .intlin import primitive, vec_scale
 from .network import (
     CirculantNetwork,
     PathVector,
+    _CellStore,
     _bfs_levels,
     _count_routes,
     _levels_of,
@@ -58,8 +60,21 @@ class Mdd:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    mdds: tuple[Mdd, ...]
+    """Diagrams as enumerate_mdds finds them: leaves holds each one's
+    cells by vertex as packed codes (see packed_width), sorted, and cells
+    decodes a code, one shared tuple per distinct code. mdds decodes them
+    all on first read and is cached on the instance; equality ignores
+    cells."""
+
+    net: CirculantNetwork
+    leaves: tuple[tuple[int, ...], ...]
     routing_choice_count: int
+    cells: _CellStore = field(compare=False, repr=False)
+
+    @cached_property
+    def mdds(self) -> tuple[Mdd, ...]:
+        get = self.cells.__getitem__
+        return tuple(Mdd(self.net, tuple(map(get, leaf))) for leaf in self.leaves)
 
 
 @dataclass(frozen=True)
@@ -127,8 +142,7 @@ def _integer_weights(net, w):
     if len(w) != net.r:
         raise ArityMismatchError(
             f"weight has {len(w)} entries, network has {net.r} steps",
-            expected=net.r,
-            got=len(w),
+            expected=net.r, got=len(w),
         )
     scale = lcm(*(x.denominator for x in w))
     return w, tuple(x.numerator * (scale // x.denominator) for x in w)
@@ -144,8 +158,7 @@ def _least_routings(table, iw) -> tuple[PathVector, ...]:
     the key of the arc. The codes are those of table.cells, which turns
     each into its shared tuple.
     """
-    r = table.net.r
-    store = table.cells
+    r, store = table.net.r, table.cells
     codebits = store.bits
     units = [(x << codebits) + (1 << s) for x, s in zip(iw, store.shifts)]
     # heavier than any key of a routing, plus any arc
@@ -190,14 +203,12 @@ def _first_tie(table, iw):
     every vertex with more than one routing. Only build_coherent_mdd
     needs the first tie.
     """
-    net = table.net
-    dist = table.dist
+    net, dist = table.net, table.dist
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
         counts = route_counts(net, dist)
         return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
     plus = _tie_plus(net, iw)
-    u = vertex_of(net, plus)
-    h = sum(plus)
+    u, h = vertex_of(net, plus), sum(plus)
     if dist[u] != h or _first_scan_tie(table.routings, [u], iw) is None:
         return None
     shifted = dist[-u:] + dist[:-u]  # shifted[i] == dist[i - u]
@@ -256,27 +267,19 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
         if len(cell) != net.r:
             raise ArityMismatchError(
                 f"cell of vertex {i} has {len(cell)} coordinates",
-                expected=net.r,
-                got=len(cell),
-                vertex=i,
+                expected=net.r, got=len(cell), vertex=i,
             )
         if any(c < 0 for c in cell):
-            raise MalformedDocumentError(
-                f"cell of vertex {i} has negative coordinates", vertex=i
-            )
-        if vertex_of(net, cell) != i:
+            raise MalformedDocumentError(f"cell of vertex {i} has negative coordinates", vertex=i)
+        reached = vertex_of(net, cell)
+        if reached != i:
             raise WrongVertexError(
-                f"cell {cell} reaches vertex {vertex_of(net, cell)}, not {i}",
-                vertex=i,
-                reached=vertex_of(net, cell),
+                f"cell {cell} reaches vertex {reached}, not {i}", vertex=i, reached=reached
             )
         if sum(cell) != dist[i]:
             raise NotMinimalError(
-                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is "
-                f"{dist[i]}",
-                vertex=i,
-                length=sum(cell),
-                distance=dist[i],
+                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is {dist[i]}",
+                vertex=i, length=sum(cell), distance=dist[i],
             )
     for i, cell in enumerate(cells):
         for j, c in enumerate(cell):
@@ -288,16 +291,13 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
                 raise NotDownClosedError(
                     f"removing one arc of step {net.steps[j]} from the cell of "
                     f"vertex {i} gives {b}, but vertex {v} holds {cells[v]}",
-                    vertex=i,
-                    coordinate=j,
+                    vertex=i, coordinate=j,
                 )
     return Mdd(net, cells)
 
 
 def enumerate_mdds(
-    net: CirculantNetwork,
-    mode: str = "all",
-    budget: int | None = None,
+    net: CirculantNetwork, mode: str = "all", budget: int | None = None
 ) -> EnumerationResult:
     """All diagrams of the network by exhaustive backtracking.
 
@@ -306,9 +306,10 @@ def enumerate_mdds(
     the cell of i - s_j, so each cell of i is cells[i - s_j] + e_j for a
     tight predecessor i - s_j (one level down), kept only if each of its
     one-arc predecessors is the cell chosen there (down-closure): at
-    most r options, set by the cells of the tight predecessors. Cells
-    are packed into integers (see packed_width); diagrams are sorted by
-    code, which is lexicographic order.
+    most r options, set by the cells of the tight predecessors (checked
+    inline where three steps are all tight). Cells are packed into
+    integers (see packed_width) and stay packed in the result, its leaves
+    sorted by code (lexicographic order); its mdds decode on first read.
 
     The leaves are those of the depth-first search that takes option 0
     at each place it enters and, after each leaf or dead end, advances
@@ -333,12 +334,11 @@ def enumerate_mdds(
     coherence is the feasibility of the cone of these g - D(i), decided
     as in is_coherent.
     """
-    from .coherence import _directions, _feasible  # avoids a cycle
+    from .coherence import _directions, _has_solution  # avoids a cycle
 
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     n, r = net.n, net.r
     dist = distances(net)
     levels = _levels_of(dist)
@@ -348,13 +348,14 @@ def enumerate_mdds(
 
     # one field per coordinate, first coordinate highest; fields never
     # carry, and a difference of two codes decodes (see packed_width)
-    width = packed_width(n)
-    mask = (1 << width) - 1
-    shifts = [width * (r - 1 - j) for j in range(r)]
-    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, shifts)]
+    store = _CellStore(n, r)
+    width, mask = packed_width(n), store.mask
+    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, store.shifts)]
     # a candidate is taken along its first step j only, so once: its code
     # lies below unit << width, and only the fields after j need checks
     arcs = [(s, unit, unit << width, checks[j + 1:]) for j, (s, _, unit) in enumerate(checks)]
+    if r == 3:  # the same checks, inline, where all three arcs are tight
+        (s0, u0, _, _), (s1, u1, top1, _), (s2, u2, top2, _) = arcs
     place = [0] * n
     ins = [[] for _ in order]  # per place, the arcs from its tight predecessors
     outs = [[] for _ in order]  # per place, the places of its tight successors
@@ -365,6 +366,8 @@ def enumerate_mdds(
             if dist[v] == dist[i] - 1:
                 ins[p].append(arc)
                 outs[place[v]].append(p)
+        if len(ins[p]) == 3 == r:
+            ins[p] = None
 
     cells = [0] * n  # chosen code per vertex
     kids = [[0]] * n  # options per place
@@ -379,15 +382,24 @@ def enumerate_mdds(
         while p >= 0:
             i = order[p]
             options = []
-            for s, unit, top, later in ins[p]:
-                cand = cells[i - s] + unit
-                if cand >= top:
-                    continue
-                for t, shift, u in later:
-                    if cand >> shift & mask and cells[i - t] != cand - u:
-                        break
-                else:
-                    options.append(cand)
+            if ins[p] is None:
+                a, b, c = cells[i - s0] + u0, cells[i - s1] + u1, cells[i - s2] + u2
+                if (b == a or not a >> width & mask) and (c == a or not a & mask):
+                    options.append(a)
+                if b < top1 and (c == b or not b & mask):
+                    options.append(b)
+                if c < top2:
+                    options.append(c)
+            else:
+                for s, unit, top, later in ins[p]:
+                    cand = cells[i - s] + unit
+                    if cand >= top:
+                        continue
+                    for t, shift, u in later:
+                        if cand >> shift & mask and cells[i - t] != cand - u:
+                            break
+                    else:
+                        options.append(cand)
             if len(options) > 1 and len(kids[p]) < 2:
                 insort(forks, p)
             elif len(options) < 2 and len(kids[p]) > 1:
@@ -405,8 +417,7 @@ def enumerate_mdds(
         visits += pre[min(dead + 1, n)] - pre[f + 1]
         if visits > budget:
             raise BudgetExceededError(
-                f"enumeration exceeded the budget of {budget} choices",
-                budget=budget,
+                f"enumeration exceeded the budget of {budget} choices", budget=budget
             )
         if p < 0:
             leaves.append(tuple(cells))
@@ -427,20 +438,11 @@ def enumerate_mdds(
 
     if mode == "coherent_only":
         if r > 4:
-            raise UnsupportedArityError(
-                "coherence is decided for at most four steps", r=r
-            )
-        leaves = [
-            leaf
-            for leaf, gaps in zip(leaves, gapsets)
-            if _feasible(_directions(gaps, r, width)[1], r) is not None
-        ]
+            raise UnsupportedArityError("coherence is decided for at most four steps", r=r)
+        kept = (_has_solution(_directions(gaps, r, width)[1], r) for gaps in gapsets)
+        leaves = list(compress(leaves, kept))
     leaves.sort()
-    # equal cells share one tuple
-    codes = set().union(*leaves)
-    unpack = dict(zip(codes, zip(*[[c >> shift & mask for c in codes] for shift in shifts])))
-    mdds = tuple(Mdd(net, tuple(map(unpack.__getitem__, leaf))) for leaf in leaves)
-    return EnumerationResult(mdds, prod(counts))
+    return EnumerationResult(net, tuple(leaves), prod(counts), store)
 
 
 def staircase_generators(mdd: Mdd) -> Staircase:
@@ -451,8 +453,7 @@ def staircase_generators(mdd: Mdd) -> Staircase:
     those decrements is a cell: every generator is some cell plus a unit
     vector, and the r * n such candidates suffice.
     """
-    image = set(mdd.cells)
-    r = mdd.net.r
+    image, r = set(mdd.cells), mdd.net.r
     gens = set()
     for cell in image:
         for j in range(r):

@@ -12,7 +12,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .errors import (
     ArityMismatchError,
@@ -42,17 +42,25 @@ class CirculantNetwork:
 class _CellStore(dict):
     """Routing tuples by packed code, each decoded on first use.
 
-    A code holds one field of n.bit_length() bits per coordinate, first
-    coordinate highest (minimal routings have coordinates below n, so
-    fields never carry). Every diagram built from the same store shares
-    its tuples.
+    Codes are laid out as packed_width says, the one layout of the
+    library: one field per coordinate, first coordinate highest. The
+    diagrams of build_coherent_mdd on one network share one store, and
+    so do those of one enumerate_mdds result, so equal cells are one
+    tuple.
     """
 
     def __init__(self, n: int, r: int):
-        width = n.bit_length()
+        width = packed_width(n)
         self.bits = width * r  # every code lies below 1 << bits
         self.mask = (1 << width) - 1
         self.shifts = tuple(width * (r - 1 - j) for j in range(r))
+
+    def add(self, codes) -> None:
+        """Decode the given distinct codes that are not stored yet, all
+        at once."""
+        new = [c for c in codes if c not in self]
+        fields = [[c >> shift & self.mask for c in new] for shift in self.shifts]
+        self.update(zip(new, zip(*fields)))
 
     def __missing__(self, code: int) -> PathVector:
         fields = map(self.mask.__and__, map(code.__rshift__, self.shifts))
@@ -99,13 +107,13 @@ class DistanceTable:
     def _tails(self) -> tuple[bytes, ...]:
         """tails[m][i] is 1 when vertex i has a minimal routing over the
         steps m + 1, ..., r - 1 alone, that is a nonzero route_counts
-        over those steps: r - 1 bytes objects of length n."""
+        over those steps: r - 1 bytes objects of length n, from one count
+        over the steps r - 1 down to 1 (route counts do not depend on the
+        order the steps are taken in)."""
         steps, dist = self.net.steps, self.dist
-        levels = _levels_of(dist)
-        return tuple(
-            bytes(c > 0 for c in _count_routes(steps[m:], dist, levels))
-            for m in range(1, len(steps))
-        )
+        tails = []
+        _count_routes(steps[:0:-1], dist, _levels_of(dist), tails)
+        return tuple(reversed(tails))
 
     @cached_property
     def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
@@ -207,7 +215,9 @@ def _walk(steps, dist, tails, v: int, m: int):
 
 def packed_width(n: int) -> int:
     """Bits per coordinate field of packed routing codes, first
-    coordinate highest, as enumerate_mdds and is_coherent pack cells.
+    coordinate highest: the one code layout of the library, in which
+    enumerate_mdds and is_coherent pack cells and _CellStore decodes
+    them (for build_coherent_mdd and enumerate_mdds results alike).
 
     Coordinates of minimal routings are below n, so n.bit_length() bits
     hold them without carry and integer order is lexicographic order;
@@ -332,9 +342,11 @@ def _bfs_levels(net: CirculantNetwork) -> tuple[list[int], list[list[int]]]:
     return dist, levels
 
 
-def _count_routes(steps, dist, levels) -> tuple[int, ...]:
+def _count_routes(steps, dist, levels, tails=None) -> tuple[int, ...]:
     """route_counts over the given steps, from dist and its levels
-    (levels[d] the vertices at distance d, in any order)."""
+    (levels[d] the vertices at distance d, in any order). With a list
+    for tails, the nonzero bits of the counts after each step are
+    appended to it, as bytes."""
     count = [0] * len(dist)
     count[0] = 1
     for s in steps:
@@ -345,14 +357,19 @@ def _count_routes(steps, dist, levels) -> tuple[int, ...]:
                 v = i - s
                 if dist[v] == below:
                     count[i] += count[v]
+        if tails is not None:
+            tails.append(bytes(map(bool, count)))
     return tuple(count)
 
 
 def _levels_of(dist) -> list[list[int]]:
     """The vertices grouped by distance, as _bfs_levels lists them but in
-    vertex order within each level: one sort of the vertices."""
-    key = dist.__getitem__
-    return [list(level) for _, level in groupby(sorted(range(len(dist)), key=key), key)]
+    vertex order within each level: one pass over the vertices."""
+    levels = [[] for _ in range(max(dist) + 1)]
+    add = [level.append for level in levels]
+    for i, d in enumerate(dist):
+        add[d](i)
+    return levels
 
 
 def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
@@ -371,9 +388,9 @@ def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
 
     from count[0] = 1 and every other count 0: r integer terms per
     vertex (_count_routes). Equal to the lengths of
-    distance_table(net).minimal_paths. The levels come from one sort
-    of the vertices; a caller that holds them (the levels of
-    _bfs_levels, say) calls _count_routes and sorts nothing.
+    distance_table(net).minimal_paths. The levels come from one pass
+    over dist (_levels_of); a caller that holds them (the levels of
+    _bfs_levels, say) calls _count_routes with them.
     """
     return _count_routes(net.steps, dist, _levels_of(dist))
 

@@ -72,20 +72,23 @@ def mdd_payload(mdd: Mdd) -> dict:
 def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
     """`mdd enumerate`: the canonical JSON text of {network, mode,
     mdd_count, routing_choice_count, mdds}, each diagram its cells as
-    arrays. Diagrams share most of their cells, and enumeration shares
-    one tuple per distinct cell, so each distinct cell is formatted once,
-    by one "%d" pattern of the network's arity."""
-    mdds = result.mdds
+    arrays. Diagrams share most of their cells, so each distinct packed
+    code of result.leaves is decoded by result.cells and formatted once,
+    by one "%d" pattern of the network's arity, and each leaf joins the
+    texts; result.mdds is not read."""
+    leaves = result.leaves
     head = canonical_json({
         "network": network_payload(net),
         "mode": mode,
-        "mdd_count": len(mdds),
+        "mdd_count": len(leaves),
         "routing_choice_count": result.routing_choice_count,
     })
     pattern = "[" + ",".join(["%d"] * net.r) + "]"
-    distinct = set().union(*[m.cells for m in mdds])
-    text = dict(zip(distinct, map(pattern.__mod__, distinct))).__getitem__
-    diagrams = ",".join(["[" + ",".join(map(text, m.cells)) + "]" for m in mdds])
+    distinct = set().union(*leaves)
+    result.cells.add(distinct)
+    cells = map(result.cells.__getitem__, distinct)
+    text = dict(zip(distinct, map(pattern.__mod__, cells))).__getitem__
+    diagrams = ",".join(["[" + ",".join(map(text, leaf)) + "]" for leaf in leaves])
     return f'{head[:-1]},"mdds":[{diagrams}]}}'
 
 

@@ -16,10 +16,17 @@ from circmdd import (
     is_coherent,
     validate_mdd,
 )
-from circmdd.coherence import _reduced_coords, _solve_fm, _solve_sweep2
+from circmdd.coherence import (
+    _directions,
+    _fm_feasible,
+    _reduced_coords,
+    _solve_fm,
+    _solve_sweep2,
+)
 from circmdd.errors import BudgetExceededError, CircmddError
 from circmdd.intlin import dot, primitive, vec_neg, vec_sub
-from oracles import mdds_by_backtracking, minimal_paths_by_scan
+from circmdd.network import packed_width
+from oracles import mdds_by_backtracking, mdds_by_plain_dfs, minimal_paths_by_scan
 
 
 def non_coherent_example():
@@ -151,6 +158,36 @@ def test_sweep_and_elimination_agree_on_plane_systems():
         if sweep is not None:
             assert all(c[0] * sweep[0] + c[1] * sweep[1] > 0 for c in cons)
             assert all(c[0] * fm[0] + c[1] * fm[1] > 0 for c in cons)
+
+
+def test_elimination_alone_decides_as_the_solver():
+    # the filter of enumerate_mdds decides four steps by elimination
+    # alone; its verdict is the solver's, which also back-substitutes
+    rng = random.Random(4321)
+    verdicts = []
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        cons = set()
+        while len(cons) < k:
+            c = tuple(rng.randint(-4, 4) for _ in range(3))
+            if any(c):
+                cons.add(primitive(c))
+        cons = sorted(cons)
+        verdicts.append(_fm_feasible(cons, 3))
+        assert verdicts[-1] == (_solve_fm(cons, 3) is not None), cons
+    assert 50 < sum(verdicts) < 350
+    # every gapset the search meets on the four-step acceptance and
+    # benchmark networks
+    verdicts = []
+    for n, steps in [(8, [1, 3, 5, 7]), (104, [5, 17, 21, 22]), (41, [8, 19, 23, 40]),
+                     (199, [40, 58, 122, 181]), (126, [4, 40, 58, 63])]:
+        _, gapsets, _, _ = mdds_by_plain_dfs(build_network(n, steps))
+        for gaps in gapsets:
+            directions = _directions(gaps, 4, packed_width(n))[1]
+            verdicts.append(_fm_feasible(directions, 3))
+            assert verdicts[-1] == (_solve_fm(directions, 3) is not None), (n, steps)
+    # 62 diagrams, of which 14 + 12 + 6 + 6 + 12 are coherent
+    assert (len(verdicts), sum(verdicts)) == (62, 50)
 
 
 def test_staircase_generators_are_weight_leading_terms():

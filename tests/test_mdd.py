@@ -10,6 +10,7 @@ from circmdd import (
     ArityMismatchError,
     BudgetExceededError,
     DoubleLoopShape,
+    EnumerationResult,
     NotDownClosedError,
     NotMinimalError,
     UnsupportedArityError,
@@ -28,7 +29,8 @@ from circmdd import (
 
 from circmdd.coherence import _directions, _feasible
 from circmdd.errors import CircmddError
-from circmdd.network import packed_width
+from circmdd.network import _CellStore, packed_width
+from circmdd.serialize import enumeration_json
 
 from oracles import (
     brute_force_mdds,
@@ -321,12 +323,29 @@ def check_against_plain_dfs(net, mode, budget=None):
                 if _feasible(_directions(gaps, r, width)[1], r) is not None
             ]
         result = enumerate_mdds(net, mode, budget=visits)
+        check_packed_result(net, mode, result)
         assert [m.cells for m in result.mdds] == sorted(leaves), (net, mode)
         _, paths = minimal_paths_by_scan(net.n, net.steps)
         assert result.routing_choice_count == prod(map(len, paths)), net
     with pytest.raises(BudgetExceededError):
         enumerate_mdds(net, mode, budget=visits - 1)
     return dead_ends
+
+
+def check_packed_result(net, mode, result):
+    """The result keeps its diagrams packed: writing it decodes no
+    diagram, its diagrams share one tuple per distinct cell, and
+    equality ignores the decoder."""
+    enumeration_json(net, mode, result)
+    assert "mdds" not in vars(result), (net, mode)
+    shared = {}
+    for mdd in result.mdds:
+        assert all(shared.setdefault(cell, cell) is cell for cell in mdd.cells), net
+    assert len(shared) == len(set().union(*result.leaves)), net
+    fresh = _CellStore(net.n, net.r)
+    same = EnumerationResult(net, result.leaves, result.routing_choice_count, fresh)
+    assert same == result and hash(same) == hash(result), net
+    assert same.mdds == result.mdds, net
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])

@@ -23,7 +23,7 @@ from circmdd import (
     route_counts,
     vertex_of,
 )
-from circmdd.network import _bfs_levels, _count_routes
+from circmdd.network import _bfs_levels, _CellStore, _count_routes, _levels_of, packed_width
 
 from oracles import bfs_distances, minimal_paths_by_scan
 
@@ -177,6 +177,8 @@ def test_bfs_levels_match_the_plain_search(r):
         for d, level in enumerate(levels):
             assert set(level) == {v for v in range(n) if dist[v] == d}, (net, d)
         assert sorted(v for level in levels for v in level) == list(range(n)), net
+        # the same levels in vertex order, from dist alone
+        assert _levels_of(dist) == [sorted(level) for level in levels], net
         counts = _count_routes(net.steps, dist, levels)
         assert counts == route_counts(net, dist), net
         assert counts == tuple(map(len, distance_table(net).minimal_paths)), net
@@ -277,3 +279,33 @@ def test_vertex_routings_match_the_table(seed):
         assert [list(table.routings(i)) for i in range(n)] == paths, net
         assert [list(p) for p in table.minimal_paths] == paths, net
     assert shared >= 10
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 5])
+def test_walked_routings_match_the_scan(r):
+    # every arity but three walks its routings guided by the tail bits;
+    # one count over the steps r - 1 down to 1 gives every tail, as a
+    # count over each suffix of the steps does
+    for net in random_networks(1300 + r, r, 30, 120):
+        dist = distances(net)
+        table = DistanceTable(net, dist)
+        _, paths = minimal_paths_by_scan(net.n, net.steps)
+        assert [list(table.routings(i)) for i in range(net.n)] == paths, net
+        suffixes = [CirculantNetwork(net.n, net.steps[m:]) for m in range(1, r)]
+        tails = tuple(bytes(c > 0 for c in route_counts(sub, dist)) for sub in suffixes)
+        assert table._tails == tails, net
+
+
+def test_cell_store_decodes_the_packed_layout():
+    # one layout: the store decodes the codes enumerate_mdds and
+    # is_coherent pack, one at a time or all at once
+    rng = random.Random(77)
+    for n, r in [(2, 1), (9, 3), (1892, 3), (126, 4), (40009, 5)]:
+        shifts = [packed_width(n) * (r - 1 - j) for j in range(r)]
+        cells = {tuple(rng.randrange(n) for _ in range(r)) for _ in range(40)}
+        codes = {sum(c << s for c, s in zip(cell, shifts)): cell for cell in cells}
+        single, batch = _CellStore(n, r), _CellStore(n, r)
+        batch.add(codes)
+        assert batch == codes
+        assert all(single[code] == cell for code, cell in codes.items())
+        assert single == codes
