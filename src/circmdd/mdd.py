@@ -3,14 +3,14 @@
 A diagram assigns to every vertex one minimal routing vector such that
 the image is down-closed in N^r (every coordinate-wise smaller vector is
 the cell of its own vertex). Down-closed images are exactly complements
-of monomial ideals, which is what the staircase generators describe.
+of monomial ideals, which is what the staircase generators describe
+(see staircase.py).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
@@ -20,7 +20,6 @@ from operator import eq, mul
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
-    InternalInconsistencyError,
     MalformedDocumentError,
     NotDownClosedError,
     NotMinimalError,
@@ -61,32 +60,23 @@ class Mdd:
 @dataclass(frozen=True)
 class EnumerationResult:
     """Diagrams as enumerate_mdds finds them: leaves holds each one's
-    cells by vertex as packed codes (see packed_width), sorted, and cells
-    decodes a code, one shared tuple per distinct code. mdds decodes them
-    all on first read and is cached on the instance; equality ignores
-    cells."""
+    cells by vertex as packed codes (see packed_width), sorted. cells
+    decodes a code into one shared tuple per distinct code, and mdds
+    decodes every diagram on first read; both are cached on the
+    instance, and neither is a field."""
 
     net: CirculantNetwork
     leaves: tuple[tuple[int, ...], ...]
     routing_choice_count: int
-    cells: _CellStore = field(compare=False, repr=False)
+
+    @cached_property
+    def cells(self) -> _CellStore:
+        return _CellStore(self.net.n, self.net.r)
 
     @cached_property
     def mdds(self) -> tuple[Mdd, ...]:
         get = self.cells.__getitem__
         return tuple(Mdd(self.net, tuple(map(get, leaf))) for leaf in self.leaves)
-
-
-@dataclass(frozen=True)
-class Staircase:
-    """Minimal generators of the monomial ideal complementing a diagram."""
-
-    generators: tuple[PathVector, ...]
-
-
-class DoubleLoopShape(str, Enum):
-    RECTANGLE = "rectangle"
-    L_SHAPE = "l-shape"
 
 
 def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> Mdd:
@@ -142,7 +132,8 @@ def _integer_weights(net, w):
     if len(w) != net.r:
         raise ArityMismatchError(
             f"weight has {len(w)} entries, network has {net.r} steps",
-            expected=net.r, got=len(w),
+            expected=net.r,
+            got=len(w),
         )
     scale = lcm(*(x.denominator for x in w))
     return w, tuple(x.numerator * (scale // x.denominator) for x in w)
@@ -158,7 +149,8 @@ def _least_routings(table, iw) -> tuple[PathVector, ...]:
     the key of the arc. The codes are those of table.cells, which turns
     each into its shared tuple.
     """
-    r, store = table.net.r, table.cells
+    r = table.net.r
+    store = table.cells
     codebits = store.bits
     units = [(x << codebits) + (1 << s) for x, s in zip(iw, store.shifts)]
     # heavier than any key of a routing, plus any arc
@@ -203,12 +195,14 @@ def _first_tie(table, iw):
     every vertex with more than one routing. Only build_coherent_mdd
     needs the first tie.
     """
-    net, dist = table.net, table.dist
+    net = table.net
+    dist = table.dist
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
         counts = route_counts(net, dist)
         return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
     plus = _tie_plus(net, iw)
-    u, h = vertex_of(net, plus), sum(plus)
+    u = vertex_of(net, plus)
+    h = sum(plus)
     if dist[u] != h or _first_scan_tie(table.routings, [u], iw) is None:
         return None
     shifted = dist[-u:] + dist[:-u]  # shifted[i] == dist[i - u]
@@ -267,19 +261,27 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
         if len(cell) != net.r:
             raise ArityMismatchError(
                 f"cell of vertex {i} has {len(cell)} coordinates",
-                expected=net.r, got=len(cell), vertex=i,
+                expected=net.r,
+                got=len(cell),
+                vertex=i,
             )
         if any(c < 0 for c in cell):
-            raise MalformedDocumentError(f"cell of vertex {i} has negative coordinates", vertex=i)
-        reached = vertex_of(net, cell)
-        if reached != i:
+            raise MalformedDocumentError(
+                f"cell of vertex {i} has negative coordinates", vertex=i
+            )
+        if vertex_of(net, cell) != i:
             raise WrongVertexError(
-                f"cell {cell} reaches vertex {reached}, not {i}", vertex=i, reached=reached
+                f"cell {cell} reaches vertex {vertex_of(net, cell)}, not {i}",
+                vertex=i,
+                reached=vertex_of(net, cell),
             )
         if sum(cell) != dist[i]:
             raise NotMinimalError(
-                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is {dist[i]}",
-                vertex=i, length=sum(cell), distance=dist[i],
+                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is "
+                f"{dist[i]}",
+                vertex=i,
+                length=sum(cell),
+                distance=dist[i],
             )
     for i, cell in enumerate(cells):
         for j, c in enumerate(cell):
@@ -291,13 +293,16 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
                 raise NotDownClosedError(
                     f"removing one arc of step {net.steps[j]} from the cell of "
                     f"vertex {i} gives {b}, but vertex {v} holds {cells[v]}",
-                    vertex=i, coordinate=j,
+                    vertex=i,
+                    coordinate=j,
                 )
     return Mdd(net, cells)
 
 
 def enumerate_mdds(
-    net: CirculantNetwork, mode: str = "all", budget: int | None = None
+    net: CirculantNetwork,
+    mode: str = "all",
+    budget: int | None = None,
 ) -> EnumerationResult:
     """All diagrams of the network by exhaustive backtracking.
 
@@ -338,7 +343,8 @@ def enumerate_mdds(
 
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
     n, r = net.n, net.r
     dist = distances(net)
     levels = _levels_of(dist)
@@ -348,9 +354,10 @@ def enumerate_mdds(
 
     # one field per coordinate, first coordinate highest; fields never
     # carry, and a difference of two codes decodes (see packed_width)
-    store = _CellStore(n, r)
-    width, mask = packed_width(n), store.mask
-    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, store.shifts)]
+    width = packed_width(n)
+    mask = (1 << width) - 1
+    shifts = [width * (r - 1 - j) for j in range(r)]
+    checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, shifts)]
     # a candidate is taken along its first step j only, so once: its code
     # lies below unit << width, and only the fields after j need checks
     arcs = [(s, unit, unit << width, checks[j + 1:]) for j, (s, _, unit) in enumerate(checks)]
@@ -417,7 +424,8 @@ def enumerate_mdds(
         visits += pre[min(dead + 1, n)] - pre[f + 1]
         if visits > budget:
             raise BudgetExceededError(
-                f"enumeration exceeded the budget of {budget} choices", budget=budget
+                f"enumeration exceeded the budget of {budget} choices",
+                budget=budget,
             )
         if p < 0:
             leaves.append(tuple(cells))
@@ -438,48 +446,13 @@ def enumerate_mdds(
 
     if mode == "coherent_only":
         if r > 4:
-            raise UnsupportedArityError("coherence is decided for at most four steps", r=r)
+            raise UnsupportedArityError(
+                "coherence is decided for at most four steps", r=r
+            )
         kept = (_has_solution(_directions(gaps, r, width)[1], r) for gaps in gapsets)
         leaves = list(compress(leaves, kept))
     leaves.sort()
-    return EnumerationResult(net, tuple(leaves), prod(counts), store)
-
-
-def staircase_generators(mdd: Mdd) -> Staircase:
-    """Minimal generators of the complement of the diagram image.
-
-    A point is a generator iff it is outside the image and all its
-    one-step decrements are inside. A generator is nonzero, so one of
-    those decrements is a cell: every generator is some cell plus a unit
-    vector, and the r * n such candidates suffice.
-    """
-    image, r = set(mdd.cells), mdd.net.r
-    gens = set()
-    for cell in image:
-        for j in range(r):
-            g = cell[:j] + (cell[j] + 1,) + cell[j + 1:]
-            if g not in image and all(
-                g[:i] + (g[i] - 1,) + g[i + 1:] in image for i in range(r) if g[i]
-            ):
-                gens.add(g)
-    return Staircase(tuple(sorted(gens)))
-
-
-def classify_double_loop_shape(mdd: Mdd) -> DoubleLoopShape:
-    """Rectangle (two staircase generators) or L-shape (three)."""
-    if mdd.net.r != 2:
-        raise UnsupportedArityError(
-            "shape classification applies to two-step networks", r=mdd.net.r
-        )
-    count = len(staircase_generators(mdd).generators)
-    if count == 2:
-        return DoubleLoopShape.RECTANGLE
-    if count == 3:
-        return DoubleLoopShape.L_SHAPE
-    raise InternalInconsistencyError(
-        f"a two-step diagram must have 2 or 3 staircase generators, found {count}",
-        generators=count,
-    )
+    return EnumerationResult(net, tuple(leaves), prod(counts))
 
 
 def is_unique_mdd(net: CirculantNetwork) -> bool:

@@ -150,6 +150,14 @@ def test_distances_and_route_counts_match_the_table(r):
         dist = distances(net)
         assert dist == table.dist, net
         assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
+        # every arity but three walks its routings guided by the tail
+        # bits, which one count over the steps r - 1 down to 1 gives as a
+        # count over each suffix of the steps does
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        assert [list(p) for p in table.minimal_paths] == paths, net
+        suffixes = [CirculantNetwork(n, net.steps[m:]) for m in range(1, r)]
+        tails = tuple(bytes(c > 0 for c in route_counts(sub, dist)) for sub in suffixes)
+        assert table._tails == tails, net
 
 
 def random_networks(seed: int, r: int, count: int, largest: int):
@@ -279,21 +287,6 @@ def test_vertex_routings_match_the_table(seed):
         assert [list(table.routings(i)) for i in range(n)] == paths, net
         assert [list(p) for p in table.minimal_paths] == paths, net
     assert shared >= 10
-
-
-@pytest.mark.parametrize("r", [1, 2, 4, 5])
-def test_walked_routings_match_the_scan(r):
-    # every arity but three walks its routings guided by the tail bits;
-    # one count over the steps r - 1 down to 1 gives every tail, as a
-    # count over each suffix of the steps does
-    for net in random_networks(1300 + r, r, 30, 120):
-        dist = distances(net)
-        table = DistanceTable(net, dist)
-        _, paths = minimal_paths_by_scan(net.n, net.steps)
-        assert [list(table.routings(i)) for i in range(net.n)] == paths, net
-        suffixes = [CirculantNetwork(net.n, net.steps[m:]) for m in range(1, r)]
-        tails = tuple(bytes(c > 0 for c in route_counts(sub, dist)) for sub in suffixes)
-        assert table._tails == tails, net
 
 
 def test_cell_store_decodes_the_packed_layout():
