@@ -29,8 +29,8 @@ from .errors import (
     UnsupportedArityError,
     WeightTieError,
 )
-from .groebner import _degree, _is_led, _sector_leads, _wall_inputs
-from .intlin import angular_key, cross, dot, norm1, primitive, vec_neg, vec_scale
+from .groebner import _degree, _is_led, _octant_norms, _sector_leads, _wall_inputs
+from .intlin import angular_key, cross, dot, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
     OctantSemigroup,
@@ -106,31 +106,32 @@ def candidate_rays(lat: HomogeneousLattice, octants=None) -> tuple[RayCandidate,
     norm at most ||a|| has nonnegative product with it (the one-sided
     screening that a separating ray must satisfy). The 1-norm is linear
     on an octant, so such a point is a sum of generators of norm at most
-    ||a||, and the screening tests those generators only. Survivors are
-    deduplicated and sorted by angle. octants maps each single-negative
-    sign pattern to its Hilbert basis; fan_report passes those of its
-    _wall_inputs.
+    ||a||, and the screening tests those generators only (_screens).
+    Survivors are deduplicated and sorted by angle. octants, when
+    given, is groebner._octant_norms(lat), as fan_report's _wall_inputs
+    holds it.
     """
     if lat.r != 3:
         raise UnsupportedArityError("fans are computed for three steps", r=lat.r)
     found: dict[tuple[int, int, int], set] = {}
-    for signs in SINGLE_NEGATIVE_SIGNS:
-        if octants is None:
-            elements = hilbert_basis(OctantSemigroup(lat, signs)).elements
-        else:
-            elements = octants[signs]
-        for a in elements:
-            nearby = [b for b in elements if norm1(b) <= norm1(a)]
+    for norms in (octants or _octant_norms(lat)).values():
+        for a, bound in norms.items():
             base = primitive(_orth_in_plane(a))
             for ray in (base, vec_neg(base)):
-                if all(dot(ray, b) >= 0 for b in nearby):
+                if _screens(ray, norms, bound):
                     found.setdefault(ray, set()).add(a)
-    cands = [
-        RayCandidate(ray, tuple(sorted(sources)))
-        for ray, sources in found.items()
-    ]
+    cands = [RayCandidate(ray, tuple(sorted(sources))) for ray, sources in found.items()]
     cands.sort(key=lambda c: angular_key(_plane_coords(c.ray)))
     return tuple(cands)
+
+
+def _screens(ray, norms, bound):
+    """Whether ray has a nonnegative product with every generator of
+    norms, a dict from generator to 1-norm, of norm at most bound."""
+    r0, r1, r2 = ray
+    return all(
+        r0 * b0 + r1 * b1 + r2 * b2 >= 0 for (b0, b1, b2), nb in norms.items() if nb <= bound
+    )
 
 
 def _check_wall_conditions(net, inputs, ray, a):
@@ -160,11 +161,10 @@ def _check_wall_conditions(net, inputs, ray, a):
             f"distance is {dist}",
         )
     signs = tuple(-1 if c < 0 else 1 for c in a)
-    elements = octants[signs]
-    if a not in elements:
+    bound = octants[signs].get(a)
+    if bound is None:
         return (2, f"{a} is not a Hilbert generator of its octant")
-    bound = norm1(a)
-    if all(dot(ray, b) >= 0 for b in elements if norm1(b) <= bound):
+    if _screens(ray, octants[signs], bound):
         return None
     points = octant_points_bounded(OctantSemigroup(lat, signs), bound)
     b = next(b for b in points if dot(ray, b) < 0)
@@ -475,9 +475,7 @@ def verify_family(
         )
     fan_count = coherent_fan(fam.lifted).mdd_count
     fan_match = fan_count == fam.predicted_mdd_count
-    brute_total = None
-    brute_coherent = None
-    brute_match = None
+    brute_total = brute_coherent = brute_match = None
     if fam.lifted.n <= brute_force_limit:
         result = enumerate_mdds(fam.lifted, "all")
         brute_total = len(result.mdds)

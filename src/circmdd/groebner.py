@@ -17,6 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InternalInconsistencyError
+from .intlin import norm1
 from .lattice import SINGLE_NEGATIVE_SIGNS, OctantSemigroup, hilbert_basis
 from .mdd import _first_scan_tie, _integer_weights, _tie_error, _tie_plus
 from .network import CirculantNetwork, _routings, vertex_of
@@ -87,12 +88,20 @@ def _graded_basis(net: CirculantNetwork):
     return [g[3:] for g in _buchberger(_lattice_ideal_basis(net), w0)]
 
 
+def _octant_norms(lat):
+    """Per single-negative sign pattern, the Hilbert basis of its octant
+    as a dict from each generator to its 1-norm, in basis order."""
+    return {
+        s: {b: norm1(b) for b in hilbert_basis(OctantSemigroup(lat, s)).elements}
+        for s in SINGLE_NEGATIVE_SIGNS
+    }
+
+
 def _wall_inputs(lat):
     """What fan.verify_wall reads of a network, computed once per fan:
-    its lattice, the Hilbert basis of each single-negative octant and
-    _graded_basis, whose normal-form degrees are distances."""
-    octants = {s: hilbert_basis(OctantSemigroup(lat, s)).elements for s in SINGLE_NEGATIVE_SIGNS}
-    return lat, octants, _graded_basis(lat.net)
+    its lattice, _octant_norms and _graded_basis, whose normal-form
+    degrees are distances."""
+    return lat, _octant_norms(lat), _graded_basis(lat.net)
 
 
 def _led(basis):
@@ -246,8 +255,9 @@ def _flip(basis, wall, iw):
 
     One flip of Fukuda-Jensen-Thomas ("Computing Groebner fans", Math.
     Comp. 2007), the local step of the Groebner walk
-    (Collart-Kalkbrener-Mall 1997). basis is a Groebner basis of I_L for
-    the order of some weight, each vector led by its plus part.
+    (Collart-Kalkbrener-Mall 1997). basis must be the reduced Groebner
+    basis of I_L for the order of some weight, each vector led by its
+    plus part, as every basis _sector_leads returns is.
 
     1. The wall must bound that order's cone: o.g >= 0 for the wall ray
        o and every sum-zero g. The sum-zero g with o.g = 0 are parallel,
@@ -262,7 +272,12 @@ def _flip(basis, wall, iw):
     3. An old lead keeps its vector, lead e keeps e, and a new lead m
        lifts to m - NF(m) under basis. Then each trailing term is
        reduced under the new set, which gives the reduced basis for the
-       order "degree, then o, then iw, then lex".
+       order "degree, then o, then iw, then lex". Only the trailing
+       terms that lead e divides can reduce, so only those are: the
+       trailing terms of basis and each NF(m) are standard for the old
+       leads, e's old lead t among them, and e trails with t, which no
+       other old lead divides. Each remainder of step 2 is a multiple
+       of t other than t, so no new m divides any of these terms.
     4. Every sum-zero vector must be led under iw (_is_led). Then the
        leads lie in the initial ideal for iw, which so contains the one
        for the order of step 3; both orders are degree-compatible, so
@@ -323,5 +338,9 @@ def _flip(basis, wall, iw):
                 t0, t1, t2 = _normal_form(old, m0, m1, m2)
                 a = (m0 - t0, m1 - t1, m2 - t2)
             elements.append(m + a)
-    _reduce_trailing(elements)
+    for i, (l0, l1, l2, a0, a1, a2) in enumerate(elements):
+        t0, t1, t2 = l0 - a0, l1 - a1, l2 - a2
+        if f0 <= t0 and f1 <= t1 and f2 <= t2:
+            t0, t1, t2 = _normal_form(elements, t0, t1, t2)
+            elements[i] = (l0, l1, l2, l0 - t0, l1 - t1, l2 - t2)
     return elements if _is_led([g[3:] for g in elements], iw) else None

@@ -330,7 +330,8 @@ def enumerate_mdds(
     routing_choice_count is the product of the route counts (the
     choices minimality alone allows).
 
-    mode="coherent_only" keeps the coherent diagrams. The candidates at
+    mode="coherent_only" keeps the coherent diagrams; past four steps it
+    raises UnsupportedArityError before any search. The candidates at
     vertex i other than its cell D(i) are the minimal generators of the
     ideal off the image that are minimal routings of i. Any other
     minimal routing b of i is g + c for such a g of a vertex v, and
@@ -343,6 +344,8 @@ def enumerate_mdds(
 
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
+    if mode == "coherent_only" and net.r > 4:
+        raise UnsupportedArityError("coherence is decided for at most four steps", r=net.r)
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
     n, r = net.n, net.r
@@ -445,10 +448,6 @@ def enumerate_mdds(
             due[q] = 1
 
     if mode == "coherent_only":
-        if r > 4:
-            raise UnsupportedArityError(
-                "coherence is decided for at most four steps", r=r
-            )
         kept = (_has_solution(_directions(gaps, r, width)[1], r) for gaps in gapsets)
         leaves = list(compress(leaves, kept))
     leaves.sort()

@@ -355,13 +355,11 @@ def test_lead_sets_match_the_definition_on_random_networks():
     assert (sectors, pivotless) == (699, 23)
 
 
-def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
-    # the census flips each sector's basis across the wall it crosses;
-    # every key must equal the one Buchberger's algorithm gives from the
-    # graded basis, and no flip may fall back
-    counts, _ = count_groebner_paths(monkeypatch)
-    rng = random.Random(13)
-    nets = sectors = pivotless = 0
+def walled_random_fans(seed):
+    """The fans of 1000 seeded random three-step networks, n < 64, that
+    have at least two walls, with their networks."""
+    rng = random.Random(seed)
+    nets = 0
     while nets < 1000:
         n = rng.randrange(8, 64)
         steps = rng.sample(range(1, n), 3)
@@ -369,10 +367,20 @@ def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
             continue
         net = build_network(n, steps)
         fan = coherent_fan(net)
-        if len(fan.walls) < 2:
-            continue
+        if len(fan.walls) >= 2:
+            nets += 1
+            yield net, fan
+
+
+def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
+    # the census flips each sector's basis across the wall it crosses;
+    # every key must equal the one Buchberger's algorithm gives from the
+    # graded basis, and no flip may fall back
+    counts, _ = count_groebner_paths(monkeypatch)
+    nets = sectors = pivotless = 0
+    for net, fan in walled_random_fans(13):
         nets += 1
-        unit = any(gcd(s, n) == 1 for s in steps)
+        unit = any(gcd(s, net.n) == 1 for s in net.steps)
         start = _graded_basis(net)
         for w, leads in sector_lead_sets(net, fan):
             assert leads == tuple(sorted(g[:3] for g in groebner._buchberger(start, w))), (net, w)
@@ -402,6 +410,31 @@ def test_flips_across_any_ray_keep_the_key(monkeypatch):
             ray = rng.choice(rays)
             assert _sector_leads(net, w, keyed[i][1], ray)[0] == keyed[j][0], (q, i, w, ray)
     assert counts["fallbacks"] > 0
+
+
+def test_census_flips_equal_buchberger_bases(monkeypatch):
+    # every flip the census makes returns the reduced basis Buchberger's
+    # algorithm completes from the same input, vectors included, so a
+    # trailing term left unreduced shows, which a key would not: on
+    # family lifts and on the random networks of the key test above
+    flips = []
+    flip = groebner._flip
+
+    def recorded(basis, wall, iw):
+        result = flip(basis, wall, iw)
+        flips.append((basis, iw, result))
+        return result
+
+    monkeypatch.setattr(groebner, "_flip", recorded)
+    for q in (2, 5, 8, 14, 29):
+        coherent_fan(build_family(q).lifted)
+    for _ in walled_random_fans(13):
+        pass
+    for basis, iw, result in flips:
+        assert result is not None, (basis, iw)
+        assert sorted(result) == sorted(groebner._buchberger(basis, iw)), (basis, iw)
+    # one flip into every sector but the first: 3(q + 2) - 1 per lift
+    assert len(flips) == 11 + 20 + 29 + 47 + 92 + 2275 - 1000
 
 
 def test_family_q8_lead_sets_are_the_coherent_staircases():
@@ -446,6 +479,43 @@ def test_family_census_runs_buchberger_once_per_network(monkeypatch):
     for q in (2, 5, 8):
         assert verify_family(q).ok
     assert counts == {"buchberger": 3, "flips": 60, "fallbacks": 0}
+
+
+def test_flip_normal_form_calls_are_pinned(monkeypatch):
+    # family verify 2, 5 and 8: the 60 flips take 660 normal forms, for
+    # step 2's remainders, the new leads and the trailing terms that the
+    # flipped element's new lead divides; reducing every trailing term
+    # took 1432
+    flip, normal_form = groebner._flip, groebner._normal_form
+    inside = []
+    calls = []
+
+    def counted_flip(*args):
+        inside.append(args)
+        try:
+            return flip(*args)
+        finally:
+            inside.pop()
+
+    def counted_normal_form(*args):
+        if inside:
+            calls.append(args)
+        return normal_form(*args)
+
+    monkeypatch.setattr(groebner, "_flip", counted_flip)
+    monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
+    for q in (2, 5, 8):
+        assert verify_family(q).ok
+    assert len(calls) == 660
+
+
+def test_family_q50_census_flips_without_fallback(monkeypatch):
+    # flips from bases of 58 elements on average, up to 105, where
+    # skipping the trailing terms that cannot reduce saves the most
+    counts, _ = count_groebner_paths(monkeypatch)
+    result = verify_family(50)
+    assert result.ok and result.fan_mdd_count == 156
+    assert counts == {"buchberger": 1, "flips": 155, "fallbacks": 0}
 
 
 def test_graded_basis_is_the_reduced_basis_of_one_sector():

@@ -1,8 +1,11 @@
-"""Every circmdd module uses each name it imports.
+"""Every circmdd module uses each name it imports and stays short.
 
 No linter ships with the project, so this is the unused-import check:
 a name bound by an import statement must appear somewhere else in the
 module. ``__init__`` is exempt, since its imports are the public API.
+It is also the module-length check: no module, ``__init__`` included,
+has more than MAX_LINES lines, since compiling the largest module sets
+the peak memory of a process that imports circmdd without bytecode.
 """
 
 import ast
@@ -12,9 +15,9 @@ import pytest
 
 import circmdd
 
-MODULES = sorted(
-    p for p in Path(circmdd.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(circmdd.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+MAX_LINES = 500
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,8 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_module_has_at_most_max_lines(path):
+    assert len(path.read_text(encoding="utf-8").splitlines()) <= MAX_LINES

@@ -303,32 +303,44 @@ def test_enumerate_default_budget_refuses_the_q11_lift():
 def check_against_plain_dfs(net, mode, budget=None):
     """enumerate_mdds equals the plain search: the same diagrams, kept by
     the same cone test of their gapsets in mode "coherent_only", the same
-    routing count, and the budget raises exactly below its visits.
-    Returns the dead ends the plain search met, or None past budget."""
+    routing count, and the budget raises exactly below its visits; past
+    four steps "coherent_only" raises UnsupportedArityError whatever the
+    budget. Returns the dead ends the plain search met, or None past
+    budget."""
     found = mdds_by_plain_dfs(net, budget)
     if found is None:
         return None
     leaves, gapsets, visits, dead_ends = found
     r = net.r
     if mode == "coherent_only" and r > 4:
-        with pytest.raises(UnsupportedArityError):
-            enumerate_mdds(net, mode, budget=visits)
-    else:
-        if mode == "coherent_only":
-            width = packed_width(net.n)
-            leaves = [
-                leaf
-                for leaf, gaps in zip(leaves, gapsets)
-                if _feasible(_directions(gaps, r, width)[1], r) is not None
-            ]
-        result = enumerate_mdds(net, mode, budget=visits)
-        check_packed_result(net, mode, result)
-        assert [m.cells for m in result.mdds] == sorted(leaves), (net, mode)
-        _, paths = minimal_paths_by_scan(net.n, net.steps)
-        assert result.routing_choice_count == prod(map(len, paths)), net
+        for least in (visits, visits - 1):
+            with pytest.raises(UnsupportedArityError):
+                enumerate_mdds(net, mode, budget=least)
+        return dead_ends
+    if mode == "coherent_only":
+        width = packed_width(net.n)
+        leaves = [
+            leaf
+            for leaf, gaps in zip(leaves, gapsets)
+            if _feasible(_directions(gaps, r, width)[1], r) is not None
+        ]
+    result = enumerate_mdds(net, mode, budget=visits)
+    check_packed_result(net, mode, result)
+    assert [m.cells for m in result.mdds] == sorted(leaves), (net, mode)
+    _, paths = minimal_paths_by_scan(net.n, net.steps)
+    assert result.routing_choice_count == prod(map(len, paths)), net
     with pytest.raises(BudgetExceededError):
         enumerate_mdds(net, mode, budget=visits - 1)
     return dead_ends
+
+
+def test_coherent_only_refuses_five_steps_before_searching():
+    # the arity is checked first: a budget of one, which the search
+    # would exceed at its first walk, still reports the arity
+    net = build_network(500, [3, 37, 101, 233, 377])
+    with pytest.raises(UnsupportedArityError):
+        enumerate_mdds(net, "coherent_only", budget=1)
+    assert len(enumerate_mdds(net, budget=10**6).leaves) == 850
 
 
 def check_packed_result(net, mode, result):
