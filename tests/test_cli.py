@@ -416,6 +416,10 @@ GOLDEN = {
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),
     "mdd-build-svg": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg", 0, "f8756fa620364d89a66a483edb4fef1c0f9b153f93eeb96008b72d5d870588b5"),
     "mdd-build-tie-lex": ("mdd build 9 1,4 --weight 1,1 --tie lex", 0, "c8e563cd3ec4ee8d7e2579d927f2e32db8868c5414cee323fcbad43d416f3490"),
+    # diameters 40 and 11: deep enough to show any change in the level
+    # by level construction; the five-step weight ties, so lex decides
+    "mdd-build-q5-lex": ("mdd build 992 33,161,801 --weight 7,2,0 --tie lex", 0, "691848477461347a6a24d79ec0ab05184d9f451bdbd87f6d7347eee739a1a6bf"),
+    "mdd-build-r5-lex": ("mdd build 500 3,37,101,233,377 --weight 1,0,1,0,1 --tie lex", 0, "fbf76081b43f7950774023648306e050373e2cf6f30b85762636f4d8cc3ff042"),
     "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
     "mdd-build-layer-axis": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg --layer-axis 7", 2, "5e21ac22cd197308ac7b49dd062537450f87539d3c98e94b39471d20140b3753"),
     "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
