@@ -25,7 +25,7 @@ from operator import lshift
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
 from .mdd import Mdd
-from .network import distance_table, packed_width
+from .network import _packed_fields, distance_table, packed_width
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,9 @@ def _directions(codes, r: int, width: int):
     """Decoded differences of packed codes (see packed_width) of the
     given field width, and their distinct primitive reduced directions,
     sorted."""
-    shifts = [width * (r - 1 - k) for k in range(r)]
+    mask, shifts = _packed_fields(width, r)
     # a bias of half a field on every field keeps each one nonnegative
     half = 1 << (width - 1)
-    mask = (1 << width) - 1
     bias = sum(half << shift for shift in shifts)
     diffs = [tuple(((c + bias) >> shift & mask) - half for shift in shifts) for c in codes]
     return diffs, sorted({primitive(_reduced_coords(d)) for d in diffs})
@@ -258,7 +257,7 @@ def is_coherent(mdd: Mdd) -> CoherenceResult:
     table = distance_table(net)
     dist = table.dist
     width = packed_width(net.n)
-    shifts = [width * (r - 1 - k) for k in range(r)]
+    shifts = _packed_fields(width, r)[1]
     cells = [sum(map(lshift, cell, shifts)) for cell in mdd.cells]
     codes: set[int] = set()
     for s, shift in zip(net.steps, shifts):

@@ -35,10 +35,10 @@ from .network import (
     _bfs_levels,
     _count_routes,
     _levels_of,
+    _packed_fields,
     distance_table,
     distances,
     packed_width,
-    route_counts,
     vertex_of,
 )
 
@@ -142,31 +142,31 @@ def _integer_weights(net, w):
 def _least_routings(table, iw) -> tuple[PathVector, ...]:
     """Per vertex, its least routing by weight, then lex.
 
-    Dynamic programming over the table's distance levels: the key of a
-    routing is its weight shifted above its packed code, so keys add
-    like routings and compare by weight, then lexicographically, and a
-    vertex's key is the least key of a predecessor one level down plus
-    the key of the arc. The codes are those of table.cells, which turns
-    each into its shared tuple.
+    Dynamic programming over table.levels: the key of a routing is its
+    weight shifted above its packed code, so keys add like routings and
+    compare by weight, then lex, and the key of vertex i is the least
+    keys[i - s_j] + key(e_j); a predecessor not one level down is still
+    unset (absent). table.cells turns each code into its shared tuple.
     """
     r = table.net.r
     store = table.cells
     codebits = store.bits
     units = [(x << codebits) + (1 << s) for x, s in zip(iw, store.shifts)]
+    levels = table.levels
     # heavier than any key of a routing, plus any arc
-    absent = (sum(map(abs, iw)) * (max(table.dist) + 1) + 1) << codebits
+    absent = (sum(map(abs, iw)) * len(levels) + 1) << codebits
+    keys = [absent] * len(table.dist)
+    keys[0] = 0
+    get = keys.__getitem__
+    arcs = [((-s).__add__, u.__add__) for s, u in zip(table.net.steps, units)]
+    for level in levels[1:]:
+        # i - s lies in (-n, n), and a negative index wraps
+        arms = [map(add, map(get, map(back, level))) for back, add in arcs]
+        # all of a level's keys are read before any of them is set
+        for i, key in zip(level, list(map(min, *arms) if r > 1 else arms[0])):
+            keys[i] = key
     code = (1 << codebits) - 1
-    order, position, bounds, preds = table.levels
-    codes = [0] * len(position)  # by place
-    keys = [0, absent]
-    for d in range(1, len(bounds) - 1):
-        start, stop = bounds[d], bounds[d + 1]
-        get = keys.__getitem__
-        arms = [map(u.__add__, map(get, p[start:stop])) for u, p in zip(units, preds)]
-        keys = list(map(min, *arms) if r > 1 else arms[0])
-        codes[start:stop] = map(code.__and__, keys)
-        keys.append(absent)
-    return tuple(map(store.__getitem__, map(codes.__getitem__, position)))
+    return tuple(map(store.__getitem__, map(code.__and__, keys)))
 
 
 def _first_tie(table, iw):
@@ -198,7 +198,7 @@ def _first_tie(table, iw):
     net = table.net
     dist = table.dist
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
-        counts = route_counts(net, dist)
+        counts = _count_routes(net.steps, dist, table.levels)
         return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
     plus = _tie_plus(net, iw)
     u = vertex_of(net, plus)
@@ -358,8 +358,7 @@ def enumerate_mdds(
     # one field per coordinate, first coordinate highest; fields never
     # carry, and a difference of two codes decodes (see packed_width)
     width = packed_width(n)
-    mask = (1 << width) - 1
-    shifts = [width * (r - 1 - j) for j in range(r)]
+    mask, shifts = _packed_fields(width, r)
     checks = [(s, shift, 1 << shift) for s, shift in zip(net.steps, shifts)]
     # a candidate is taken along its first step j only, so once: its code
     # lies below unit << width, and only the fields after j need checks

@@ -8,11 +8,9 @@ sum(a_l * s_l) = i mod n; its length is the coordinate sum.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 from .errors import (
     ArityMismatchError,
@@ -52,8 +50,7 @@ class _CellStore(dict):
     def __init__(self, n: int, r: int):
         width = packed_width(n)
         self.bits = width * r  # every code lies below 1 << bits
-        self.mask = (1 << width) - 1
-        self.shifts = tuple(width * (r - 1 - j) for j in range(r))
+        self.mask, self.shifts = _packed_fields(width, r)
 
     def add(self, codes) -> None:
         """Decode the given distinct codes that are not stored yet, all
@@ -73,10 +70,10 @@ class _CellStore(dict):
 class DistanceTable:
     """Distances from vertex 0, and what is derived from them on demand.
 
-    minimal_paths, levels, cells and the tail bits of the routing walk
-    are cached on the instance when first read, so they live and die
-    with the table (and with distance_table's cache); they take no part
-    in equality, which compares net and dist.
+    minimal_paths, levels (the vertices by distance), cells and the
+    tail bits of the routing walk are cached on the instance when first
+    read, so they live and die with the table (and with distance_table's
+    cache); they take no part in equality, which compares net and dist.
     """
 
     net: CirculantNetwork
@@ -113,50 +110,13 @@ class DistanceTable:
         order the steps are taken in)."""
         steps, dist = self.net.steps, self.dist
         tails = []
-        _count_routes(steps[:0:-1], dist, _levels_of(dist), tails)
+        _count_routes(steps[:0:-1], dist, self.levels, tails)
         return tuple(reversed(tails))
 
     @cached_property
-    def levels(self) -> tuple[array, array, tuple[int, ...], tuple[array, ...]]:
-        """(order, position, bounds, pred): the vertices level by level.
-
-        order[p] is the vertex at place p of the (distance, vertex)
-        order, and position[i] the place of vertex i. Level d holds the
-        places bounds[d] to bounds[d + 1] - 1. For the vertex i at place
-        p of a level d >= 1, pred[j][p] is the index of i - s_j within
-        level d - 1 when that vertex is at distance d - 1, and the size
-        of level d - 1 otherwise. Built from dist alone, for
-        build_coherent_mdd.
-        """
-        n = self.net.n
-        steps = self.net.steps
-        dist = self.dist
-        # two bytes per place while they suffice
-        code = "H" if n <= 1 << 16 else "I"
-        # a counting sort by distance, which keeps vertex order within a
-        # level and no list of n places
-        sizes = [0] * (max(dist) + 2)
-        for d in dist:
-            sizes[d + 1] += 1
-        bounds = tuple(accumulate(sizes))
-        free = list(bounds)
-        order = array(code, [0]) * n
-        position = array(code, [0]) * n
-        for i, d in enumerate(dist):
-            place = position[i] = free[d]
-            order[place] = i
-            free[d] = place + 1
-        pred = tuple(array(code, [0]) * n for _ in steps)
-        for d in range(1, len(bounds) - 1):
-            below, start, stop = bounds[d - 1], bounds[d], bounds[d + 1]
-            for p in range(start, stop):
-                i = order[p]
-                for j, s in enumerate(steps):
-                    # i - s lies in (-n, n), and a negative index wraps;
-                    # dist[i - s] >= dist[i] - 1 always
-                    v = i - s
-                    pred[j][p] = position[v] - below if dist[v] < d else start - below
-        return order, position, bounds, pred
+    def levels(self) -> list[list[int]]:
+        """The vertices grouped by distance, in vertex order (_levels_of)."""
+        return _levels_of(self.dist)
 
 
 def _routings(net: CirculantNetwork, i: int, d: int) -> tuple[PathVector, ...]:
@@ -228,6 +188,12 @@ def packed_width(n: int) -> int:
     return n.bit_length() + 1
 
 
+def _packed_fields(width: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """(mask, shifts) of packed codes of r fields of the given width:
+    field j of a code c is c >> shifts[j] & mask."""
+    return (1 << width) - 1, tuple(width * (r - 1 - j) for j in range(r))
+
+
 def build_network(n: int, steps) -> CirculantNetwork:
     """Validate (n, steps) and return the normalized network.
 
@@ -291,8 +257,8 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
     Cached per network, with everything the table derives on demand:
     the tail bits of the routing walk, the whole routing table
-    (minimal_paths, which is_coherent does not read), and the distance
-    levels and the cell store of build_coherent_mdd. No fan reads a
+    (minimal_paths, which is_coherent does not read), and the levels
+    and the cell store that build_coherent_mdd reads. No fan reads a
     table: its distances are normal-form degrees
     (groebner._graded_basis) and its sectors are keyed by Groebner lead
     sets, walls or not. The table is immutable and safe to share.
@@ -382,16 +348,17 @@ def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
     number of minimal routings a of i with a_j = 0 for every j > m. Any
     sub-vector of a minimal routing is minimal, so the routings with
     a_m > 0 are exactly e_m plus one of those counted for i - s_m, and
-    there are some only when dist[i - s_m] == dist[i] - 1. Taking the vertices level by level,
-    each step adds
+    there are some only when dist[i - s_m] == dist[i] - 1. Taking the
+    vertices level by level, each step adds
 
         count[i] += count[i - s_m]  if dist[i - s_m] == dist[i] - 1,
 
     from count[0] = 1 and every other count 0: r integer terms per
     vertex (_count_routes). Equal to the lengths of
     distance_table(net).minimal_paths. The levels come from one pass
-    over dist (_levels_of); a caller that holds them (the levels of
-    _bfs_levels, say) calls _count_routes with them.
+    over dist (_levels_of); a caller that holds them (those of
+    _bfs_levels or DistanceTable.levels, say) calls _count_routes with
+    them.
     """
     return _count_routes(net.steps, dist, _levels_of(dist))
 

@@ -6,9 +6,13 @@ module. ``__init__`` is exempt, since its imports are the public API.
 It is also the module-length check: no module, ``__init__`` included,
 has more than MAX_LINES lines, since compiling the largest module sets
 the peak memory of a process that imports circmdd without bytecode.
+And it is the dead-helper check: every module-level private function or
+class is referenced somewhere in circmdd outside its own definition, so
+deleting a caller cannot leave its helper behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,41 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_module_has_at_most_max_lines(path):
     assert len(path.read_text(encoding="utf-8").splitlines()) <= MAX_LINES
+
+
+def _referenced_names(tree) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level private function or class that
+    no module references outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(_referenced_names, trees.values()), Counter())
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, defines)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and everywhere[node.name] == _referenced_names(node)[node.name]
+    )
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive(k):\n    return _recursive(k - 1)\n",
+        "b": "from a import _used\n\nclass _Dead:\n    pass\n\nprint(_used())\n",
+    }
+    assert dead_helpers(sources) == ["a._recursive", "b._Dead"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert dead_helpers(sources) == []

@@ -223,19 +223,13 @@ def test_distance_levels_follow_the_distances(r):
             continue
         checked += 1
         dist = bfs_distances(n, net.steps)
-        order, position, bounds, pred = distance_table(net).levels
-        order = list(order)
-        assert order == sorted(range(n), key=lambda i: (dist[i], i))
-        assert [position[i] for i in order] == list(range(n))
-        # level d starts after the vertices closer than d
-        assert bounds == tuple(sum(x < d for x in dist) for d in range(max(dist) + 2))
-        for d in range(1, len(bounds) - 1):
-            below, start = bounds[d - 1], bounds[d]
-            for p in range(start, bounds[d + 1]):
-                for j, s in enumerate(net.steps):
-                    v = (order[p] - s) % n
-                    one_down = dist[v] == d - 1
-                    assert pred[j][p] == (position[v] - below if one_down else start - below)
+        levels = distance_table(net).levels
+        # one list per distance 0..D, each in vertex order
+        assert len(levels) == max(dist) + 1
+        for d, level in enumerate(levels):
+            assert level == sorted(level) and {dist[i] for i in level} == {d}
+        flat = [i for level in levels for i in level]
+        assert flat == sorted(range(n), key=lambda i: (dist[i], i))
 
 
 def test_derived_structures_live_and_die_with_the_table():
