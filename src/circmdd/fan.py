@@ -459,10 +459,11 @@ def verify_family(
     Compares each per-octant Hilbert basis of the base network with the
     closed form, runs the fan on the lifted network against 3(q + 2),
     and for lifted sizes up to brute_force_limit also enumerates all
-    diagrams and counts the coherent ones. Mismatches are reported,
-    never absorbed.
+    diagrams and counts the coherent ones, by one coherent_only search:
+    its found count is every diagram and its leaves, kept by a cone
+    test, the coherent ones; no diagram is decoded. Mismatches are
+    reported, never absorbed.
     """
-    from .coherence import is_coherent
     from .mdd import enumerate_mdds
 
     fam = build_family(q, k, t)
@@ -477,9 +478,8 @@ def verify_family(
     fan_match = fan_count == fam.predicted_mdd_count
     brute_total = brute_coherent = brute_match = None
     if fam.lifted.n <= brute_force_limit:
-        result = enumerate_mdds(fam.lifted, "all")
-        brute_total = len(result.mdds)
-        brute_coherent = sum(1 for m in result.mdds if is_coherent(m).coherent)
+        result = enumerate_mdds(fam.lifted, "coherent_only")
+        brute_total, brute_coherent = result.found, len(result.leaves)
         brute_match = brute_coherent == fan_count
     ok = (
         all(c.match for c in checks)

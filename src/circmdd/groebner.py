@@ -264,20 +264,35 @@ def _flip(basis, wall, iw):
        and with minimal leads at most one, e, is held; without it the
        ray is no facet of the cone.
     2. The initial ideal of I_L under "degree, then o" is generated by
-       the other leads and e, which is oriented by (iw.e, lex).
-       Buchberger's algorithm on these monomials and one binomial adds
-       each nonzero remainder of lcm(lead e, m) - e, for m a monomial
-       sharing a variable with lead e, as a monomial. The new leads are
-       the minimal monomials.
-    3. An old lead keeps its vector, lead e keeps e, and a new lead m
+       the other leads and e, which is oriented by (iw.e, lex); call its
+       lead f, and t its lead in basis. Buchberger's algorithm on these
+       monomials and one binomial adds each nonzero remainder of
+       lcm(f, m) - e, for m a monomial sharing a variable with f, as a
+       monomial, unless a monomial held then divides it. The new leads
+       are the minimal monomials.
+    3. Two kinds of pair are checked for that (_minimal_leads): f
+       against the old leads, and each remainder against the later
+       ones. No other pair can divide. No old lead divides another.
+       When f = t, so none divides f, every vector of basis keeps its
+       lead under "degree, then o, then iw" (step 1), so basis is a
+       Groebner basis for it, every S-pair reduces to zero and there is
+       no remainder. Otherwise e = f - t and f trails e in basis, a
+       standard monomial, so no old lead divides f; and lcm(f, m) - e =
+       lcm(f, m) - f + t stays a multiple of t under each reduction by
+       e, so a remainder is a multiple of t of degree above |f| = |t|,
+       m not dividing f. It then divides neither f nor an old lead,
+       which t would then divide; f does not divide it, a normal form
+       under e; and step 2 kept it only if no old lead and no earlier
+       remainder divides it.
+       An old lead keeps its vector, f keeps e, and a new lead m
        lifts to m - NF(m) under basis. Then each trailing term is
        reduced under the new set, which gives the reduced basis for the
        order "degree, then o, then iw, then lex". Only the trailing
-       terms that lead e divides can reduce, so only those are: the
+       terms that f divides can reduce, so only those are: the
        trailing terms of basis and each NF(m) are standard for the old
-       leads, e's old lead t among them, and e trails with t, which no
-       other old lead divides. Each remainder of step 2 is a multiple
-       of t other than t, so no new m divides any of these terms.
+       leads, t among them, and e trails with t, which no other old
+       lead divides. Each remainder is a multiple of t other than t, so
+       no new m divides any of these terms.
     4. Every sum-zero vector must be led under iw (_is_led). Then the
        leads lie in the initial ideal for iw, which so contains the one
        for the order of step 3; both orders are degree-compatible, so
@@ -310,6 +325,9 @@ def _flip(basis, wall, iw):
     binomial = [(f0, f1, f2, e0, e1, e2)]
     # the monomials are read while they grow
     monomials = list(vectors)
+    # the last divisor found is tried first: f at the start, which
+    # divides no normal form under e
+    x0, x1, x2 = f0, f1, f2
     for m0, m1, m2 in monomials:
         if not ((f0 and m0) or (f1 and m1) or (f2 and m2)):
             continue
@@ -319,28 +337,43 @@ def _flip(basis, wall, iw):
             (f1 if f1 > m1 else m1) - e1,
             (f2 if f2 > m2 else m2) - e2,
         )
+        if x0 <= u0 and x1 <= u1 and x2 <= u2:
+            continue  # u reduces to zero
         for x0, x1, x2 in monomials:
             if x0 <= u0 and x1 <= u1 and x2 <= u2:
-                break  # u reduces to zero
-        else:
-            monomials.append((u0, u1, u2))
-    vectors[f0, f1, f2] = (e0, e1, e2)
-    elements = []
-    # a divisor sorts before its multiples, so each kept lead is minimal
-    for m in sorted(monomials + [(f0, f1, f2)], key=sum):
-        m0, m1, m2 = m
-        for g in elements:
-            if g[0] <= m0 and g[1] <= m1 and g[2] <= m2:
                 break
         else:
-            a = vectors.get(m)
-            if a is None:
-                t0, t1, t2 = _normal_form(old, m0, m1, m2)
-                a = (m0 - t0, m1 - t1, m2 - t2)
-            elements.append(m + a)
+            monomials.append((u0, u1, u2))
+    k = len(vectors)
+    vectors[f0, f1, f2] = (e0, e1, e2)
+    elements = []
+    for m in _minimal_leads(monomials[:k], (f0, f1, f2), monomials[k:]):
+        a = vectors.get(m)
+        if a is None:
+            m0, m1, m2 = m
+            t0, t1, t2 = _normal_form(old, m0, m1, m2)
+            a = (m0 - t0, m1 - t1, m2 - t2)
+        elements.append(m + a)
     for i, (l0, l1, l2, a0, a1, a2) in enumerate(elements):
         t0, t1, t2 = l0 - a0, l1 - a1, l2 - a2
         if f0 <= t0 and f1 <= t1 and f2 <= t2:
             t0, t1, t2 = _normal_form(elements, t0, t1, t2)
             elements[i] = (l0, l1, l2, l0 - t0, l1 - t1, l2 - t2)
     return elements if _is_led([g[3:] for g in elements], iw) else None
+
+
+def _minimal_leads(olds, f, remainders):
+    """The new leads of step 3 of _flip, sorted by sum, ties in the
+    order olds, remainders, f: the old leads other than t that f does
+    not divide, the remainders that no later remainder divides, and f.
+    No other pair of these monomials can divide (see _flip)."""
+    f0, f1, f2 = f
+    kept = [m for m in olds if not (f0 <= m[0] and f1 <= m[1] and f2 <= m[2])]
+    for j, (m0, m1, m2) in enumerate(remainders, 1):
+        for x0, x1, x2 in remainders[j:]:
+            if x0 <= m0 and x1 <= m1 and x2 <= m2:
+                break
+        else:
+            kept.append((m0, m1, m2))
+    kept.append(f)
+    return sorted(kept, key=sum)

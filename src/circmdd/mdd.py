@@ -60,14 +60,15 @@ class Mdd:
 @dataclass(frozen=True)
 class EnumerationResult:
     """Diagrams as enumerate_mdds finds them: leaves holds each one's
-    cells by vertex as packed codes (see packed_width), sorted. cells
-    decodes a code into one shared tuple per distinct code, and mdds
-    decodes every diagram on first read; both are cached on the
-    instance, and neither is a field."""
+    cells by vertex as packed codes (see packed_width), sorted; found
+    counts the search's leaves before any coherence filter. cells and
+    mdds, cached and not fields, decode each distinct code once into a
+    shared tuple and every diagram on first read."""
 
     net: CirculantNetwork
     leaves: tuple[tuple[int, ...], ...]
     routing_choice_count: int
+    found: int
 
     @cached_property
     def cells(self) -> _CellStore:
@@ -346,8 +347,7 @@ def enumerate_mdds(
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
     if mode == "coherent_only" and net.r > 4:
         raise UnsupportedArityError("coherence is decided for at most four steps", r=net.r)
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     n, r = net.n, net.r
     dist = distances(net)
     levels = _levels_of(dist)
@@ -446,11 +446,11 @@ def enumerate_mdds(
         for q in outs[f] + forks[k:end]:
             due[q] = 1
 
+    found = len(leaves)
     if mode == "coherent_only":
         kept = (_has_solution(_directions(gaps, r, width)[1], r) for gaps in gapsets)
-        leaves = list(compress(leaves, kept))
-    leaves.sort()
-    return EnumerationResult(net, tuple(leaves), prod(counts))
+        leaves = compress(leaves, kept)
+    return EnumerationResult(net, tuple(sorted(leaves)), prod(counts), found)
 
 
 def is_unique_mdd(net: CirculantNetwork) -> bool:

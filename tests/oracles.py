@@ -428,3 +428,13 @@ def net_info_payload(net, dist, counts) -> dict:
         "dist": list(dist),
         "route_counts": list(counts),
     }
+
+
+def brute_force_counts_by_decoding(net, enumerate_mdds, is_coherent) -> tuple[int, int]:
+    """(all diagrams, coherent diagrams) of the network the long way:
+    enumerate_mdds in mode "all", every diagram decoded, and the full
+    is_coherent, witness and refutation, run on each. The library's two
+    functions are passed in, as this module imports none of it.
+    verify_family must count the same from one coherent_only search."""
+    mdds = enumerate_mdds(net, "all").mdds
+    return len(mdds), sum(1 for m in mdds if is_coherent(m).coherent)

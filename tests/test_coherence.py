@@ -315,8 +315,10 @@ def test_coherence_results_are_pinned_on_random_networks():
             digest.update((repr(result) + "\n").encode())
             if result.coherent:
                 kept.append(mdd)
-        # the enumeration's own filter decides from staircase generators
-        assert enumerate_mdds(net, "coherent_only", budget=200_000).mdds == tuple(kept), net
+        # the enumeration's own filter decides from staircase generators,
+        # and its found count is every diagram, before the filter
+        result = enumerate_mdds(net, "coherent_only", budget=200_000)
+        assert (result.mdds, result.found) == (tuple(kept), len(mdds)), net
     assert (diagrams, incoherent) == (889, 36)
     assert digest.hexdigest() == COHERENCE_RESULTS_DIGEST
 

@@ -13,8 +13,11 @@ from circmdd import (
     fan_report,
     hilbert_basis,
     homogeneous_lattice,
+    is_coherent,
     verify_family,
 )
+
+import oracles
 
 
 def test_build_family_q2():
@@ -109,6 +112,33 @@ def test_verify_family_q3_with_brute_force():
     assert v.brute_force_coherent_count == 15
     assert v.brute_force_match
     assert v.ok
+
+
+@pytest.mark.parametrize("q, limit", [(2, 100), (3, 200), (5, 992)])
+def test_brute_force_counts_equal_the_decoding_path(q, limit):
+    # verify_family counts every diagram and the coherent ones from one
+    # coherent_only search; decoding each diagram and running the full
+    # is_coherent on it must count the same
+    v = verify_family(q, brute_force_limit=limit)
+    counts = (v.brute_force_total_count, v.brute_force_coherent_count)
+    net = v.family.lifted
+    assert counts == oracles.brute_force_counts_by_decoding(net, enumerate_mdds, is_coherent)
+    assert v.brute_force_match and v.ok
+
+
+def test_brute_force_check_decodes_no_diagram(monkeypatch):
+    # the counts come from the search's leaves: no diagram is decoded
+    # and no is_coherent runs
+    import circmdd.coherence as coherence
+    from circmdd.mdd import EnumerationResult
+
+    def refuse(*args):
+        raise AssertionError("the brute-force check decoded a diagram")
+
+    monkeypatch.setattr(coherence, "is_coherent", refuse)
+    monkeypatch.setattr(EnumerationResult, "mdds", property(refuse))
+    v = verify_family(3, brute_force_limit=200)
+    assert (v.brute_force_total_count, v.brute_force_coherent_count) == (15, 15)
 
 
 def test_q5_brute_force_matches_the_fan():

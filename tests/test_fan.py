@@ -416,18 +416,30 @@ def test_census_flips_equal_buchberger_bases(monkeypatch):
     # every flip the census makes returns the reduced basis Buchberger's
     # algorithm completes from the same input, vectors included, so a
     # trailing term left unreduced shows, which a key would not: on
-    # family lifts and on the random networks of the key test above
+    # family lifts and on the random networks of the key test above.
+    # Step 3 checks minimality only of f against the old leads and of
+    # each remainder against the later ones; both checks drop a lead in
+    # some of these flips
     flips = []
-    flip = groebner._flip
+    dropped = {"old": 0, "remainder": 0}
+    flip, minimal_leads = groebner._flip, groebner._minimal_leads
 
     def recorded(basis, wall, iw):
         result = flip(basis, wall, iw)
         flips.append((basis, iw, result))
         return result
 
+    def counted(olds, f, remainders):
+        leads = minimal_leads(olds, f, remainders)
+        dropped["old"] += any(m not in leads for m in olds)
+        dropped["remainder"] += any(m not in leads for m in remainders)
+        return leads
+
     monkeypatch.setattr(groebner, "_flip", recorded)
+    monkeypatch.setattr(groebner, "_minimal_leads", counted)
     for q in (2, 5, 8, 14, 29):
         coherent_fan(build_family(q).lifted)
+    lifted = dict(dropped)
     for _ in walled_random_fans(13):
         pass
     for basis, iw, result in flips:
@@ -435,6 +447,9 @@ def test_census_flips_equal_buchberger_bases(monkeypatch):
         assert sorted(result) == sorted(groebner._buchberger(basis, iw)), (basis, iw)
     # one flip into every sector but the first: 3(q + 2) - 1 per lift
     assert len(flips) == 11 + 20 + 29 + 47 + 92 + 2275 - 1000
+    # flips that drop an old lead and a remainder, lifts then networks
+    assert lifted == {"old": 199, "remainder": 26}
+    assert {k: dropped[k] - lifted[k] for k in dropped} == {"old": 1046, "remainder": 184}
 
 
 def test_family_q8_lead_sets_are_the_coherent_staircases():
@@ -516,6 +531,15 @@ def test_family_q50_census_flips_without_fallback(monkeypatch):
     result = verify_family(50)
     assert result.ok and result.fan_mdd_count == 156
     assert counts == {"buchberger": 1, "flips": 155, "fallbacks": 0}
+
+
+def test_family_q110_census_flips_without_fallback(monkeypatch):
+    # bases of up to 225 elements: 336 = 3(q + 2) diagrams, one flip
+    # into every sector but the first and no fallback
+    counts, _ = count_groebner_paths(monkeypatch)
+    result = verify_family(110)
+    assert result.ok and result.fan_mdd_count == 336
+    assert counts == {"buchberger": 1, "flips": 335, "fallbacks": 0}
 
 
 def test_graded_basis_is_the_reduced_basis_of_one_sector():

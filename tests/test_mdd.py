@@ -328,6 +328,7 @@ def check_against_plain_dfs(net, mode, budget=None):
         ]
     result = enumerate_mdds(net, mode, budget=visits)
     check_packed_result(net, mode, result)
+    assert result.found == len(found[0]), (net, mode)
     assert [m.cells for m in result.mdds] == sorted(leaves), (net, mode)
     _, paths = minimal_paths_by_scan(net.n, net.steps)
     assert result.routing_choice_count == prod(map(len, paths)), net
