@@ -61,9 +61,10 @@ class Mdd:
 class EnumerationResult:
     """Diagrams as enumerate_mdds finds them: leaves holds each one's
     cells by vertex as packed codes (see packed_width), sorted; found
-    counts the search's leaves before any coherence filter. cells and
-    mdds, cached and not fields, decode each distinct code once into a
-    shared tuple and every diagram on first read."""
+    counts the search's leaves before any coherence filter. mdds, cached
+    and not a field, decodes every diagram on first read, through cells,
+    which turns each distinct code into one shared tuple and serves mdds
+    alone: enumeration_json writes the leaves without either."""
 
     net: CirculantNetwork
     leaves: tuple[tuple[int, ...], ...]

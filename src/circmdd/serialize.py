@@ -17,7 +17,13 @@ from .errors import CircmddError, MalformedDocumentError
 from .fan import FamilyNetwork, FamilyVerification, FanReport, FanSummary
 from .lattice import HilbertBasis, HomogeneousLattice, signs_str
 from .mdd import Mdd
-from .network import CirculantNetwork, DistanceTable, build_network
+from .network import (
+    CirculantNetwork,
+    DistanceTable,
+    _packed_fields,
+    build_network,
+    packed_width,
+)
 
 
 def canonical_json(payload) -> str:
@@ -69,13 +75,39 @@ def mdd_payload(mdd: Mdd) -> dict:
     }
 
 
+class _CellTexts(dict):
+    """JSON texts of cells by packed code (see packed_width), each made
+    on first use from the code alone: the text of its leading r - 1
+    fields, kept in a store of their own (closed with ","), since cells
+    share it, then its last field and the closing text. For r = 1 the
+    leading code is 0 and its text "["."""
+
+    def __init__(self, width: int, r: int, close: str = "]"):
+        self.width, self.close = width, close
+        self.mask = _packed_fields(width, r)[0]
+        self.heads = _CellTexts(width, r - 1, ",") if r > 1 else {0: "["}
+
+    def __missing__(self, code: int) -> str:
+        head = self.heads[code >> self.width]
+        text = self[code] = f"{head}{code & self.mask}{self.close}"
+        return text
+
+
+class _IntTexts(dict):
+    """Decimal texts of integers, each made on first use."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
     """`mdd enumerate`: the canonical JSON text of {network, mode,
     mdd_count, routing_choice_count, mdds}, each diagram its cells as
-    arrays. Diagrams share most of their cells, so each distinct packed
-    code of result.leaves is decoded by result.cells and formatted once,
-    by one "%d" pattern of the network's arity, and each leaf joins the
-    texts; result.mdds is not read."""
+    arrays. Only result.leaves is read: diagrams share most of their
+    cells, so each distinct packed code is written once, on first use,
+    by _CellTexts, and each leaf joins the texts. Nothing is decoded,
+    so result.cells and result.mdds stay unread."""
     leaves = result.leaves
     head = canonical_json({
         "network": network_payload(net),
@@ -83,11 +115,7 @@ def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
         "mdd_count": len(leaves),
         "routing_choice_count": result.routing_choice_count,
     })
-    pattern = "[" + ",".join(["%d"] * net.r) + "]"
-    distinct = set().union(*leaves)
-    result.cells.add(distinct)
-    cells = map(result.cells.__getitem__, distinct)
-    text = dict(zip(distinct, map(pattern.__mod__, cells))).__getitem__
+    text = _CellTexts(packed_width(net.n), net.r).__getitem__
     diagrams = ",".join(["[" + ",".join(map(text, leaf)) + "]" for leaf in leaves])
     return f'{head[:-1]},"mdds":[{diagrams}]}}'
 
@@ -95,8 +123,8 @@ def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
 def net_info_json(net: CirculantNetwork, dist, counts) -> str:
     """`net info`: the canonical JSON text of {network, diameter,
     average_distance, dist, route_counts}. Distances run over 0..D and
-    most vertices share a few route counts, so each distance and each
-    distinct count is formatted once."""
+    most vertices share a few route counts, so each distance is
+    formatted once and each distinct count once, on first use."""
     diameter = max(dist)
     head = canonical_json({
         "network": network_payload(net),
@@ -104,10 +132,8 @@ def net_info_json(net: CirculantNetwork, dist, counts) -> str:
         "average_distance": rational_payload(Fraction(sum(dist), net.n)),
     })
     level = list(map(str, range(diameter + 1))).__getitem__
-    distinct = set(counts)
-    text = dict(zip(distinct, map(str, distinct))).__getitem__
     dist_text = ",".join(map(level, dist))
-    counts_text = ",".join(map(text, counts))
+    counts_text = ",".join(map(_IntTexts().__getitem__, counts))
     return f'{head[:-1]},"dist":[{dist_text}],"route_counts":[{counts_text}]}}'
 
 

@@ -411,6 +411,8 @@ GOLDEN = {
     "net-info-r5": ("net info 24 3,7,11,12,22", 0, "fbacbf3ed3765ae111a962d5c43d37a58feb062ec2530ddb13b671f75f83673f"),
     # diameter 10 and route counts up to 10: two-digit distances and counts
     "net-info-two-digit-counts": ("net info 56 9,17,33", 0, "ec3c4bd1c166ffa10097484f10dd88f70fc52798fcb43e1df34ed9644eaf058f"),
+    # n = 44732: the largest document of net_info_json's text writer
+    "net-info-c44732": ("net info 44732 213,2969,41553", 0, "4eb0a9fb05e17d57aa84c22afabf3963f9ed712027f47c104388b0c4649a88b6"),
     "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
     "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),
@@ -433,6 +435,9 @@ GOLDEN = {
     "mdd-enumerate-coherent-r4": ("mdd enumerate 104 5,17,21,22 --coherent-only", 0, "d46e67694fafe1eaaca6d7709305b71cff6527a3ff9f93dcae1b1505c7885d7c"),
     "mdd-enumerate-coherent-q5": ("mdd enumerate 992 33,161,801 --coherent-only", 0, "d8e065fbcc15fc9924201bfe734cf6d229a5f05b93cf07079996b167f44e1023"),
     "mdd-enumerate-coherent-c126": ("mdd enumerate 126 4,40,58,63 --coherent-only", 0, "afa8b6ab0da3cd663cf48028f7efd0501dae54db5a6ea206ca6257f1d2a3d32e"),
+    # 24 diagrams of 1,892 cells, 7,094 of them distinct: the largest
+    # document of enumeration_json's text writer
+    "mdd-enumerate-coherent-q6": ("mdd enumerate 1892 45,265,1585 --coherent-only", 0, "cd2d8ec903c80ab44d699f7781f1ad2ae0ec11a8b88c2399389fbcd45ff2662f"),
     # one below the least budget that suffices (414,407)
     "mdd-enumerate-budget-q6": ("mdd enumerate 1892 45,265,1585 --budget 414406", 1, "105d583f72d3e9512b4b41f4d78c9f10144e1e4f276d5565dac045e09ac85ce9"),
     "mdd-check-valid": ("mdd check valid.json", 0, "dd9a3606ca47c350519cce577acfefa6fba34c222ca513260d533a5c510cd7dd"),

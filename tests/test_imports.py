@@ -7,8 +7,11 @@ It is also the module-length check: no module, ``__init__`` included,
 has more than MAX_LINES lines, since compiling the largest module sets
 the peak memory of a process that imports circmdd without bytecode.
 And it is the dead-helper check: every module-level private function or
-class is referenced somewhere in circmdd outside its own definition, so
-deleting a caller cannot leave its helper behind.
+class, and every non-dunder method of a module-private class, is
+referenced somewhere in circmdd outside its own definition (a method by
+attribute name), so deleting a caller cannot leave its helper behind.
+The check goes by name alone: a method is taken as referenced wherever
+an attribute of its name is read, whatever the object.
 """
 
 import ast
@@ -63,21 +66,43 @@ def _referenced_names(tree) -> Counter:
     )
 
 
+def _attribute_names(tree) -> Counter:
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    )
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """module.name of each module-level private function or class that
-    no module references outside its own definition."""
+    """module.name of each module-level private function or class, and
+    module.Class.name of each non-dunder method of a module-private
+    class, that no module references outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum(map(_referenced_names, trees.values()), Counter())
-    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted(
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, defines)
-        and node.name.startswith("_")
-        and not node.name.endswith("__")
-        and everywhere[node.name] == _referenced_names(node)[node.name]
-    )
+    attributes = sum(map(_attribute_names, trees.values()), Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or _is_dunder(node.name):
+                continue
+            if everywhere[node.name] == _referenced_names(node)[node.name]:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, functions)
+                    and not _is_dunder(method.name)
+                    and attributes[method.name]
+                    == _attribute_names(method)[method.name]
+                ]
+    return sorted(dead)
 
 
 def test_the_check_sees_a_dead_helper():
@@ -86,6 +111,25 @@ def test_the_check_sees_a_dead_helper():
         "b": "from a import _used\n\nclass _Dead:\n    pass\n\nprint(_used())\n",
     }
     assert dead_helpers(sources) == ["a._recursive", "b._Dead"]
+
+
+def test_the_check_sees_a_dead_method():
+    # fill is read by __missing__; add only by itself; dunders and the
+    # methods of public classes are not checked
+    sources = {
+        "a": (
+            "class _Store(dict):\n"
+            "    def __missing__(self, k):\n        return self.fill(k)\n\n"
+            "    def fill(self, k):\n        return k\n\n"
+            "    def add(self, k):\n        return self.add(k)\n"
+        ),
+        "b": (
+            "from a import _Store\n\n"
+            "class Public:\n    def unused(self):\n        pass\n\n"
+            "print(_Store()[1])\n"
+        ),
+    }
+    assert dead_helpers(sources) == ["a._Store.add"]
 
 
 def test_every_private_helper_is_referenced():

@@ -348,9 +348,11 @@ def test_coherent_only_refuses_five_steps_before_searching():
 
 def check_packed_result(net, mode, result):
     """The result keeps its diagrams packed: writing it decodes no
-    diagram, and its diagrams share one tuple per distinct cell."""
+    diagram and no cell, and its diagrams share one tuple per distinct
+    cell."""
     enumeration_json(net, mode, result)
     assert "mdds" not in vars(result), (net, mode)
+    assert "cells" not in vars(result), (net, mode)
     shared = {}
     for mdd in result.mdds:
         assert all(shared.setdefault(cell, cell) is cell for cell in mdd.cells), net

@@ -285,14 +285,12 @@ def test_vertex_routings_match_the_table(seed):
 
 def test_cell_store_decodes_the_packed_layout():
     # one layout: the store decodes the codes enumerate_mdds and
-    # is_coherent pack, one at a time or all at once
+    # is_coherent pack, each on first use
     rng = random.Random(77)
     for n, r in [(2, 1), (9, 3), (1892, 3), (126, 4), (40009, 5)]:
         shifts = [packed_width(n) * (r - 1 - j) for j in range(r)]
         cells = {tuple(rng.randrange(n) for _ in range(r)) for _ in range(40)}
         codes = {sum(c << s for c, s in zip(cell, shifts)): cell for cell in cells}
-        single, batch = _CellStore(n, r), _CellStore(n, r)
-        batch.add(codes)
-        assert batch == codes
-        assert all(single[code] == cell for code, cell in codes.items())
-        assert single == codes
+        store = _CellStore(n, r)
+        assert all(store[code] == cell for code, cell in codes.items())
+        assert store == codes

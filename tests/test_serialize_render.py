@@ -1,5 +1,6 @@
 """Canonical JSON encoding, parsing, and diagram rendering."""
 
+import itertools
 import json
 import random
 
@@ -25,7 +26,8 @@ from circmdd import (
     validate_mdd,
 )
 from circmdd.errors import CircmddError
-from circmdd.serialize import canonical_json, enumeration_json, net_info_json
+from circmdd.network import _CellStore, packed_width
+from circmdd.serialize import _CellTexts, canonical_json, enumeration_json, net_info_json
 
 from oracles import enumeration_payload, net_info_payload
 
@@ -165,6 +167,21 @@ def test_json_format_matches_encode():
     net = build_network(9, [1, 4])
     mdd = build_coherent_mdd(net, (1, 2))
     assert render(mdd, RenderSpec("json")) == encode(mdd)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_cell_texts_write_the_decoded_cell(r):
+    # n at the edges of the field width (255, 256 and 257 take 9, 10
+    # and 10 bits), every field 0 or n - 1, looked up twice
+    for n in (2, 3, 255, 256, 257, 40009):
+        width = packed_width(n)
+        cells, texts = _CellStore(n, r), _CellTexts(width, r)
+        for cell in itertools.product((0, n - 1), repeat=r):
+            code = sum(c << width * (r - 1 - j) for j, c in enumerate(cell))
+            expected = "[" + ",".join(map(str, cells[code])) + "]"
+            assert cells[code] == cell
+            assert texts[code] == texts[code] == expected, (n, cell)
+        assert len(texts) == 2**r
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
