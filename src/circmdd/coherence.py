@@ -21,11 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import lshift
+from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
-from .mdd import Mdd
 from .network import _packed_fields, distance_table, packed_width
+
+if TYPE_CHECKING:
+    from .mdd import Mdd
 
 
 @dataclass(frozen=True)

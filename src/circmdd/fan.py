@@ -39,6 +39,7 @@ from .lattice import (
     homogeneous_lattice,
     octant_points_bounded,
 )
+from .mdd import enumerate_mdds
 from .network import CirculantNetwork, build_network, vertex_of
 
 
@@ -67,20 +68,17 @@ class WallRejection:
 
 
 @dataclass(frozen=True)
-class FanSummary:
-    net: CirculantNetwork
-    walls: tuple[Wall, ...]
-    sector_representatives: tuple[tuple[int, int, int], ...]
-    mdd_count: int
-
-
-@dataclass(frozen=True)
 class FanReport:
+    """The fan of a three-step network: its candidate rays, the verified
+    walls in circular order and the rejected rays, one generic weight
+    per sector, and the count of coherent diagrams."""
+
     net: CirculantNetwork
     candidates: tuple[RayCandidate, ...]
     walls: tuple[Wall, ...]
     rejections: tuple[WallRejection, ...]
-    summary: FanSummary
+    sector_representatives: tuple[tuple[int, int, int], ...]
+    mdd_count: int
 
 
 def _orth_in_plane(a) -> tuple[int, int, int]:
@@ -313,13 +311,7 @@ def fan_report(net: CirculantNetwork) -> FanReport:
             walls=len(walls),
             diagrams=count,
         )
-    summary = FanSummary(net, tuple(walls), tuple(reps), count)
-    return FanReport(net, cands, tuple(walls), tuple(rejections), summary)
-
-
-def coherent_fan(net: CirculantNetwork) -> FanSummary:
-    """Verified walls in circular order plus the coherent diagram count."""
-    return fan_report(net).summary
+    return FanReport(net, cands, tuple(walls), tuple(rejections), tuple(reps), count)
 
 
 def lift_network(net: CirculantNetwork, k: int, t: int) -> CirculantNetwork:
@@ -464,8 +456,6 @@ def verify_family(
     test, the coherent ones; no diagram is decoded. Mismatches are
     reported, never absorbed.
     """
-    from .mdd import enumerate_mdds
-
     fam = build_family(q, k, t)
     lat = homogeneous_lattice(fam.base)
     checks = []
@@ -474,7 +464,7 @@ def verify_family(
         checks.append(
             OctantCheck(signs, expected, actual, set(expected) == set(actual))
         )
-    fan_count = coherent_fan(fam.lifted).mdd_count
+    fan_count = fan_report(fam.lifted).mdd_count
     fan_match = fan_count == fam.predicted_mdd_count
     brute_total = brute_coherent = brute_match = None
     if fam.lifted.n <= brute_force_limit:

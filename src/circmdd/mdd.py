@@ -17,6 +17,7 @@ from itertools import accumulate, chain, compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
 
+from .coherence import _directions, _has_solution
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
@@ -62,9 +63,9 @@ class EnumerationResult:
     """Diagrams as enumerate_mdds finds them: leaves holds each one's
     cells by vertex as packed codes (see packed_width), sorted; found
     counts the search's leaves before any coherence filter. mdds, cached
-    and not a field, decodes every diagram on first read, through cells,
-    which turns each distinct code into one shared tuple and serves mdds
-    alone: enumeration_json writes the leaves without either."""
+    and not a field, decodes every diagram on first read, through a
+    _CellStore that turns each distinct code into one shared tuple:
+    enumeration_json writes the leaves without it."""
 
     net: CirculantNetwork
     leaves: tuple[tuple[int, ...], ...]
@@ -72,12 +73,8 @@ class EnumerationResult:
     found: int
 
     @cached_property
-    def cells(self) -> _CellStore:
-        return _CellStore(self.net.n, self.net.r)
-
-    @cached_property
     def mdds(self) -> tuple[Mdd, ...]:
-        get = self.cells.__getitem__
+        get = _CellStore(self.net.n, self.net.r).__getitem__
         return tuple(Mdd(self.net, tuple(map(get, leaf))) for leaf in self.leaves)
 
 
@@ -176,9 +173,12 @@ def _first_tie(table, iw):
 
     For three steps and iw not parallel to (1, 1, 1), every sum-zero
     vector orthogonal to iw is a multiple of the shortest lattice vector
-    e on the line through (w1 - w2, w2 - w0, w0 - w1), taken
-    lexicographically positive, so two routings of one vertex tie
-    exactly when they differ by a multiple k*e. Let u = vertex(e+). Then:
+    e on the line through (w1 - w2, w2 - w0, w0 - w1), so two routings
+    of one vertex tie exactly when they differ by a multiple k*e. The
+    proof below takes e lexicographically positive. The code need not:
+    e is sum-zero and in the lattice, so e+ and e- reach one vertex in
+    as many arcs, and u and |e+| are all it reads (_tie_plus does not
+    orient e). Let u = vertex(e+). Then:
 
     - Vertex i has two routings that differ by some k*e exactly when it
       has two that differ by e (the later one covers e+ and can trade it
@@ -342,8 +342,6 @@ def enumerate_mdds(
     coherence is the feasibility of the cone of these g - D(i), decided
     as in is_coherent.
     """
-    from .coherence import _directions, _has_solution  # avoids a cycle
-
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
     if mode == "coherent_only" and net.r > 4:

@@ -62,20 +62,15 @@ class _CellStore(dict):
 class DistanceTable:
     """Distances from vertex 0, and what is derived from them on demand.
 
-    minimal_paths, levels (the vertices by distance), cells and the
-    tail bits of the routing walk are cached on the instance when first
-    read, so they live and die with the table (and with distance_table's
-    cache); they take no part in equality, which compares net and dist.
+    levels (the vertices by distance), cells and the tail bits of the
+    routing walk are cached on the instance when first read, so they
+    live and die with the table (and with distance_table's cache); they
+    take no part in equality, which compares net and dist. routings(i)
+    lists one vertex's minimal routings; no whole routing table is kept.
     """
 
     net: CirculantNetwork
     dist: tuple[int, ...]
-
-    @cached_property
-    def minimal_paths(self) -> tuple[tuple[PathVector, ...], ...]:
-        """Every minimal routing vector per vertex, each sorted
-        lexicographically: routings(i) for every vertex i."""
-        return tuple(map(self.routings, range(self.net.n)))
 
     @cached_property
     def cells(self) -> _CellStore:
@@ -248,12 +243,11 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
     """The distances of the network, from distances(net).
 
     Cached per network, with everything the table derives on demand:
-    the tail bits of the routing walk, the whole routing table
-    (minimal_paths, which is_coherent does not read), and the levels
-    and the cell store that build_coherent_mdd reads. No fan reads a
-    table: its distances are normal-form degrees
-    (groebner._graded_basis) and its sectors are keyed by Groebner lead
-    sets, walls or not. The table is immutable and safe to share.
+    the tail bits of the routing walk, and the levels and the cell store
+    that build_coherent_mdd reads. No fan reads a table: its distances
+    are normal-form degrees (groebner._graded_basis) and its sectors are
+    keyed by Groebner lead sets, walls or not. The table is immutable
+    and safe to share.
     """
     return DistanceTable(net, distances(net))
 
@@ -346,11 +340,10 @@ def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
         count[i] += count[i - s_m]  if dist[i - s_m] == dist[i] - 1,
 
     from count[0] = 1 and every other count 0: r integer terms per
-    vertex (_count_routes). Equal to the lengths of
-    distance_table(net).minimal_paths. The levels come from one pass
-    over dist (_levels_of); a caller that holds them (those of
-    _bfs_levels or DistanceTable.levels, say) calls _count_routes with
-    them.
+    vertex (_count_routes). Equal to len(distance_table(net).routings(i))
+    for every vertex i. The levels come from one pass over dist
+    (_levels_of); a caller that holds them (those of _bfs_levels or
+    DistanceTable.levels, say) calls _count_routes with them.
     """
     return _count_routes(net.steps, dist, _levels_of(dist))
 

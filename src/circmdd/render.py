@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedArityError
 from .mdd import Mdd
+from .serialize import encode
 
 CELL = 32
 GAP = 24
@@ -31,8 +32,6 @@ class RenderSpec:
 def render(mdd: Mdd, spec: RenderSpec) -> str:
     """Draw a diagram; ascii for up to 2 steps, svg for up to 3."""
     if spec.format == "json":
-        from .serialize import encode
-
         return encode(mdd)
     if spec.format == "ascii":
         if mdd.net.r > 2:

@@ -14,16 +14,10 @@ from fractions import Fraction
 
 from .coherence import CoherenceResult
 from .errors import CircmddError, MalformedDocumentError
-from .fan import FamilyNetwork, FamilyVerification, FanReport, FanSummary
-from .lattice import HilbertBasis, HomogeneousLattice, signs_str
+from .fan import FamilyNetwork, FamilyVerification, FanReport
+from .lattice import HomogeneousLattice, signs_str
 from .mdd import Mdd
-from .network import (
-    CirculantNetwork,
-    DistanceTable,
-    _packed_fields,
-    build_network,
-    packed_width,
-)
+from .network import CirculantNetwork, _packed_fields, build_network, packed_width
 
 
 def canonical_json(payload) -> str:
@@ -36,10 +30,6 @@ def _vectors(vecs) -> list:
 
 def _octant(signs, elements) -> dict:
     return {"octant": signs_str(signs), "elements": _vectors(elements)}
-
-
-def _walls(walls) -> list:
-    return [{"ray": list(w.ray), "witness": list(w.witness)} for w in walls]
 
 
 def _plain(value):
@@ -107,7 +97,7 @@ def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
     arrays. Only result.leaves is read: diagrams share most of their
     cells, so each distinct packed code is written once, on first use,
     by _CellTexts, and each leaf joins the texts. Nothing is decoded,
-    so result.cells and result.mdds stay unread."""
+    so result.mdds stays unread."""
     leaves = result.leaves
     head = canonical_json({
         "network": network_payload(net),
@@ -165,19 +155,6 @@ def mdd_check_payload(net: CirculantNetwork, coherence=None, violation=None) -> 
     return {**payload, "violation": error_payload(violation)}
 
 
-def distance_table_payload(table: DistanceTable) -> dict:
-    return {
-        "network": network_payload(table.net),
-        "dist": list(table.dist),
-        "minimal_paths": [_vectors(vecs) for vecs in table.minimal_paths],
-    }
-
-
-def hilbert_payload(basis: HilbertBasis) -> dict:
-    net = network_payload(basis.octant.lattice.net)
-    return {"network": net, **_octant(basis.octant.signs, basis.elements)}
-
-
 def lattice_payload(lat: HomogeneousLattice, bases) -> dict:
     return {
         "network": network_payload(lat.net),
@@ -188,15 +165,6 @@ def lattice_payload(lat: HomogeneousLattice, bases) -> dict:
     }
 
 
-def fan_payload(summary: FanSummary) -> dict:
-    return {
-        "network": network_payload(summary.net),
-        "walls": _walls(summary.walls),
-        "sector_representatives": _vectors(summary.sector_representatives),
-        "mdd_count": summary.mdd_count,
-    }
-
-
 def fan_report_payload(report: FanReport) -> dict:
     return {
         "network": network_payload(report.net),
@@ -204,7 +172,9 @@ def fan_report_payload(report: FanReport) -> dict:
             {"ray": list(c.ray), "sources": _vectors(c.sources)}
             for c in report.candidates
         ],
-        "walls": _walls(report.walls),
+        "walls": [
+            {"ray": list(w.ray), "witness": list(w.witness)} for w in report.walls
+        ],
         "rejections": [
             {
                 "ray": list(rej.ray),
@@ -213,8 +183,8 @@ def fan_report_payload(report: FanReport) -> dict:
             }
             for rej in report.rejections
         ],
-        "sector_representatives": _vectors(report.summary.sector_representatives),
-        "mdd_count": report.summary.mdd_count,
+        "sector_representatives": _vectors(report.sector_representatives),
+        "mdd_count": report.mdd_count,
     }
 
 
@@ -254,18 +224,15 @@ def family_verification_payload(verification: FamilyVerification) -> dict:
 
 _PAYLOADS = {
     Mdd: mdd_payload,
-    FanSummary: fan_payload,
     FanReport: fan_report_payload,
-    HilbertBasis: hilbert_payload,
-    DistanceTable: distance_table_payload,
     FamilyNetwork: family_payload,
     FamilyVerification: family_verification_payload,
 }
 
 
 def encode(value) -> str:
-    """Canonical JSON text of a value; for a FanReport, FamilyNetwork or
-    FamilyVerification it is the document the CLI prints for it."""
+    """The document the CLI prints for an Mdd, FanReport, FamilyNetwork
+    or FamilyVerification, as canonical JSON text."""
     for cls, payload in _PAYLOADS.items():
         if isinstance(value, cls):
             return canonical_json(payload(value))

@@ -30,9 +30,9 @@ from circmdd import (
     OctantSemigroup,
     boundary_ray_minima,
     build_network,
-    coherent_fan,
     distance_table,
     enumerate_mdds,
+    fan_report,
     hilbert_basis,
     homogeneous_lattice,
     is_coherent,
@@ -203,7 +203,8 @@ def sample_double_loops(count, max_n, rng):
             net = build_network(n, steps)
         except CircmddError:
             continue
-        if any(len(p) > 1 for p in distance_table(net).minimal_paths):
+        table = distance_table(net)
+        if any(len(table.routings(i)) > 1 for i in range(n)):
             nets.append(net)
     return nets
 
@@ -248,7 +249,7 @@ def test_criterion_8_triple_loop_oracle_suite():
             assert is_unique_mdd(net) == (len(mdds) == 1), f"{net} uniqueness"
             # (b) fan count equals the brute-force coherent count
             coherent = sum(1 for m in mdds if is_coherent(m).coherent)
-            assert coherent_fan(net).mdd_count == coherent, f"{net} fan count"
+            assert fan_report(net).mdd_count == coherent, f"{net} fan count"
             # (c) Hilbert bases match the definition-based filter
             total = 0
             for signs in SINGLE_NEGATIVE_SIGNS:

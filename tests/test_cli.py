@@ -17,7 +17,6 @@ from circmdd import (
     build_coherent_mdd,
     build_family,
     build_network,
-    coherent_fan,
     distance_table,
     encode,
     fan_report,
@@ -92,11 +91,11 @@ def test_census_builds_no_routing_table():
     doc = run_json(["fan", "30", "2,22,27"])
     assert (len(doc["walls"]), doc["mdd_count"]) == (10, 10)
     net = build_network(56, [9, 17, 33])
-    assert coherent_fan(net).mdd_count == 12
+    assert fan_report(net).mdd_count == 12
     assert verify_family(5).ok
     for lifted in (net, build_network(30, [2, 22, 27]), build_family(5).lifted):
         built = vars(distance_table(lifted))
-        for name in ("minimal_paths", "levels", "cells"):
+        for name in ("levels", "cells", "_tails"):
             assert name not in built, (lifted, name)
 
 

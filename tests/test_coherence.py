@@ -6,6 +6,7 @@ import random
 import pytest
 
 from circmdd import (
+    DistanceTable,
     InternalInconsistencyError,
     UnsupportedArityError,
     build_coherent_mdd,
@@ -47,7 +48,7 @@ def non_coherent_example():
 def check_witness(mdd, witness):
     table = distance_table(mdd.net)
     for i, chosen in enumerate(mdd.cells):
-        for alt in table.minimal_paths[i]:
+        for alt in table.routings(i):
             if alt != chosen:
                 assert dot(witness, alt) > dot(witness, chosen)
 
@@ -234,7 +235,7 @@ def test_triple_loop_coherence_matches_plane_solver():
             dirs = set()
             table = distance_table(net)
             for i, chosen in enumerate(mdd.cells):
-                for alt in table.minimal_paths[i]:
+                for alt in table.routings(i):
                     if alt != chosen:
                         dirs.add(primitive(_reduced_coords(vec_sub(alt, chosen))))
             fm = _solve_fm(sorted(dirs), 2) if dirs else ()
@@ -377,9 +378,13 @@ def test_coherence_decides_each_difference_vector_once(monkeypatch):
         assert len(calls) == len(distinct) + 1 <= 10
 
 
-def test_coherence_builds_no_routing_table():
+def test_coherence_builds_no_routing_table(monkeypatch):
+    # a coherent diagram's cone comes from its cells and the distances:
+    # no vertex's routings are listed
     net = build_network(1892, [45, 265, 1585])
     distance_table.cache_clear()
+    walked = []
+    monkeypatch.setattr(DistanceTable, "routings", lambda table, i: walked.append(i))
     for mdd in enumerate_mdds(net).mdds:
         assert is_coherent(mdd).coherent
-    assert "minimal_paths" not in vars(distance_table(net))
+    assert walked == []

@@ -8,7 +8,6 @@ from circmdd import (
     SINGLE_NEGATIVE_SIGNS,
     build_family,
     build_network,
-    coherent_fan,
     enumerate_mdds,
     fan_report,
     hilbert_basis,
@@ -144,7 +143,7 @@ def test_brute_force_check_decodes_no_diagram(monkeypatch):
 def test_q5_brute_force_matches_the_fan():
     # every diagram of C992(33,161,801) is coherent: 21 = 3(q + 2)
     lifted = build_family(5).lifted
-    assert coherent_fan(lifted).mdd_count == 21
+    assert fan_report(lifted).mdd_count == 21
     for mode in ("all", "coherent_only"):
         assert len(enumerate_mdds(lifted, mode).mdds) == 21, mode
 
@@ -154,7 +153,7 @@ def test_q11_brute_force_matches_the_fan():
     # code with the fan; C17822(135,1475,16215) needs more than the
     # default budget
     lifted = build_family(11).lifted
-    count = fan_report(lifted).summary.mdd_count
+    count = fan_report(lifted).mdd_count
     assert count == 39
     for mode in ("all", "coherent_only"):
         assert len(enumerate_mdds(lifted, mode, budget=16_000_000).mdds) == count, mode

@@ -18,7 +18,6 @@ from circmdd import (
     build_family,
     build_network,
     candidate_rays,
-    coherent_fan,
     distance_table,
     distances,
     enumerate_mdds,
@@ -105,22 +104,22 @@ def test_verify_wall_c7_1_2_4_rejects_at_minimality():
 
 
 def test_fan_c9_1_4_7():
-    summary = coherent_fan(build_network(9, [1, 4, 7]))
-    assert len(summary.walls) == 9
-    assert summary.mdd_count == 9
-    assert len(summary.sector_representatives) == 9
+    report = fan_report(build_network(9, [1, 4, 7]))
+    assert len(report.walls) == 9
+    assert report.mdd_count == 9
+    assert len(report.sector_representatives) == 9
 
 
 def test_fan_c8_2_3_7_two_diagrams():
-    summary = coherent_fan(build_network(8, [2, 3, 7]))
-    assert summary.mdd_count == 2
-    assert len(summary.walls) == 2
+    report = fan_report(build_network(8, [2, 3, 7]))
+    assert report.mdd_count == 2
+    assert len(report.walls) == 2
 
 
 def test_fan_c7_1_2_4_unique():
     report = fan_report(build_network(7, [1, 2, 4]))
     assert report.walls == ()
-    assert report.summary.mdd_count == 1
+    assert report.mdd_count == 1
     assert report.candidates
     assert all(r.failed_condition == 1 for r in report.rejections)
 
@@ -171,6 +170,19 @@ def test_condition_3_names_the_first_failing_point_not_a_generator():
     )
     elements = hilbert_basis(octant(homogeneous_lattice(net), "-++")).elements
     assert (-2, 2, 0) in elements and (-4, 4, 0) not in elements
+
+
+def test_condition_2_rejects_a_minimal_vector_that_is_not_a_generator():
+    # (1, 4, -5) routes minimally on both sides, at distance 5, but it
+    # is (1, 1, -2) + (0, 3, -3) in its octant; its negation has two
+    # negative entries and is not tried
+    net = build_network(15, [1, 6, 11])
+    result = verify_wall(net, RayCandidate((-3, 2, 1), ()))
+    assert result == WallRejection(
+        (-3, 2, 1), 2, "(1, 4, -5) is not a Hilbert generator of its octant"
+    )
+    elements = hilbert_basis(octant(homogeneous_lattice(net), "++-")).elements
+    assert {(1, 1, -2), (0, 3, -3)} <= set(elements)
 
 
 @pytest.mark.parametrize("ray", [(0, 0, 0), (1, 1, 1), (1, 2, 3)])
@@ -282,9 +294,9 @@ def test_fan_reads_no_distances(monkeypatch):
     monkeypatch.setattr(circmdd.network, "distances", refused)
     monkeypatch.setattr(circmdd.mdd, "distances", refused)
     distance_table.cache_clear()
-    assert fan_report(build_family(8).lifted).summary.mdd_count == 30
+    assert fan_report(build_family(8).lifted).mdd_count == 30
     report = fan_report(build_network(7, [1, 2, 4]))
-    assert (report.walls, report.summary.mdd_count) == ((), 1)
+    assert (report.walls, report.mdd_count) == ((), 1)
     result = verify_family(20)
     assert result.ok and result.fan_mdd_count == 66
     assert distance_table.cache_info().misses == 0
@@ -345,7 +357,7 @@ def test_lead_sets_match_the_definition_on_random_networks():
         nets += 1
         unit = any(gcd(s, n) == 1 for s in steps)
         _, paths = minimal_paths_by_scan(n, net.steps)
-        for w, leads in sector_lead_sets(net, coherent_fan(net)):
+        for w, leads in sector_lead_sets(net, fan_report(net)):
             tag, cells = coherent_cells_by_definition(n, net.steps, w, paths=paths)
             assert tag == "cells", (net, w)
             assert leads == staircase_generators(Mdd(net, cells)).generators, (net, w)
@@ -366,7 +378,7 @@ def walled_random_fans(seed):
         if gcd(n, *steps) > 1:
             continue
         net = build_network(n, steps)
-        fan = coherent_fan(net)
+        fan = fan_report(net)
         if len(fan.walls) >= 2:
             nets += 1
             yield net, fan
@@ -400,7 +412,7 @@ def test_flips_across_any_ray_keep_the_key(monkeypatch):
     rng = random.Random(14)
     for q in (2, 5):
         net = build_family(q).lifted
-        fan = coherent_fan(net)
+        fan = fan_report(net)
         start = _graded_basis(net)
         keyed = [_sector_leads(net, w, start) for w in fan.sector_representatives]
         rays = [wall.ray for wall in fan.walls] + [(1, -1, 0), (2, -1, -1), (1, 2, -3)]
@@ -438,7 +450,7 @@ def test_census_flips_equal_buchberger_bases(monkeypatch):
     monkeypatch.setattr(groebner, "_flip", recorded)
     monkeypatch.setattr(groebner, "_minimal_leads", counted)
     for q in (2, 5, 8, 14, 29):
-        coherent_fan(build_family(q).lifted)
+        fan_report(build_family(q).lifted)
     lifted = dict(dropped)
     for _ in walled_random_fans(13):
         pass
@@ -458,7 +470,7 @@ def test_family_q8_lead_sets_are_the_coherent_staircases():
     net = build_family(8).lifted
     mdds = enumerate_mdds(net, "coherent_only").mdds
     assert len(mdds) == 30
-    keys = [leads for _, leads in sector_lead_sets(net, coherent_fan(net))]
+    keys = [leads for _, leads in sector_lead_sets(net, fan_report(net))]
     assert len(keys) == len(set(keys)) == 30
     assert set(keys) == {staircase_generators(m).generators for m in mdds}
 
@@ -556,7 +568,7 @@ def test_graded_basis_is_the_reduced_basis_of_one_sector():
 
     for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
         net = build_family(q).lifted
-        check(net, coherent_fan(net))
+        check(net, fan_report(net))
     rng = random.Random(15)
     walled = 0
     while walled < 100:
@@ -565,7 +577,7 @@ def test_graded_basis_is_the_reduced_basis_of_one_sector():
         if gcd(n, *steps) > 1:
             continue
         net = build_network(n, steps)
-        fan = coherent_fan(net)
+        fan = fan_report(net)
         if fan.walls:
             check(net, fan)
             walled += 1
@@ -584,7 +596,7 @@ def test_fan_report_computes_each_octant_basis_once(monkeypatch):
 
     for module in (fan, groebner):
         monkeypatch.setattr(module, "hilbert_basis", counted)
-    assert fan_report(build_family(8).lifted).summary.mdd_count == 30
+    assert fan_report(build_family(8).lifted).mdd_count == 30
     assert sorted(signs) == sorted(SINGLE_NEGATIVE_SIGNS)
 
 
@@ -594,7 +606,7 @@ def test_flipped_family_bases_have_n_standard_monomials(monkeypatch):
     for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
         fam = build_family(q)
         flipped.clear()
-        assert coherent_fan(fam.lifted).mdd_count == fam.predicted_mdd_count
+        assert fan_report(fam.lifted).mdd_count == fam.predicted_mdd_count
         assert len(flipped) == fam.predicted_mdd_count - 1
         for leads in flipped:
             assert oracles.standard_monomial_count(leads) == fam.lifted.n, (q, leads)
@@ -623,9 +635,9 @@ FAMILY_SECTOR_REPRESENTATIVES = {
 
 @pytest.mark.parametrize("q", [2, 5])
 def test_family_sector_representatives_are_pinned(q):
-    summary = coherent_fan(build_family(q).lifted)
-    assert summary.sector_representatives == FAMILY_SECTOR_REPRESENTATIVES[q]
-    assert summary.mdd_count == 3 * (q + 2)
+    report = fan_report(build_family(q).lifted)
+    assert report.sector_representatives == FAMILY_SECTOR_REPRESENTATIVES[q]
+    assert report.mdd_count == 3 * (q + 2)
 
 
 def test_fan_lifted_c72_attains_every_screened_ray():
@@ -636,7 +648,7 @@ def test_fan_lifted_c72_attains_every_screened_ray():
     assert len(report.candidates) == 8
     assert report.rejections == ()
     assert len(report.walls) == 8
-    assert report.summary.mdd_count == 8
+    assert report.mdd_count == 8
     mdds = enumerate_mdds(net).mdds
     assert len(mdds) == 8
     assert all(is_coherent(m).coherent for m in mdds)
@@ -671,7 +683,7 @@ def test_fan_counts_match_enumeration_on_small_networks():
                      (13, [1, 3, 9]), (14, [3, 5, 12])]:
         net = build_network(n, steps)
         coherent = [m for m in enumerate_mdds(net).mdds if is_coherent(m).coherent]
-        assert coherent_fan(net).mdd_count == len(coherent)
+        assert fan_report(net).mdd_count == len(coherent)
 
 
 def test_fan_count_bounded_by_hilbert_total():
@@ -682,24 +694,24 @@ def test_fan_count_bounded_by_hilbert_total():
             len(hilbert_basis(octant(lat, s)).elements)
             for s in ("-++", "+-+", "++-")
         )
-        assert coherent_fan(net).mdd_count <= total
+        assert fan_report(net).mdd_count <= total
 
 
 def test_sector_representatives_rebuild_distinct_diagrams():
     from circmdd import build_coherent_mdd
 
     net = build_network(9, [1, 4, 7])
-    summary = coherent_fan(net)
-    cells = {build_coherent_mdd(net, w).cells for w in summary.sector_representatives}
-    assert len(cells) == summary.mdd_count
+    report = fan_report(net)
+    cells = {build_coherent_mdd(net, w).cells for w in report.sector_representatives}
+    assert len(cells) == report.mdd_count
 
 
 def test_walls_are_in_circular_order():
     from circmdd.fan import _plane_coords
     from circmdd.intlin import cross, half_plane
 
-    summary = coherent_fan(build_network(9, [1, 4, 7]))
-    points = [_plane_coords(w.ray) for w in summary.walls]
+    report = fan_report(build_network(9, [1, 4, 7]))
+    points = [_plane_coords(w.ray) for w in report.walls]
     keys = [half_plane(p) for p in points]
     # nondecreasing halves, and within a half consecutive cross products positive
     assert keys == sorted(keys)

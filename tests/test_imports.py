@@ -12,9 +12,14 @@ referenced somewhere in circmdd outside its own definition (a method by
 attribute name), so deleting a caller cannot leave its helper behind.
 The check goes by name alone: a method is taken as referenced wherever
 an attribute of its name is read, whatever the object.
+Every import sits at module level, where the module graph shows it,
+except one under a module-level ``if TYPE_CHECKING:`` that annotations
+alone read. And ``circmdd.__all__`` lists exactly the names that
+``__init__`` imports, each of which resolves.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -135,3 +140,60 @@ def test_the_check_sees_a_dead_method():
 def test_every_private_helper_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert dead_helpers(sources) == []
+
+
+def _is_type_checking(test) -> bool:
+    name = test.id if isinstance(test, ast.Name) else getattr(test, "attr", None)
+    return name == "TYPE_CHECKING"
+
+
+def nested_imports(source: str) -> list[str]:
+    """Each import statement below module level, other than those
+    directly under a module-level ``if TYPE_CHECKING:``."""
+    tree = ast.parse(source)
+    allowed = set(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            allowed.update(node.body)
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in allowed
+    ]
+
+
+def test_the_check_sees_a_nested_import():
+    source = (
+        "from typing import TYPE_CHECKING\nimport os\n"
+        "if TYPE_CHECKING:\n    from a import B\n"
+        "def f():\n    import json\n    return json\n"
+        "class C:\n    from math import gcd\n"
+        "if os.name:\n    import sys\n"
+    )
+    assert sorted(nested_imports(source)) == [
+        "line 11: import sys",
+        "line 6: import json",
+        "line 9: from math import gcd",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_module_imports_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # each name is bound to the object its module defines under it
+    tree = ast.parse(Path(circmdd.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: getattr(
+            importlib.import_module(f"circmdd.{node.module}"), alias.name
+        )
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(circmdd.__all__)) == len(circmdd.__all__)
+    assert set(circmdd.__all__) == set(imported)
+    for name in circmdd.__all__:
+        assert getattr(circmdd, name) is imported[name], name

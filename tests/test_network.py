@@ -72,7 +72,7 @@ def test_vertex_of_examples():
 def test_c10_1_6_route_multiplicities():
     net = build_network(10, [1, 6])
     table = distance_table(net)
-    counts = [len(p) for p in table.minimal_paths]
+    counts = [len(table.routings(i)) for i in range(net.n)]
     for c in (0, 1, 6, 7):
         assert counts[c] == 1
     for c in (2, 3, 8, 9):
@@ -85,7 +85,7 @@ def test_c7_1_2_4_distances_and_unique_routes():
     net = build_network(7, [1, 2, 4])
     table = distance_table(net)
     assert list(table.dist) == [0, 1, 1, 2, 1, 2, 2]
-    assert all(len(p) == 1 for p in table.minimal_paths)
+    assert all(len(table.routings(i)) == 1 for i in range(net.n))
     diameter, average = network_stats(net)
     assert diameter == 2
 
@@ -94,8 +94,8 @@ def test_table_basics_and_vertex_zero():
     net = build_network(13, [2, 5])
     table = distance_table(net)
     assert table.dist[0] == 0
-    assert table.minimal_paths[0] == ((0, 0),)
-    for i, vecs in enumerate(table.minimal_paths):
+    assert table.routings(0) == ((0, 0),)
+    for i, vecs in enumerate(map(table.routings, range(net.n))):
         assert vecs
         assert list(vecs) == sorted(vecs)
         for a in vecs:
@@ -123,7 +123,7 @@ def test_table_matches_exhaustive_oracle(n, steps):
     table = distance_table(net)
     dist, paths = minimal_paths_by_scan(n, net.steps)
     assert list(table.dist) == dist
-    assert [list(p) for p in table.minimal_paths] == paths
+    assert [list(table.routings(i)) for i in range(n)] == paths
 
 
 @pytest.mark.parametrize(
@@ -149,12 +149,12 @@ def test_distances_and_route_counts_match_the_table(r):
         table = distance_table(net)
         dist = distances(net)
         assert dist == table.dist, net
-        assert route_counts(net, dist) == tuple(map(len, table.minimal_paths)), net
+        assert route_counts(net, dist) == tuple(len(table.routings(i)) for i in range(n)), net
         # every arity but three walks its routings guided by the tail
         # bits, which one count over the steps r - 1 down to 1 gives as a
         # count over each suffix of the steps does
         _, paths = minimal_paths_by_scan(n, net.steps)
-        assert [list(p) for p in table.minimal_paths] == paths, net
+        assert [list(table.routings(i)) for i in range(n)] == paths, net
         suffixes = [CirculantNetwork(n, net.steps[m:]) for m in range(1, r)]
         tails = tuple(bytes(c > 0 for c in route_counts(sub, dist)) for sub in suffixes)
         assert table._tails == tails, net
@@ -189,7 +189,8 @@ def test_bfs_levels_match_the_plain_search(r):
         assert _levels_of(dist) == [sorted(level) for level in levels], net
         counts = _count_routes(net.steps, dist, levels)
         assert counts == route_counts(net, dist), net
-        assert counts == tuple(map(len, distance_table(net).minimal_paths)), net
+        table = distance_table(net)
+        assert counts == tuple(len(table.routings(i)) for i in range(n)), net
 
 
 def test_bfs_levels_of_a_disconnected_network_raise():
@@ -238,7 +239,7 @@ def test_derived_structures_live_and_die_with_the_table():
     table = distance_table(net)
     # nothing derived is built before it is read
     assert set(vars(table)) == {"net", "dist"}
-    derived = {name: getattr(table, name) for name in ("minimal_paths", "levels", "cells")}
+    derived = {name: getattr(table, name) for name in ("levels", "cells", "_tails")}
     for name, value in derived.items():
         assert vars(table)[name] is value
         assert getattr(distance_table(net), name) is value
@@ -251,11 +252,11 @@ def test_derived_structures_live_and_die_with_the_table():
     assert gone() is None
     # equality and hashing see only the two fields
     assert [f.name for f in dataclasses.fields(DistanceTable)] == ["net", "dist"]
-    fresh.minimal_paths, fresh.levels, fresh.cells
+    fresh.levels, fresh.cells, fresh._tails
     bare = DistanceTable(fresh.net, fresh.dist)
     assert set(vars(bare)) == {"net", "dist"}
     assert bare == fresh and hash(bare) == hash(fresh)
-    assert bare.minimal_paths == fresh.minimal_paths
+    assert list(map(bare.routings, range(56))) == list(map(fresh.routings, range(56)))
     assert bare != DistanceTable(fresh.net, fresh.dist[:-1] + (0,))
 
 
@@ -279,7 +280,6 @@ def test_vertex_routings_match_the_table(seed):
         table = distance_table(net)
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert [list(table.routings(i)) for i in range(n)] == paths, net
-        assert [list(p) for p in table.minimal_paths] == paths, net
     assert shared >= 10
 
 

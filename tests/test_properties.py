@@ -39,8 +39,8 @@ def small_networks(draw, max_n=18, max_r=3):
 def test_table_invariants(net):
     table = distance_table(net)
     assert table.dist[0] == 0
-    assert table.minimal_paths[0] == ((0,) * net.r,)
-    for i, vecs in enumerate(table.minimal_paths):
+    assert table.routings(0) == ((0,) * net.r,)
+    for i, vecs in enumerate(map(table.routings, range(net.n))):
         assert vecs
         for a in vecs:
             assert vertex_of(net, a) == i
@@ -96,7 +96,7 @@ def test_lex_build_is_coherent_with_verified_witness(net):
     if result.coherent:
         table = distance_table(net)
         for i, chosen in enumerate(mdd.cells):
-            for alt in table.minimal_paths[i]:
+            for alt in table.routings(i):
                 if alt != chosen:
                     assert sum(w * (a - c) for w, a, c in zip(result.witness, alt, chosen)) > 0
 

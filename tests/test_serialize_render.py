@@ -12,11 +12,11 @@ from circmdd import (
     UnsupportedArityError,
     build_coherent_mdd,
     build_network,
-    coherent_fan,
     distance_table,
     distances,
     encode,
     enumerate_mdds,
+    fan_report,
     hilbert_basis,
     homogeneous_lattice,
     octant,
@@ -27,7 +27,13 @@ from circmdd import (
 )
 from circmdd.errors import CircmddError
 from circmdd.network import _CellStore, packed_width
-from circmdd.serialize import _CellTexts, canonical_json, enumeration_json, net_info_json
+from circmdd.serialize import (
+    _CellTexts,
+    canonical_json,
+    enumeration_json,
+    lattice_payload,
+    net_info_json,
+)
 
 from oracles import enumeration_payload, net_info_payload
 
@@ -43,22 +49,25 @@ def test_mdd_golden_encoding():
 
 
 def test_fan_encoding_has_count():
-    summary = coherent_fan(build_network(9, [1, 4, 7]))
-    doc = json.loads(encode(summary))
+    report = fan_report(build_network(9, [1, 4, 7]))
+    doc = json.loads(encode(report))
     assert doc["mdd_count"] == 9
     assert len(doc["walls"]) == 9
     assert doc["network"] == {"n": 9, "steps": [1, 4, 7]}
 
 
 def test_hilbert_and_table_encoding_shape():
+    # encode covers the four printed documents only: a Hilbert basis is
+    # written as an octant of `lattice hilbert`, and no routing table is
     net = build_network(9, [1, 4, 7])
-    basis = hilbert_basis(octant(homogeneous_lattice(net), "-++"))
-    doc = json.loads(encode(basis))
+    lat = homogeneous_lattice(net)
+    basis = hilbert_basis(octant(lat, "-++"))
+    doc = lattice_payload(lat, [basis])["octants"][0]
     assert doc["octant"] == "-++"
     assert sorted(map(tuple, doc["elements"])) == sorted(basis.elements)
-    table_doc = json.loads(encode(distance_table(net)))
-    assert table_doc["dist"][0] == 0
-    assert table_doc["minimal_paths"][0] == [[0, 0, 0]]
+    for value in (basis, distance_table(net)):
+        with pytest.raises(TypeError):
+            encode(value)
 
 
 def test_encoding_stable_and_injective():

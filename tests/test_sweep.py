@@ -48,10 +48,10 @@ from circmdd import (
     build_coherent_mdd,
     build_network,
     candidate_rays,
-    coherent_fan,
     distance_table,
     distances,
     enumerate_mdds,
+    fan_report,
     hilbert_basis,
     homogeneous_lattice,
     is_coherent,
@@ -117,13 +117,12 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert list(route_counts(net, dist)) == list(map(len, paths)), net
         assert [list(table.routings(i)) for i in range(n)] == paths, net
-        assert [list(p) for p in table.minimal_paths] == paths, net
         mdds = enumerate_mdds(net, "all").mdds
         for m in mdds:
             assert staircase_generators(m).generators == (
                 staircase_generators_by_box_scan(m.cells)
             ), (net, m)
-        fan = coherent_fan(net)
+        fan = fan_report(net)
         by_sectors = coherent_diagrams_by_sectors(
             n, net.steps, fan.sector_representatives, paths
         )
