@@ -18,6 +18,7 @@ from fractions import Fraction
 from .coherence import is_coherent
 from .errors import CircmddError, MalformedDocumentError
 from .fan import build_family, fan_report, verify_family
+from .groebner import _distances_and_counts
 from .lattice import (
     OctantSemigroup,
     SINGLE_NEGATIVE_SIGNS,
@@ -63,6 +64,8 @@ def _weights_arg(text: str) -> list:
 
 def _cmd_net_info(args) -> str:
     net = build_network(args.n, args.steps)
+    if net.r == 3:
+        return net_info_json(net, *_distances_and_counts(net))
     dist, levels = _bfs_levels(net)
     return net_info_json(net, dist, _count_routes(net.steps, dist, levels))
 

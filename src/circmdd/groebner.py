@@ -10,6 +10,10 @@ the one whose weight leads every sum-zero vector of it (_is_led); the
 census starts there and reaches every other sector by one flip across
 the wall between neighbours. Buchberger's algorithm runs for the graded
 basis and as the fallback of a failed check only.
+
+`net info` on three steps reads its distances and route counts off the
+staircase of the graded basis (_distances_and_counts), with no
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -86,6 +90,86 @@ def _graded_basis(net: CirculantNetwork):
     w0 = [0, 0, 0]
     w0[ia], w0[ic] = -1, 1
     return [g[3:] for g in _buchberger(_lattice_ideal_basis(net), w0)]
+
+
+def _distances_and_counts(net: CirculantNetwork):
+    """(dist, counts) of a three-step network as lists: the dist of
+    network._bfs_levels and route_counts, read off the staircase of
+    _graded_basis in O(n + D + runs * |leads|) steps, D the diameter.
+
+    The standard monomials are one least routing per vertex (_degree).
+    Name the variables x, y, z, z the one of highest pure-power lead.
+    Each standard (x, y, 0) starts a run of standard (x, y, k) for
+    k < h(x, y), the least l_z over the leads l with l_x <= x and
+    l_y <= y: the vertices x s_x + y s_y + k s_z, at distances
+    x + y + k. The runs cover every vertex once; each is a stretch of
+    one cycle of s_z whose arcs are all tight (add one to the distance).
+
+    Counts follow route_counts with z taken last: count[v] is P[v], the
+    minimal routings of v with a_z = 0, plus count[v - s_z] when that
+    arc is tight. A routing (a, b, 0) is minimal iff a s_x is on the
+    x-chain {a s_x : dist = a} and the s_y-chain from it to v is tight,
+    so P[v] counts the x-chain vertices on the tight s_y-chain ending
+    at v. Each such chain is walked once, from its first x-chain vertex
+    (the least a). The runs are then taken by the distance of their
+    starts: a tight arc into a run's start comes from the end of a run
+    that starts nearer, already done.
+    """
+    n = net.n
+    leads = [g[:3] for g in _led(_graded_basis(net))]
+    pure = {j: g[j] for g in leads for j in range(3) if g[j] == sum(g)}
+    iz = max(pure, key=pure.get)
+    ix, iy = [j for j in range(3) if j != iz]
+    sx, sy, sz = (net.steps[j] for j in (ix, iy, iz))
+    leads = [(g[ix], g[iy], g[iz]) for g in leads]
+    # (distance, vertex) of each run's start, and its length h; the pure
+    # power of z passes the filter for every (x, y), so min() has a list
+    runs = []
+    x = 0
+    while True:
+        y = 0
+        while h := min([lz for lx, ly, lz in leads if lx <= x and ly <= y]):
+            runs.append((x + y, (x * sx + y * sy) % n, h))
+            y += 1
+        if not y:
+            break
+        x += 1
+    dist = [0] * n
+    for d, v, h in runs:
+        for d in range(d, d + h):
+            dist[v] = d
+            v += sz
+            if v >= n:
+                v -= n
+    # P, walked along the tight s_y-chains from the x-chain vertices u
+    count = [0] * n
+    u = a = 0
+    while dist[u] == a:
+        if not count[u]:
+            v, d, p = u, a, 0
+            while dist[v] == d:
+                if v == d * sx % n:  # on the x-chain
+                    p += 1
+                count[v] = p
+                v += sy
+                if v >= n:
+                    v -= n
+                d += 1
+        u += sx
+        if u >= n:
+            u -= n
+        a += 1
+    runs.sort()
+    for d, v, h in runs:
+        # v - s_z lies in (-n, n), and a negative index wraps
+        c = count[v - sz] if dist[v - sz] == d - 1 else 0
+        for _ in range(h):
+            c += count[v]
+            count[v] = c
+            v += sz
+            if v >= n:
+                v -= n
+    return dist, count
 
 
 def _octant_norms(lat):

@@ -66,15 +66,19 @@ def count_searches(monkeypatch) -> list:
 
 
 def test_net_info_builds_no_routing_table(monkeypatch):
-    # distances and route counts come from one vertex search, so neither
-    # the command nor the library calls that need no routing fill the
-    # table cache
+    # three steps read distances and route counts off the graded
+    # staircase, with no vertex search; other arities run one search.
+    # Neither the command nor the library calls that need no routing
+    # fill the table cache
     distance_table.cache_clear()
     searches = count_searches(monkeypatch)
     doc = run_json(["net", "info", "56", "9,17,33"])
     assert (doc["diameter"], doc["average_distance"]) == (10, {"num": 71, "den": 14})
     assert max(doc["route_counts"]) == 10
-    assert len(searches) == 1
+    assert len(searches) == 0
+    for steps in ("9,17", "9,17,33,40"):
+        run_json(["net", "info", "56", steps])
+    assert [net.r for net in searches] == [2, 4]
     assert distance_table.cache_info().currsize == 0
     net = build_network(56, [9, 17, 33])
     assert network_stats(net) == (10, Fraction(71, 14))
@@ -412,6 +416,13 @@ GOLDEN = {
     "net-info-two-digit-counts": ("net info 56 9,17,33", 0, "ec3c4bd1c166ffa10097484f10dd88f70fc52798fcb43e1df34ed9644eaf058f"),
     # n = 44732: the largest document of net_info_json's text writer
     "net-info-c44732": ("net info 44732 213,2969,41553", 0, "4eb0a9fb05e17d57aa84c22afabf3963f9ed712027f47c104388b0c4649a88b6"),
+    # the q = 11 family lift, a unit-multiple step-permuted relabelling
+    # of the q = 14 one, and C6000(2,3002,1), whose route counts reach 751
+    "net-info-c17822": ("net info 17822 135,1475,16215", 0, "4c8ab8e132edafafcdedd2a1d0ba6a9fec2a9fe1601e9da243c9ab2820708c01"),
+    "net-info-c44732-relabelled": ("net info 44732 36869,3161,23301", 0, "a0ec6e1ac541b1c862e3e7594cad5fdaeb24e28312c4d420230b4253442ea53c"),
+    "net-info-c6000": ("net info 6000 2,3002,1", 0, "f9ab473adc6341c15747564d4551d1b21bfaa6ead00c06813cf46898a7549f6b"),
+    # the staircase's run step 913 shares the factor 11 with n: 11 cycles
+    "net-info-c946-cycles": ("net info 946 618,323,913", 0, "f28152d8b3e30bdcfc6a154ccc8e4bf9d59851cbec46937b70089b014426c2fa"),
     "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
     "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),

@@ -16,6 +16,7 @@ from circmdd import (
     DistanceTable,
     DuplicateStepError,
     ZeroStepError,
+    build_family,
     build_network,
     distance_table,
     distances,
@@ -23,6 +24,7 @@ from circmdd import (
     route_counts,
     vertex_of,
 )
+from circmdd.groebner import _distances_and_counts, _graded_basis
 from circmdd.network import _bfs_levels, _CellStore, _count_routes, _levels_of, packed_width
 
 from oracles import bfs_distances, minimal_paths_by_scan
@@ -199,6 +201,65 @@ def test_bfs_levels_of_a_disconnected_network_raise():
         _bfs_levels(CirculantNetwork(6, (2, 4)))
     assert str(info.value) == "vertex 0 reaches 3 of 6 vertices"
     assert info.value.details == {"n": 6}
+
+
+def relabelled(rng, net):
+    """An isomorphic copy of a three-step network: its steps times a
+    unit of Z_n, in a new order."""
+    n = net.n
+    unit = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+    return build_network(n, [unit * s for s in rng.sample(net.steps, 3)])
+
+
+def run_step(net):
+    """The step of the strictly highest pure-power lead of the graded
+    basis, along which _distances_and_counts lays its runs; None on a
+    tie."""
+    powers = sorted(
+        (max(g), g.index(max(g))) for g in _graded_basis(net) if sum(c > 0 for c in g) == 1
+    )
+    (low, _), (high, j) = powers[-2:]
+    return net.steps[j] if high > low else None
+
+
+def test_staircase_counts_match_the_oracles():
+    # distances and route counts of every vertex read off the graded
+    # staircase, against the plain search and the exhaustive scan
+    rng = random.Random(3100)
+    nets = random_networks(3000, 3, 40, 200)
+    for net in nets + [relabelled(rng, net) for net in nets]:
+        dist, counts = _distances_and_counts(net)
+        assert dist == bfs_distances(net.n, net.steps), net
+        _, paths = minimal_paths_by_scan(net.n, net.steps)
+        assert counts == list(map(len, paths)), net
+
+
+# runs along a step that shares a factor with n lie on several cycles:
+# C946(618,323,913) 11 of them, C572(297,430,148) also 11,
+# C6000(2,3002,1) 2; the last has route counts up to 751. C20000 has
+# step differences of small order (10003 - 3 = n / 2)
+LARGE_NETWORKS = [
+    (946, [618, 323, 913]),
+    (572, [297, 430, 148]),
+    (6000, [2, 3002, 1]),
+    (20000, [3, 10003, 101]),
+]
+
+
+def test_staircase_counts_match_the_search_on_larger_networks():
+    rng = random.Random(3200)
+    nets = random_networks(3300, 3, 60, 3000)
+    nets += [build_network(n, steps) for n, steps in LARGE_NETWORKS]
+    nets += [build_family(q).lifted for q in (2, 5, 8)]
+    nets += [relabelled(rng, net) for net in nets]
+    cycles = [net for net in nets if math.gcd(run_step(net) or 1, net.n) > 1]
+    assert len(cycles) >= 20
+    for n, steps in LARGE_NETWORKS[:3]:
+        assert math.gcd(run_step(build_network(n, steps)), n) > 1
+    for net in nets:
+        dist, levels = _bfs_levels(net)
+        expected = (dist, list(_count_routes(net.steps, dist, levels)))
+        assert _distances_and_counts(net) == expected, net
 
 
 @pytest.mark.parametrize(

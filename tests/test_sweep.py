@@ -13,7 +13,8 @@ equals the definition-level indecomposable filter, the candidate rays
 equal those screened over every short octant point, the uniqueness
 criterion agrees with the enumeration, and the breadth-first distances,
 the route counts, the per-vertex routing walks and the table built from
-them equal those of an exhaustive scan. A second sweep builds the
+them equal those of an exhaustive scan, and so do the distances and route
+counts read off the graded staircase. A second sweep builds the
 diagram of every sector representative and every wall ray of the fan,
 with both tie policies, against the definition-level census: wall rays
 lie on tie lines, so they reach the weight-tie check. It also checks
@@ -60,7 +61,7 @@ from circmdd import (
     staircase_generators,
 )
 from circmdd.intlin import norm1
-from circmdd.groebner import _graded_basis, _sector_leads
+from circmdd.groebner import _distances_and_counts, _graded_basis, _sector_leads
 from circmdd.mdd import _first_tie
 from circmdd.serialize import canonical_json, enumeration_json, net_info_json
 
@@ -116,6 +117,7 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         assert dist == table.dist, net
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert list(route_counts(net, dist)) == list(map(len, paths)), net
+        assert _distances_and_counts(net) == (list(dist), list(map(len, paths))), net
         assert [list(table.routings(i)) for i in range(n)] == paths, net
         mdds = enumerate_mdds(net, "all").mdds
         for m in mdds:
