@@ -16,9 +16,8 @@ import sys
 from fractions import Fraction
 
 from .coherence import is_coherent
-from .errors import CircmddError, MalformedDocumentError
+from .errors import CircmddError, MalformedDocumentError, TooLargeError
 from .fan import build_family, fan_report, verify_family
-from .groebner import _distances_and_counts
 from .lattice import (
     OctantSemigroup,
     SINGLE_NEGATIVE_SIGNS,
@@ -26,7 +25,7 @@ from .lattice import (
     homogeneous_lattice,
 )
 from .mdd import enumerate_mdds, build_coherent_mdd, validate_mdd
-from .network import _bfs_levels, _count_routes, build_network
+from .network import _kernel, build_network
 from .render import RenderSpec, render
 from .serialize import (
     canonical_json,
@@ -64,10 +63,7 @@ def _weights_arg(text: str) -> list:
 
 def _cmd_net_info(args) -> str:
     net = build_network(args.n, args.steps)
-    if net.r == 3:
-        return net_info_json(net, *_distances_and_counts(net))
-    dist, levels = _bfs_levels(net)
-    return net_info_json(net, dist, _count_routes(net.steps, dist, levels))
+    return net_info_json(net, *_kernel(net))
 
 
 def _cmd_mdd_build(args) -> str:
@@ -189,7 +185,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
-    except CircmddError as exc:
+    except (CircmddError, MemoryError, OverflowError) as exc:
+        if not isinstance(exc, CircmddError):  # an n-sized array too large to make
+            exc = TooLargeError(
+                "the input is too large to hold in memory", raised=type(exc).__name__
+            )
         sys.stderr.write(canonical_json({"error": error_payload(exc)}) + "\n")
         return 1
     try:

@@ -73,5 +73,9 @@ class MalformedDocumentError(CircmddError):
     code = "malformed-document"
 
 
+class TooLargeError(CircmddError):
+    code = "too-large"
+
+
 class InternalInconsistencyError(CircmddError):
     code = "internal-inconsistency"

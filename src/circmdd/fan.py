@@ -19,6 +19,7 @@ geometric-step families with many diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .errors import (
@@ -27,19 +28,19 @@ from .errors import (
     BadRayError,
     InternalInconsistencyError,
     UnsupportedArityError,
-    WeightTieError,
 )
-from .groebner import _degree, _is_led, _octant_norms, _sector_leads, _wall_inputs
+from .groebner import _degree, _graded_basis, _is_led, _sector_leads
 from .intlin import angular_key, cross, dot, primitive, vec_neg, vec_scale
 from .lattice import (
     HomogeneousLattice,
     OctantSemigroup,
     SINGLE_NEGATIVE_SIGNS,
+    _octant_norms,
     hilbert_basis,
     homogeneous_lattice,
     octant_points_bounded,
 )
-from .mdd import enumerate_mdds
+from .mdd import _tie_at_u, enumerate_mdds
 from .network import CirculantNetwork, build_network, vertex_of
 
 
@@ -106,7 +107,7 @@ def candidate_rays(lat: HomogeneousLattice, octants=None) -> tuple[RayCandidate,
     on an octant, so such a point is a sum of generators of norm at most
     ||a||, and the screening tests those generators only (_screens).
     Survivors are deduplicated and sorted by angle. octants, when
-    given, is groebner._octant_norms(lat), as fan_report's _wall_inputs
+    given, is lattice._octant_norms(lat), as fan_report's _wall_inputs
     holds it.
     """
     if lat.r != 3:
@@ -130,6 +131,11 @@ def _screens(ray, norms, bound):
     return all(
         r0 * b0 + r1 * b1 + r2 * b2 >= 0 for (b0, b1, b2), nb in norms.items() if nb <= bound
     )
+
+
+def _wall_inputs(lat):
+    """verify_wall's inputs, once per fan: the lattice, _octant_norms and _graded_basis."""
+    return lat, _octant_norms(lat), _graded_basis(lat.net)
 
 
 def _check_wall_conditions(net, inputs, ray, a):
@@ -210,26 +216,24 @@ def _sample_sectors(net, walls, basis):
     """One generic weight per open sector, and its census key.
 
     A sector's representative is the sum of its two walls' plane
-    vectors, slid toward the opening wall past any weight tie. The key
+    vectors, slid toward the opening wall while mdd._tie_at_u, reading
+    distances as normal-form degrees, finds a weight tie there. Its key
     is the lead set of the reduced Groebner basis of the lattice ideal
     (_sector_leads). The graded basis is already the reduced basis of
     the sector whose representative leads it (_is_led), so the census
     starts there, without a wall, and flips forward across each wall
     into the next sector, wrapping round; without walls the single
     sector is keyed at (1, 0, -1). When no representative leads the
-    graded basis, or a check fails, Buchberger's algorithm runs instead,
-    so a wrong wall cannot change a key.
+    graded basis, or a check fails, Buchberger's algorithm runs, so a
+    wrong wall cannot change a key.
     """
     if not walls:
         rep = (1, 0, -1)
-        try:
-            key, _ = _sector_leads(net, rep, basis)
-        except WeightTieError as exc:
+        if _tie_at_u(net, rep, partial(_degree, basis)) is not None:
             raise InternalInconsistencyError(
-                "no verified walls but the network still admits weight ties",
-                detail=str(exc),
-            ) from exc
-        return [rep], [key]
+                "no verified walls but the network still admits weight ties"
+            )
+        return [rep], [_sector_leads(rep, basis)[0]]
     if len(walls) == 1:
         raise InternalInconsistencyError(
             "a complete fan cannot have exactly one boundary ray"
@@ -262,20 +266,18 @@ def _sample_sectors(net, walls, basis):
         step = 1
         for _ in range(64):
             w = _plane_vector(rep)
-            try:
-                key, basis = _sector_leads(net, w, basis, crossed)
+            if _tie_at_u(net, w, partial(_degree, basis)) is None:
                 break
-            except WeightTieError:
-                # slide toward the opening wall past any interior tie line;
-                # doubling reaches any integer threshold quickly
-                rep = (rep[0] + step * a2[0], rep[1] + step * a2[1])
-                step *= 2
+            # slide toward the opening wall past any interior tie line;
+            # doubling reaches any integer threshold quickly
+            rep = (rep[0] + step * a2[0], rep[1] + step * a2[1])
+            step *= 2
         else:
             raise InternalInconsistencyError(
                 "sector sampling found no generic weight", sector=i
             )
         reps[i] = w
-        keys[i] = key
+        keys[i], basis = _sector_leads(w, basis, crossed)
     return reps, keys
 
 
@@ -372,10 +374,6 @@ class FamilyVerification:
     ok: bool
 
 
-def _rotate(a):
-    return (a[2], a[0], a[1])
-
-
 def build_family(q: int, k: int | None = None, t: int | None = None) -> FamilyNetwork:
     """Construct the q-family network and its predictions.
 
@@ -420,7 +418,7 @@ def build_family(q: int, k: int | None = None, t: int | None = None) -> FamilyNe
     block = first
     for signs in SINGLE_NEGATIVE_SIGNS:
         predictions.append((signs, tuple(sorted(block))))
-        block = [_rotate(a) for a in block]
+        block = [(a[2], a[0], a[1]) for a in block]
     note = None
     if q % 3 == 0:
         note = (

@@ -11,20 +11,18 @@ census starts there and reaches every other sector by one flip across
 the wall between neighbours. Buchberger's algorithm runs for the graded
 basis and as the fallback of a failed check only.
 
-`net info` on three steps reads its distances and route counts off the
-staircase of the graded basis (_distances_and_counts), with no
-breadth-first search.
+network reads every three-step distance and route count off the
+staircase of the graded basis (_distances_and_counts). This module
+imports no circmdd module at run time, so network can import it.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .errors import InternalInconsistencyError
-from .intlin import norm1
-from .lattice import SINGLE_NEGATIVE_SIGNS, OctantSemigroup, hilbert_basis
-from .mdd import _first_scan_tie, _integer_weights, _tie_error, _tie_plus
-from .network import CirculantNetwork, _routings, vertex_of
+if TYPE_CHECKING:
+    from .network import CirculantNetwork
 
 
 def _variables(net: CirculantNetwork):
@@ -93,9 +91,9 @@ def _graded_basis(net: CirculantNetwork):
 
 
 def _distances_and_counts(net: CirculantNetwork):
-    """(dist, counts) of a three-step network as lists: the dist of
-    network._bfs_levels and route_counts, read off the staircase of
-    _graded_basis in O(n + D + runs * |leads|) steps, D the diameter.
+    """(dist, counts) of a connected three-step network, as lists: the
+    dist of network._bfs_levels and route_counts, read off the staircase
+    of _graded_basis in O(n + D + runs * |leads|) steps, D the diameter.
 
     The standard monomials are one least routing per vertex (_degree).
     Name the variables x, y, z, z the one of highest pure-power lead.
@@ -122,6 +120,9 @@ def _distances_and_counts(net: CirculantNetwork):
     ix, iy = [j for j in range(3) if j != iz]
     sx, sy, sz = (net.steps[j] for j in (ix, iy, iz))
     leads = [(g[ix], g[iy], g[iz]) for g in leads]
+    # first, so that an n too large to hold fails before the runs fill memory
+    dist = [0] * n
+    count = [0] * n
     # (distance, vertex) of each run's start, and its length h; the pure
     # power of z passes the filter for every (x, y), so min() has a list
     runs = []
@@ -134,7 +135,6 @@ def _distances_and_counts(net: CirculantNetwork):
         if not y:
             break
         x += 1
-    dist = [0] * n
     for d, v, h in runs:
         for d in range(d, d + h):
             dist[v] = d
@@ -142,7 +142,6 @@ def _distances_and_counts(net: CirculantNetwork):
             if v >= n:
                 v -= n
     # P, walked along the tight s_y-chains from the x-chain vertices u
-    count = [0] * n
     u = a = 0
     while dist[u] == a:
         if not count[u]:
@@ -172,22 +171,6 @@ def _distances_and_counts(net: CirculantNetwork):
     return dist, count
 
 
-def _octant_norms(lat):
-    """Per single-negative sign pattern, the Hilbert basis of its octant
-    as a dict from each generator to its 1-norm, in basis order."""
-    return {
-        s: {b: norm1(b) for b in hilbert_basis(OctantSemigroup(lat, s)).elements}
-        for s in SINGLE_NEGATIVE_SIGNS
-    }
-
-
-def _wall_inputs(lat):
-    """What fan.verify_wall reads of a network, computed once per fan:
-    its lattice, _octant_norms and _graded_basis, whose normal-form
-    degrees are distances."""
-    return lat, _octant_norms(lat), _graded_basis(lat.net)
-
-
 def _led(basis):
     """The vectors of basis as (lead, vector) tuples, each led by its
     plus part, as the reduced bases here are."""
@@ -215,47 +198,30 @@ def _is_led(basis, iw):
     )
 
 
-def _sector_leads(net: CirculantNetwork, w, basis, wall=None):
+def _sector_leads(iw, basis, wall=None):
     """(leads, basis): the sorted leads of the reduced Groebner basis of
-    the lattice ideal for the weight w, and the vectors of that basis.
+    the lattice ideal for the integer weights iw, and the vectors of
+    that basis.
 
     basis is the reduced Groebner basis of I_L for a graded order:
-    _graded_basis or the basis this returned for another weight. Raises
-    WeightTieError exactly when build_coherent_mdd(net, w) raises,
-    naming a tie at the vertex u of e+ for the direction e of the ties
-    of w, which need not be the first tie. The proof in mdd._first_tie
-    decides the raise at u alone: there is one iff deg NF(e+) = |e+|,
-    that is e+ is minimal, and the scan of u's routings of length |e+|
-    raises. A weight parallel to (1, 1, 1) lies in no sector and raises
-    InternalInconsistencyError.
-
-    The term order is "degree, then w, then lex", so the standard
-    monomials of the initial ideal are the least routings of the
-    vertices, the diagram of w, and the leads are
-    staircase_generators(build_coherent_mdd(net, w)).generators
+    _graded_basis or the basis this returned for another weight. The
+    term order is "degree, then iw, then lex", so the standard monomials
+    of the initial ideal are the least routings of the vertices, the
+    diagram of iw, and the leads are
+    staircase_generators(build_coherent_mdd(net, iw)).generators
     (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4-5;
-    Conti-Traverso 1991), whether or not a step is a unit mod n.
+    Conti-Traverso 1991), whether or not a step is a unit mod n. No tie
+    is checked: the fan slides iw past ties first (mdd._tie_at_u).
 
     With a wall ray, basis must be one this returned for a weight on
     the far side of that wall, and the new basis is one flip across it
-    (_flip). Without a wall, basis is returned as it stands when w leads
-    every sum-zero vector of it (_is_led), which makes it the reduced
-    basis for w. When that check or a check of the flip fails,
+    (_flip). Without a wall, basis is returned as it stands when iw
+    leads every sum-zero vector of it (_is_led), which makes it the
+    reduced basis for iw. When that check or a check of the flip fails,
     Buchberger's algorithm completes basis (_buchberger). Either way the
-    result is the reduced basis for w, so the leads do not depend on
+    result is the reduced basis for iw, so the leads do not depend on
     the path taken.
     """
-    w, iw = _integer_weights(net, w)
-    if iw[0] == iw[1] == iw[2]:
-        raise InternalInconsistencyError(
-            f"weight {w} is parallel to (1, 1, 1) and lies in no sector", weight=list(iw)
-        )
-    plus = _tie_plus(net, iw)
-    h = sum(plus)
-    if _degree(basis, plus) == h:
-        tie = _first_scan_tie(lambda i: _routings(net, i, h), [vertex_of(net, plus)], iw)
-        if tie is not None:
-            raise _tie_error(w, *tie)
     if wall is None:
         elements = _led(basis) if _is_led(basis, iw) else None
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ArityMismatchError, UnsupportedArityError
-from .intlin import dot, hnf_rows, kernel_of_row, vec_neg
+from .intlin import dot, hnf_rows, kernel_of_row, norm1, vec_neg
 from .network import CirculantNetwork
 
 SINGLE_NEGATIVE_SIGNS = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
@@ -227,3 +227,12 @@ def hilbert_basis(oct: OctantSemigroup) -> HilbertBasis:
         a[p1], a[p2], a[j] = y, z, -(y + z)
         elements.append(tuple(a))
     return HilbertBasis(oct, tuple(sorted(elements)))
+
+
+def _octant_norms(lat: HomogeneousLattice):
+    """Per single-negative sign pattern, the Hilbert basis of its octant
+    as a dict from each generator to its 1-norm, in basis order."""
+    return {
+        s: {b: norm1(b) for b in hilbert_basis(OctantSemigroup(lat, s)).elements}
+        for s in SINGLE_NEGATIVE_SIGNS
+    }

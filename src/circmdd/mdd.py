@@ -21,6 +21,7 @@ from .coherence import _directions, _has_solution
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
+    InternalInconsistencyError,
     MalformedDocumentError,
     NotDownClosedError,
     NotMinimalError,
@@ -33,12 +34,12 @@ from .network import (
     CirculantNetwork,
     PathVector,
     _CellStore,
-    _bfs_levels,
     _count_routes,
+    _kernel,
     _levels_of,
     _packed_fields,
+    _routings,
     distance_table,
-    distances,
     packed_width,
     vertex_of,
 )
@@ -113,15 +114,12 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     if tie_policy == "error":
         tie = _first_tie(table, iw)
         if tie is not None:
-            raise _tie_error(w, *tie)
+            i, best, a = tie
+            raise WeightTieError(
+                f"weight {w} does not separate minimal routings {best} and {a} to vertex {i}",
+                vertex=i, first=list(best), second=list(a),
+            )
     return Mdd(net, _least_routings(table, iw))
-
-
-def _tie_error(w, i, best, a):
-    return WeightTieError(
-        f"weight {w} does not separate minimal routings {best} and {a} to vertex {i}",
-        vertex=i, first=list(best), second=list(a),
-    )
 
 
 def _integer_weights(net, w):
@@ -177,7 +175,7 @@ def _first_tie(table, iw):
     of one vertex tie exactly when they differ by a multiple k*e. The
     proof below takes e lexicographically positive. The code need not:
     e is sum-zero and in the lattice, so e+ and e- reach one vertex in
-    as many arcs, and u and |e+| are all it reads (_tie_plus does not
+    as many arcs, and u and |e+| are all it reads (_tie_at_u does not
     orient e). Let u = vertex(e+). Then:
 
     - Vertex i has two routings that differ by some k*e exactly when it
@@ -192,33 +190,42 @@ def _first_tie(table, iw):
       anything lighter than e+ before e+ would, plus (k-1)*e+, be
       lighter than k*e+ before k*e+.
 
-    So the scan runs on u first, and only if u raises on every vertex
-    with a tie pair, in vertex order. In every other case it runs on
-    every vertex with more than one routing. Only build_coherent_mdd
-    needs the first tie.
+    So the scan runs on u first (_tie_at_u), and only if u raises on
+    every vertex with a tie pair, in vertex order. In every other case
+    it runs on every vertex with more than one routing. Only
+    build_coherent_mdd needs the first tie.
     """
     net = table.net
     dist = table.dist
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
         counts = _count_routes(net.steps, dist, table.levels)
         return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
-    plus = _tie_plus(net, iw)
-    u = vertex_of(net, plus)
-    h = sum(plus)
-    if dist[u] != h or _first_scan_tie(table.routings, [u], iw) is None:
+    tie = _tie_at_u(net, iw, lambda a: dist[vertex_of(net, a)])
+    if tie is None:
         return None
+    u, h = tie[0], sum(tie[1])
     shifted = dist[-u:] + dist[:-u]  # shifted[i] == dist[i - u]
     tied = compress(count(), map(eq, map((-h).__add__, dist), shifted))
     return _first_scan_tie(table.routings, tied, iw)
 
 
-def _tie_plus(net, iw):
-    """e+ for the e of _first_tie; (-e)+ = e- would reach the same
-    vertex at the same length."""
+def _tie_at_u(net, iw, distance):
+    """The tie of the lexicographic scan at u = vertex(e+), for three
+    steps and the e of _first_tie: (u, routing held, tied routing), or
+    None. build_coherent_mdd(net, iw) raises exactly when this finds one
+    (_first_tie's proof). distance(a) is the distance of vertex(a), from
+    dist or as a normal-form degree (groebner._degree, in the census).
+    A weight parallel to (1, 1, 1) has no e and lies in no sector."""
+    if iw[0] == iw[1] == iw[2]:
+        raise InternalInconsistencyError(f"weight {iw} is parallel to (1, 1, 1)", weight=list(iw))
     w0, w1, w2 = iw
     line = primitive((w1 - w2, w2 - w0, w0 - w1))
     e = vec_scale(line, net.n // gcd(net.n, sum(map(mul, line, net.steps))))
-    return tuple(max(c, 0) for c in e)
+    plus = tuple(max(c, 0) for c in e)  # e- would reach u at the same length
+    h = sum(plus)
+    if distance(plus) != h:
+        return None
+    return _first_scan_tie(lambda i: _routings(net, i, h), [vertex_of(net, plus)], iw)
 
 
 def _first_scan_tie(routings, vertices, iw):
@@ -308,8 +315,8 @@ def enumerate_mdds(
 ) -> EnumerationResult:
     """All diagrams of the network by exhaustive backtracking.
 
-    Places are the vertices in (distance, vertex) order, from
-    distances(net) alone. A cell of vertex i minus one arc of step j is
+    Places are the vertices in (distance, vertex) order, from the dist
+    of network._kernel. A cell of vertex i minus one arc of step j is
     the cell of i - s_j, so each cell of i is cells[i - s_j] + e_j for a
     tight predecessor i - s_j (one level down), kept only if each of its
     one-arc predecessors is the cell chosen there (down-closure): at
@@ -348,10 +355,8 @@ def enumerate_mdds(
         raise UnsupportedArityError("coherence is decided for at most four steps", r=net.r)
     budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     n, r = net.n, net.r
-    dist = distances(net)
-    levels = _levels_of(dist)
-    order = list(chain.from_iterable(levels))
-    counts = _count_routes(net.steps, dist, levels)
+    dist, counts = _kernel(net)
+    order = list(chain.from_iterable(_levels_of(dist)))
     pre = [0, *accumulate(map(counts.__getitem__, order))]  # visits before each place
 
     # one field per coordinate, first coordinate highest; fields never
@@ -464,7 +469,7 @@ def is_unique_mdd(net: CirculantNetwork) -> bool:
     routings there, and each order's least routings form a coherent
     diagram (the standard monomials of an initial ideal; Sturmfels,
     Groebner Bases and Convex Polytopes, ch. 4-5), so there are two.
-    The counts are route_counts over the levels of the breadth-first
-    search, without a routing table or a sort.
+    The counts are route_counts, from network._kernel, without a routing
+    table or a sort.
     """
-    return all(c == 1 for c in _count_routes(net.steps, *_bfs_levels(net)))
+    return all(c == 1 for c in _kernel(net)[1])

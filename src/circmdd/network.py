@@ -3,6 +3,8 @@
 A network C_n(s_1, ..., s_r) has vertices Z_n and an arc i -> i + s_l
 for every step. A routing to vertex i is a vector a in N^r with
 sum(a_l * s_l) = i mod n; its length is the coordinate sum.
+
+Each arity has one distance kernel, and _kernel alone chooses it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import (
     DuplicateStepError,
     ZeroStepError,
 )
+from .groebner import _distances_and_counts
 
 PathVector = tuple[int, ...]
 
@@ -253,13 +256,24 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
 
 def distances(net: CirculantNetwork) -> tuple[int, ...]:
-    """Distances from vertex 0: the dist of _bfs_levels.
+    """Distances from vertex 0: the graded staircase for three steps
+    (_kernel), the dist of _bfs_levels otherwise.
 
     O(n * r) and no routing is built; distance_table(net).dist is this,
     cached. Raises DisconnectedError when vertex 0 does not reach every
     vertex (only an unvalidated network can fail so).
     """
-    return tuple(_bfs_levels(net)[0])
+    return tuple(_kernel(net)[0] if net.r == 3 else _bfs_levels(net)[0])
+
+
+def _kernel(net: CirculantNetwork):
+    """(dist, counts) as distances and route_counts: the staircase of a
+    connected three-step network (groebner._distances_and_counts), else
+    _bfs_levels, which refuses a disconnected one, and _count_routes."""
+    if net.r == 3 and math.gcd(net.n, *net.steps) == 1:
+        return _distances_and_counts(net)
+    dist, levels = _bfs_levels(net)
+    return dist, _count_routes(net.steps, dist, levels)
 
 
 def _bfs_levels(net: CirculantNetwork) -> tuple[list[int], list[list[int]]]:

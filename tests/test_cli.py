@@ -50,7 +50,8 @@ def test_net_info():
 
 def count_searches(monkeypatch) -> list:
     """The networks of every breadth-first search from here on: each
-    distance search of the library runs network._bfs_levels."""
+    distance search of the library runs network._bfs_levels, and only
+    network calls it."""
     import circmdd.network
 
     search = circmdd.network._bfs_levels
@@ -60,16 +61,15 @@ def count_searches(monkeypatch) -> list:
         calls.append(net)
         return search(net)
 
-    for module in (circmdd.network, circmdd.mdd, circmdd.cli):
-        monkeypatch.setattr(module, "_bfs_levels", counted)
+    monkeypatch.setattr(circmdd.network, "_bfs_levels", counted)
     return calls
 
 
 def test_net_info_builds_no_routing_table(monkeypatch):
     # three steps read distances and route counts off the graded
-    # staircase, with no vertex search; other arities run one search.
-    # Neither the command nor the library calls that need no routing
-    # fill the table cache
+    # staircase, with no vertex search, in the command and the library
+    # alike; other arities run one search. Neither the command nor the
+    # library calls that need no routing fill the table cache
     distance_table.cache_clear()
     searches = count_searches(monkeypatch)
     doc = run_json(["net", "info", "56", "9,17,33"])
@@ -83,6 +83,7 @@ def test_net_info_builds_no_routing_table(monkeypatch):
     net = build_network(56, [9, 17, 33])
     assert network_stats(net) == (10, Fraction(71, 14))
     assert not is_unique_mdd(net)
+    assert len(searches) == 2
     assert distance_table.cache_info().misses == 0
 
 
@@ -236,13 +237,40 @@ def test_mdd_check_accepts_the_valid_c4_document(tmp_path):
 
 
 def test_mdd_check_runs_the_distance_search_once(tmp_path, monkeypatch):
-    # validation and the coherence check read the same cached table
-    path = tmp_path / "diagram.json"
-    path.write_text(encode(build_coherent_mdd(build_network(9, [1, 4, 7]), (7, 2, 0))))
+    # validation and the coherence check read the same cached table: a
+    # four-step network searches once, and a three-step one reads the
+    # staircase and does not search
+    three = tmp_path / "three.json"
+    three.write_text(encode(build_coherent_mdd(build_network(9, [1, 4, 7]), (7, 2, 0))))
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps(GOLDEN_DOCUMENTS["coherent-r4.json"]))
     searches = count_searches(monkeypatch)
     distance_table.cache_clear()
-    assert run_json(["mdd", "check", str(path)])["coherent"] is True
-    assert len(searches) == 1
+    for path in (three, four):
+        assert run_json(["mdd", "check", str(path)])["coherent"] is True
+    assert [net.r for net in searches] == [4]
+
+
+@pytest.mark.parametrize(
+    "command, raised",
+    [
+        ("net info 1000000000000000 1,2", "MemoryError"),
+        ("net info 100000000000000000000 1,2,3", "OverflowError"),
+        ("mdd enumerate 1000000000000000 1,2,3", "MemoryError"),
+        ("mdd build 1000000000000000 1,2,3 --weight 1,2,3", "MemoryError"),
+    ],
+)
+def test_a_network_too_large_to_hold_is_a_domain_error(command, raised):
+    # a list of 10**15 entries asks for more than the address space, so
+    # the request fails before any page is touched; 10**20 entries do
+    # not fit an index at all
+    code, out, err = run_cli(command.split())
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "too-large",
+        "message": "the input is too large to hold in memory",
+        "details": {"raised": raised},
+    }
 
 
 def test_lattice_hilbert():
@@ -423,6 +451,9 @@ GOLDEN = {
     "net-info-c6000": ("net info 6000 2,3002,1", 0, "f9ab473adc6341c15747564d4551d1b21bfaa6ead00c06813cf46898a7549f6b"),
     # the staircase's run step 913 shares the factor 11 with n: 11 cycles
     "net-info-c946-cycles": ("net info 946 618,323,913", 0, "f28152d8b3e30bdcfc6a154ccc8e4bf9d59851cbec46937b70089b014426c2fa"),
+    # a four-step network of 2,000 vertices: the breadth-first search
+    # and its count passes, the kernel of every arity but three
+    "net-info-r4-c2000": ("net info 2000 7,301,977,1403", 0, "b10ea77b8eaaf7ae37965e17659996c29d6557dc8e6980cb808f789247cc6981"),
     "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
     "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),
@@ -432,6 +463,7 @@ GOLDEN = {
     # by level construction; the five-step weight ties, so lex decides
     "mdd-build-q5-lex": ("mdd build 992 33,161,801 --weight 7,2,0 --tie lex", 0, "691848477461347a6a24d79ec0ab05184d9f451bdbd87f6d7347eee739a1a6bf"),
     "mdd-build-r5-lex": ("mdd build 500 3,37,101,233,377 --weight 1,0,1,0,1 --tie lex", 0, "fbf76081b43f7950774023648306e050373e2cf6f30b85762636f4d8cc3ff042"),
+    "mdd-build-q6-lex": ("mdd build 1892 45,265,1585 --weight 5,-1,-4 --tie lex", 0, "81ab1cfe2281a59d200be9f955f05f41fcef03b6e9c5de7a8028822e5950f388"),
     "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
     "mdd-build-layer-axis": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg --layer-axis 7", 2, "5e21ac22cd197308ac7b49dd062537450f87539d3c98e94b39471d20140b3753"),
     "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
@@ -443,6 +475,7 @@ GOLDEN = {
     "mdd-enumerate-budget": ("mdd enumerate 9 1,4,7 --budget 5", 1, "c77905d6937672f42ff5beb314d1bc814f3db1d9e71da1d98e8d0feefa76e715"),
     # 16 diagrams, 12 of them coherent: the four-step coherence path
     "mdd-enumerate-coherent-r4": ("mdd enumerate 104 5,17,21,22 --coherent-only", 0, "d46e67694fafe1eaaca6d7709305b71cff6527a3ff9f93dcae1b1505c7885d7c"),
+    # its routing_choice_count is the product of the route counts
     "mdd-enumerate-coherent-q5": ("mdd enumerate 992 33,161,801 --coherent-only", 0, "d8e065fbcc15fc9924201bfe734cf6d229a5f05b93cf07079996b167f44e1023"),
     "mdd-enumerate-coherent-c126": ("mdd enumerate 126 4,40,58,63 --coherent-only", 0, "afa8b6ab0da3cd663cf48028f7efd0501dae54db5a6ea206ca6257f1d2a3d32e"),
     # 24 diagrams of 1,892 cells, 7,094 of them distinct: the largest

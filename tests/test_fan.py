@@ -14,7 +14,6 @@ from circmdd import (
     UnsupportedArityError,
     Wall,
     WallRejection,
-    WeightTieError,
     build_family,
     build_network,
     candidate_rays,
@@ -82,6 +81,15 @@ def test_candidate_rays_requires_three_steps():
     lat = homogeneous_lattice(build_network(10, [1, 6]))
     with pytest.raises(UnsupportedArityError):
         candidate_rays(lat)
+
+
+def test_verify_wall_requires_three_steps():
+    # refused before the ray is read, with or without precomputed inputs
+    net = build_network(10, [1, 6])
+    for inputs in (None, (homogeneous_lattice(net), None, None)):
+        with pytest.raises(UnsupportedArityError) as info:
+            verify_wall(net, RayCandidate((1, -1), ()), inputs)
+        assert info.value.details == {"r": 2}
 
 
 def test_verify_wall_c9_1_4_7_accepts_with_witness():
@@ -292,7 +300,8 @@ def test_fan_reads_no_distances(monkeypatch):
         raise AssertionError(f"distances({net})")
 
     monkeypatch.setattr(circmdd.network, "distances", refused)
-    monkeypatch.setattr(circmdd.mdd, "distances", refused)
+    for module in (circmdd.network, circmdd.mdd):
+        monkeypatch.setattr(module, "_kernel", refused)
     distance_table.cache_clear()
     assert fan_report(build_family(8).lifted).mdd_count == 30
     report = fan_report(build_network(7, [1, 2, 4]))
@@ -311,7 +320,7 @@ def sector_lead_sets(net, fan):
     keyed = []
     basis = _graded_basis(net)
     for w, wall in zip(fan.sector_representatives, crossed):
-        leads, basis = _sector_leads(net, w, basis, wall)
+        leads, basis = _sector_leads(w, basis, wall)
         keyed.append((w, leads))
     return keyed
 
@@ -414,13 +423,13 @@ def test_flips_across_any_ray_keep_the_key(monkeypatch):
         net = build_family(q).lifted
         fan = fan_report(net)
         start = _graded_basis(net)
-        keyed = [_sector_leads(net, w, start) for w in fan.sector_representatives]
+        keyed = [_sector_leads(w, start) for w in fan.sector_representatives]
         rays = [wall.ray for wall in fan.walls] + [(1, -1, 0), (2, -1, -1), (1, 2, -3)]
         for _ in range(100):
             i, j = rng.randrange(len(keyed)), rng.randrange(len(keyed))
             w = fan.sector_representatives[j]
             ray = rng.choice(rays)
-            assert _sector_leads(net, w, keyed[i][1], ray)[0] == keyed[j][0], (q, i, w, ray)
+            assert _sector_leads(w, keyed[i][1], ray)[0] == keyed[j][0], (q, i, w, ray)
     assert counts["fallbacks"] > 0
 
 
@@ -475,24 +484,38 @@ def test_family_q8_lead_sets_are_the_coherent_staircases():
     assert set(keys) == {staircase_generators(m).generators for m in mdds}
 
 
+def test_a_weight_parallel_to_ones_lies_in_no_sector():
+    # refused before the tie check reads any distance
+    from circmdd.errors import InternalInconsistencyError
+    from circmdd.mdd import _tie_at_u
+
+    def refused(a):
+        raise AssertionError(f"distance of {a}")
+
+    net = build_network(9, [1, 4, 7])
+    for iw in ((0, 0, 0), (2, 2, 2)):
+        with pytest.raises(InternalInconsistencyError) as info:
+            _tie_at_u(net, iw, refused)
+        assert info.value.details == {"weight": list(iw)}
+
+
 def test_family_census_call_counts_are_pinned(monkeypatch):
     # family verify 2, 5 and 8 tie-check 72 sector weights, 9 of them
     # retried past a weight tie; perfbench's family-ladder expects both
     import circmdd.fan as fan
 
-    key = fan._sector_leads
+    check = fan._tie_at_u
     calls = []
     retries = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        try:
-            return key(*args, **kwargs)
-        except WeightTieError:
-            retries.append(args[1])
-            raise
+    def counted(net, iw, distance):
+        calls.append(iw)
+        tie = check(net, iw, distance)
+        if tie is not None:
+            retries.append(iw)
+        return tie
 
-    monkeypatch.setattr(fan, "_sector_leads", counted)
+    monkeypatch.setattr(fan, "_tie_at_u", counted)
     for q in (2, 5, 8):
         assert verify_family(q).ok
     assert (len(calls), len(retries)) == (72, 9)
@@ -501,11 +524,13 @@ def test_family_census_call_counts_are_pinned(monkeypatch):
 def test_family_census_runs_buchberger_once_per_network(monkeypatch):
     # family verify 2, 5 and 8: Buchberger's algorithm for the graded
     # basis of each lift only, which is already one sector's reduced
-    # basis, and one flip into each of the other 11 + 20 + 29
+    # basis, and one flip into each of the other 11 + 20 + 29. The
+    # fourth graded basis is the q = 2 brute force's: it reads the
+    # distances and route counts of C56 off the graded staircase
     counts, _ = count_groebner_paths(monkeypatch)
     for q in (2, 5, 8):
         assert verify_family(q).ok
-    assert counts == {"buchberger": 3, "flips": 60, "fallbacks": 0}
+    assert counts == {"buchberger": 4, "flips": 60, "fallbacks": 0}
 
 
 def test_flip_normal_form_calls_are_pinned(monkeypatch):
@@ -584,8 +609,10 @@ def test_graded_basis_is_the_reduced_basis_of_one_sector():
 
 
 def test_fan_report_computes_each_octant_basis_once(monkeypatch):
-    # candidate_rays reads the octant bases of _wall_inputs
+    # candidate_rays reads the octant bases of _wall_inputs, which
+    # lattice._octant_norms computes
     import circmdd.fan as fan
+    import circmdd.lattice as lattice
     from circmdd.lattice import SINGLE_NEGATIVE_SIGNS
 
     signs = []
@@ -594,7 +621,7 @@ def test_fan_report_computes_each_octant_basis_once(monkeypatch):
         signs.append(oct.signs)
         return hilbert_basis(oct)
 
-    for module in (fan, groebner):
+    for module in (fan, lattice):
         monkeypatch.setattr(module, "hilbert_basis", counted)
     assert fan_report(build_family(8).lifted).mdd_count == 30
     assert sorted(signs) == sorted(SINGLE_NEGATIVE_SIGNS)

@@ -14,13 +14,16 @@ The check goes by name alone: a method is taken as referenced wherever
 an attribute of its name is read, whatever the object.
 Every import sits at module level, where the module graph shows it,
 except one under a module-level ``if TYPE_CHECKING:`` that annotations
-alone read. And ``circmdd.__all__`` lists exactly the names that
-``__init__`` imports, each of which resolves.
+alone read. ``circmdd.__all__`` lists exactly the names that
+``__init__`` imports, each of which resolves. And the module graph of
+run-time imports is acyclic, with ``groebner`` a leaf, so that
+``network`` can read three-step distances off its staircase.
 """
 
 import ast
 import importlib
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,57 @@ def test_all_lists_exactly_the_imported_names():
     assert set(circmdd.__all__) == set(imported)
     for name in circmdd.__all__:
         assert getattr(circmdd, name) is imported[name], name
+
+
+def runtime_imports(source: str) -> set[str]:
+    """The circmdd modules a module imports at module level, by name;
+    an import under ``if TYPE_CHECKING:`` is not run, so not counted."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("circmdd."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("circmdd."))
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph, its first module repeated at its end, or
+    [] when the graph is acyclic."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_the_check_sees_an_import_cycle():
+    sources = {
+        "a": "from .b import f\nimport math\n",
+        "b": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .a import G\n"
+        "import circmdd.c\n",
+        "c": "from . import a\nfrom circmdd.d import h\n",
+        "d": "from .intlin import dot\n",
+    }
+    graph = {module: runtime_imports(source) for module, source in sources.items()}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a", "d"}, "d": {"intlin"}}
+    cycle = import_cycle(graph)
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["a", "b", "c"]
+    graph["c"] = {"d"}
+    assert import_cycle(graph) == []
+
+
+def package_imports() -> dict[str, set[str]]:
+    return {path.stem: runtime_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def test_module_graph_is_acyclic():
+    assert import_cycle(package_imports()) == []
+
+
+def test_groebner_imports_no_module_but_errors_and_intlin():
+    # network imports groebner for the three-step kernel, so groebner
+    # must not reach network, mdd or lattice at run time
+    assert package_imports()["groebner"] <= {"errors", "intlin"}

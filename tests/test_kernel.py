@@ -1,12 +1,18 @@
-"""The per-vertex routing walk against the exhaustive-scan oracle.
+"""The per-vertex routing walk against the exhaustive-scan oracle, and
+the distance kernels against the breadth-first search.
 
 DistanceTable.routings lists the minimal routings of one vertex from
 the distances alone: the coset walk of _routings for three steps, and
 for every other arity a walk over the coordinates in order, guided by
 one byte per vertex and step. These tests compare its lists with
-minimal_paths_by_scan, which scans plain tuples.
+minimal_paths_by_scan, which scans plain tuples. Three steps read
+their distances and route counts off the graded staircase, which is
+checked against _bfs_levels and _count_routes, the kernel of every
+other arity.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -19,6 +25,7 @@ from circmdd import (
     distances,
 )
 from circmdd.errors import CircmddError, DisconnectedError
+from circmdd.network import _bfs_levels, _count_routes, _kernel
 
 from oracles import minimal_paths_by_scan
 
@@ -61,3 +68,26 @@ def test_unvalidated_disconnected_network_raises():
         distance_table(CirculantNetwork(6, (2, 4)))
     with pytest.raises(DisconnectedError):
         distances(CirculantNetwork(6, (2, 4)))
+    # the staircase would return wrong distances on three steps that do
+    # not generate Z_n, so the search runs and refuses the network
+    for compute in (distances, distance_table, _kernel):
+        with pytest.raises(DisconnectedError) as info:
+            compute(CirculantNetwork(12, (2, 4, 6)))
+        assert str(info.value) == "vertex 0 reaches 6 of 12 vertices"
+        assert info.value.details == {"n": 12}
+
+
+def test_every_small_triple_gets_the_search_distances():
+    # every connected CirculantNetwork(n, (a, b, c)), n <= 12, zero and
+    # repeated steps included, read off the staircase
+    checked = 0
+    for n in range(1, 13):
+        for steps in itertools.product(range(n), repeat=3):
+            if math.gcd(n, *steps) > 1:
+                continue
+            net = CirculantNetwork(n, steps)
+            dist, levels = _bfs_levels(net)
+            assert distances(net) == tuple(dist), net
+            assert list(_kernel(net)[1]) == list(_count_routes(steps, dist, levels)), net
+            checked += 1
+    assert checked == 5542

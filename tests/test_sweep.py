@@ -35,6 +35,7 @@ oracles.net_info_payload.
 """
 
 import random
+from functools import partial
 from itertools import combinations, compress
 from math import gcd
 
@@ -61,8 +62,8 @@ from circmdd import (
     staircase_generators,
 )
 from circmdd.intlin import norm1
-from circmdd.groebner import _distances_and_counts, _graded_basis, _sector_leads
-from circmdd.mdd import _first_tie
+from circmdd.groebner import _degree, _distances_and_counts, _graded_basis, _sector_leads
+from circmdd.mdd import _first_tie, _tie_at_u
 from circmdd.serialize import canonical_json, enumeration_json, net_info_json
 
 from oracles import (
@@ -197,8 +198,8 @@ def census_ties_against_definition(net, fan):
     basis = flipped = _graded_basis(net)
     crossed = [None] + [wall.ray for wall in fan.walls[1:]]
     for w, wall in zip(fan.sector_representatives, crossed):
-        leads, basis = _sector_leads(net, w, basis)
-        flip_leads, flipped = _sector_leads(net, w, flipped, wall)
+        leads, basis = _sector_leads(w, basis)
+        flip_leads, flipped = _sector_leads(w, flipped, wall)
         _, cells = coherent_cells_by_definition(net.n, net.steps, w, paths=paths)
         staircase = staircase_generators(Mdd(net, cells)).generators
         assert leads == flip_leads == staircase, (net, w)
@@ -218,8 +219,9 @@ def census_ties_against_definition(net, fan):
 
 
 def census_ties_against_the_scan(net, fan, rng):
-    """The census's tie check raises exactly when _first_tie finds a tie,
-    from the graded basis and from sector bases alike."""
+    """The census's tie check, _tie_at_u with normal-form degrees, finds
+    a tie exactly when _first_tie does, under the graded basis and under
+    sector bases alike."""
     table = distance_table(net)
     walls = [wall.ray for wall in fan.walls]
     weights = list(fan.sector_representatives) + walls
@@ -233,11 +235,8 @@ def census_ties_against_the_scan(net, fan, rng):
     for k, w in enumerate(weights):
         if not any(w):
             continue
-        try:
-            _, basis = _sector_leads(net, w, bases[k % len(bases)])
-            raised = False
-            if len(bases) < 4:
-                bases.append(basis)
-        except WeightTieError:
-            raised = True
-        assert raised == (_first_tie(table, w) is not None), (net, w)
+        basis = bases[k % len(bases)]
+        tied = _tie_at_u(net, w, partial(_degree, basis)) is not None
+        if not tied and len(bases) < 4:
+            bases.append(_sector_leads(w, basis)[1])
+        assert tied == (_first_tie(table, w) is not None), (net, w)
