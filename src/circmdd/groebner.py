@@ -8,12 +8,15 @@ sector's weight, which are the staircase generators of its coherent
 diagram. The graded basis is already the reduced basis of one sector,
 the one whose weight leads every sum-zero vector of it (_is_led); the
 census starts there and reaches every other sector by one flip across
-the wall between neighbours. Buchberger's algorithm runs for the graded
-basis and as the fallback of a failed check only.
+the wall between neighbours. In the fan, Buchberger's algorithm runs for
+the graded basis and as the fallback of a failed check only.
 
 network reads every three-step distance and route count off the
-staircase of the graded basis (_distances_and_counts). This module
-imports no circmdd module at run time, so network can import it.
+staircase of the graded basis (_distances_and_counts), distances alone
+off its first half (_staircase). Its two-step kernel runs _buchberger on
+a Hermite basis of the double loop's lattice, to read the L-shaped tile
+(network._tile_distances_and_counts). This module imports no circmdd
+module at run time, so network can import it.
 """
 
 from __future__ import annotations
@@ -93,7 +96,16 @@ def _graded_basis(net: CirculantNetwork):
 def _distances_and_counts(net: CirculantNetwork):
     """(dist, counts) of a connected three-step network, as lists: the
     dist of network._bfs_levels and route_counts, read off the staircase
-    of _graded_basis in O(n + D + runs * |leads|) steps, D the diameter.
+    of _graded_basis in O(n + D + runs * |leads|) steps, D the diameter:
+    the distances of _staircase, then the counts of _staircase_counts."""
+    dist, runs, steps = _staircase(net)
+    return dist, _staircase_counts(dist, runs, *steps)
+
+
+def _staircase(net: CirculantNetwork):
+    """(dist, runs, (s_x, s_y, s_z)) of a connected three-step network:
+    its distances, read off the staircase of _graded_basis, and the runs
+    and steps that _staircase_counts reads.
 
     The standard monomials are one least routing per vertex (_degree).
     Name the variables x, y, z, z the one of highest pure-power lead.
@@ -102,16 +114,6 @@ def _distances_and_counts(net: CirculantNetwork):
     l_y <= y: the vertices x s_x + y s_y + k s_z, at distances
     x + y + k. The runs cover every vertex once; each is a stretch of
     one cycle of s_z whose arcs are all tight (add one to the distance).
-
-    Counts follow route_counts with z taken last: count[v] is P[v], the
-    minimal routings of v with a_z = 0, plus count[v - s_z] when that
-    arc is tight. A routing (a, b, 0) is minimal iff a s_x is on the
-    x-chain {a s_x : dist = a} and the s_y-chain from it to v is tight,
-    so P[v] counts the x-chain vertices on the tight s_y-chain ending
-    at v. Each such chain is walked once, from its first x-chain vertex
-    (the least a). The runs are then taken by the distance of their
-    starts: a tight arc into a run's start comes from the end of a run
-    that starts nearer, already done.
     """
     n = net.n
     leads = [g[:3] for g in _led(_graded_basis(net))]
@@ -122,7 +124,6 @@ def _distances_and_counts(net: CirculantNetwork):
     leads = [(g[ix], g[iy], g[iz]) for g in leads]
     # first, so that an n too large to hold fails before the runs fill memory
     dist = [0] * n
-    count = [0] * n
     # (distance, vertex) of each run's start, and its length h; the pure
     # power of z passes the filter for every (x, y), so min() has a list
     runs = []
@@ -141,6 +142,25 @@ def _distances_and_counts(net: CirculantNetwork):
             v += sz
             if v >= n:
                 v -= n
+    return dist, runs, (sx, sy, sz)
+
+
+def _staircase_counts(dist, runs, sx, sy, sz):
+    """route_counts of a three-step network, as a list, from what
+    _staircase returned.
+
+    Counts follow route_counts with z taken last: count[v] is P[v], the
+    minimal routings of v with a_z = 0, plus count[v - s_z] when that
+    arc is tight. A routing (a, b, 0) is minimal iff a s_x is on the
+    x-chain {a s_x : dist = a} and the s_y-chain from it to v is tight,
+    so P[v] counts the x-chain vertices on the tight s_y-chain ending
+    at v. Each such chain is walked once, from its first x-chain vertex
+    (the least a). The runs are then taken by the distance of their
+    starts: a tight arc into a run's start comes from the end of a run
+    that starts nearer, already done.
+    """
+    n = len(dist)
+    count = [0] * n
     # P, walked along the tight s_y-chains from the x-chain vertices u
     u = a = 0
     while dist[u] == a:
@@ -168,7 +188,7 @@ def _distances_and_counts(net: CirculantNetwork):
             v += sz
             if v >= n:
                 v -= n
-    return dist, count
+    return count
 
 
 def _led(basis):

@@ -4,7 +4,13 @@ A network C_n(s_1, ..., s_r) has vertices Z_n and an arc i -> i + s_l
 for every step. A routing to vertex i is a vector a in N^r with
 sum(a_l * s_l) = i mod n; its length is the coordinate sum.
 
-Each arity has one distance kernel, and _kernel alone chooses it.
+Each arity has one distance kernel, and _kernel chooses it: the
+L-shaped tile of a graded basis for two steps, in one pass
+(_tile_distances_and_counts), the graded staircase for three
+(groebner._distances_and_counts), and a breadth-first search with a
+count pass (_bfs_levels, _count_routes) for one step, for four or more
+and for steps that do not generate Z_n. distances takes the same
+kernels, and of the staircase its distance half alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     DuplicateStepError,
     ZeroStepError,
 )
-from .groebner import _distances_and_counts
+from .groebner import _buchberger, _distances_and_counts, _staircase
 
 PathVector = tuple[int, ...]
 
@@ -256,24 +262,93 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
 
 def distances(net: CirculantNetwork) -> tuple[int, ...]:
-    """Distances from vertex 0: the graded staircase for three steps
-    (_kernel), the dist of _bfs_levels otherwise.
+    """Distances from vertex 0, from the kernel _kernel picks: the
+    graded staircase for three steps, without its count passes
+    (groebner._staircase), the L-shaped tile for two, and the dist of
+    _bfs_levels otherwise.
 
     O(n * r) and no routing is built; distance_table(net).dist is this,
     cached. Raises DisconnectedError when vertex 0 does not reach every
     vertex (only an unvalidated network can fail so).
     """
-    return tuple(_kernel(net)[0] if net.r == 3 else _bfs_levels(net)[0])
+    if net.r == 3 and math.gcd(net.n, *net.steps) == 1:
+        return tuple(_staircase(net)[0])
+    return tuple(_kernel(net)[0] if net.r == 2 else _bfs_levels(net)[0])
 
 
 def _kernel(net: CirculantNetwork):
-    """(dist, counts) as distances and route_counts: the staircase of a
-    connected three-step network (groebner._distances_and_counts), else
-    _bfs_levels, which refuses a disconnected one, and _count_routes."""
-    if net.r == 3 and math.gcd(net.n, *net.steps) == 1:
-        return _distances_and_counts(net)
+    """(dist, counts) as distances and route_counts: for steps that
+    generate Z_n, the staircase of three (groebner._distances_and_counts)
+    or the tile of two (_tile_distances_and_counts); else _bfs_levels,
+    which refuses a disconnected network, and _count_routes."""
+    if math.gcd(net.n, *net.steps) == 1:
+        if net.r == 2:
+            return _tile_distances_and_counts(net)
+        if net.r == 3:
+            return _distances_and_counts(net)
     dist, levels = _bfs_levels(net)
     return dist, _count_routes(net.steps, dist, levels)
+
+
+def _tile_distances_and_counts(net: CirculantNetwork):
+    """(dist, counts) of a connected two-step network, as lists, as
+    groebner._distances_and_counts gives them for three steps: read off
+    the L-shaped tile (Wong-Coppersmith, J. ACM 1974; Fiol et al., IEEE
+    Trans. Comput. 1987), the staircase of a graded basis, in one pass.
+
+    With g = gcd(n, s_0), the vectors h_0 e_0 and h_1 e_1 - u e_0, for
+    h_0 = n / g, h_1 = g / gcd(g, s_1) and the u in [0, h_0) that puts
+    the second in L, generate I_L as groebner._lattice_ideal_basis's
+    do; a zero third coordinate pads them for _buchberger and leads
+    nothing. Name the steps x and z, z the one of larger pure-power
+    lead, so that the runs are few and long. Each standard x^a starts a
+    run of standard x^a z^k for k < h(a), the least l_z over the leads
+    l with l_x <= a: the vertices a s_x + k s_z, at distances a + k,
+    every arc tight.
+
+    Counts follow route_counts with z taken last: count[v] is 1 when
+    (dist[v], 0) reaches v, plus count[v - s_z] when that arc is tight.
+    Along a run the first term is 1 where k (s_z - s_x) = 0 mod n, that
+    is every m = n / gcd(n, s_z - s_x) vertices from its start. A tight
+    arc into a run's start comes from a vertex at distance a - 1, whose
+    run has a smaller a and is written already; a vertex not yet
+    written has count 0, so its stale dist adds nothing.
+    """
+    n = net.n
+    # first, so that an n too large to hold fails before anything else
+    dist = [0] * n
+    count = [0] * n
+    s0, s1 = net.steps
+    g = math.gcd(n, s0)
+    h0, h1 = n // g, g // math.gcd(g, s1)
+    u = h1 * s1 // g * pow(s0 // g, -1, h0) % h0
+    leads = [e[:2] for e in _buchberger([(h0, 0, 0), (-u, h1, 0)], (-1, 1, 0))]
+    pure = {j: e[j] for e in leads for j in (0, 1) if not e[1 - j]}
+    iz = max(pure, key=pure.get)
+    sx, sz = net.steps[1 - iz], net.steps[iz]
+    leads = [(e[1 - iz], e[iz]) for e in leads]
+    m = n // math.gcd(n, sz - sx)
+    # v = a s_x, the start of run a; the pure power of z passes the
+    # filter for every a, so min() has a list
+    v = a = 0
+    while h := min([lz for lx, lz in leads if lx <= a]):
+        # v - s_z lies in (-n, n), and a negative index wraps
+        c = count[v - sz] if dist[v - sz] == a - 1 else 0
+        w = v
+        # the run's start and every m-th vertex after it are on the x-chain
+        for lap in range(a, a + h, m):
+            c += 1
+            for d in range(lap, min(lap + m, a + h)):
+                dist[w] = d
+                count[w] = c
+                w += sz
+                if w >= n:
+                    w -= n
+        v += sx
+        if v >= n:
+            v -= n
+        a += 1
+    return dist, count
 
 
 def _bfs_levels(net: CirculantNetwork) -> tuple[list[int], list[list[int]]]:

@@ -67,9 +67,10 @@ def count_searches(monkeypatch) -> list:
 
 def test_net_info_builds_no_routing_table(monkeypatch):
     # three steps read distances and route counts off the graded
-    # staircase, with no vertex search, in the command and the library
-    # alike; other arities run one search. Neither the command nor the
-    # library calls that need no routing fill the table cache
+    # staircase and two off the L-shaped tile, with no vertex search,
+    # in the command and the library alike; one step and four or more
+    # run one search. Neither the command nor the library calls that
+    # need no routing fill the table cache
     distance_table.cache_clear()
     searches = count_searches(monkeypatch)
     doc = run_json(["net", "info", "56", "9,17,33"])
@@ -78,12 +79,12 @@ def test_net_info_builds_no_routing_table(monkeypatch):
     assert len(searches) == 0
     for steps in ("9,17", "9,17,33,40"):
         run_json(["net", "info", "56", steps])
-    assert [net.r for net in searches] == [2, 4]
+    assert [net.r for net in searches] == [4]
     assert distance_table.cache_info().currsize == 0
     net = build_network(56, [9, 17, 33])
     assert network_stats(net) == (10, Fraction(71, 14))
     assert not is_unique_mdd(net)
-    assert len(searches) == 2
+    assert len(searches) == 1
     assert distance_table.cache_info().misses == 0
 
 
@@ -452,8 +453,13 @@ GOLDEN = {
     # the staircase's run step 913 shares the factor 11 with n: 11 cycles
     "net-info-c946-cycles": ("net info 946 618,323,913", 0, "f28152d8b3e30bdcfc6a154ccc8e4bf9d59851cbec46937b70089b014426c2fa"),
     # a four-step network of 2,000 vertices: the breadth-first search
-    # and its count passes, the kernel of every arity but three
+    # and its count passes, the kernel of one step and four or more
     "net-info-r4-c2000": ("net info 2000 7,301,977,1403", 0, "b10ea77b8eaaf7ae37965e17659996c29d6557dc8e6980cb808f789247cc6981"),
+    # double loops: C30011(7,4003), a unit-multiple relabelling of it,
+    # and C1000(4,25), whose steps each share a factor with n
+    "net-info-c30011": ("net info 30011 7,4003", 0, "9f045f42696d17325b7e13d6d2c8411414291bd4aeaccda57fc08e01c8e82991"),
+    "net-info-c30011-relabelled": ("net info 30011 18987,15306", 0, "8c0951ccecfd86e589d520ab7668ee392da8ba05c48c2a8822be54d33ce1eb1e"),
+    "net-info-c1000-shared-factors": ("net info 1000 4,25", 0, "1fcbc4e4b7ef4e09b903c1de96165178ade5a5fd1f8a593f2727ac3f65ee4016"),
     "net-info-disconnected": ("net info 6 2,4", 1, "17d677a48368197fe0588f29ab045ffcf1e3c9696ba0f6b394299370be8bc320"),
     "mdd-build-json": ("mdd build 9 1,4,7 --weight 7,2,0", 0, "6cea7bb6dd535867e8e0edd6ad6ce58b81c9822bf49eee4a017a2256e4e021a7"),
     "mdd-build-ascii": ("mdd build 9 1,4 --weight 1,2 --format ascii", 0, "65994bdd381737eda968634255025c1f20dff3affc122af68f9556019bb6083b"),
@@ -464,6 +470,10 @@ GOLDEN = {
     "mdd-build-q5-lex": ("mdd build 992 33,161,801 --weight 7,2,0 --tie lex", 0, "691848477461347a6a24d79ec0ab05184d9f451bdbd87f6d7347eee739a1a6bf"),
     "mdd-build-r5-lex": ("mdd build 500 3,37,101,233,377 --weight 1,0,1,0,1 --tie lex", 0, "fbf76081b43f7950774023648306e050373e2cf6f30b85762636f4d8cc3ff042"),
     "mdd-build-q6-lex": ("mdd build 1892 45,265,1585 --weight 5,-1,-4 --tie lex", 0, "81ab1cfe2281a59d200be9f955f05f41fcef03b6e9c5de7a8028822e5950f388"),
+    # a double loop with two diagrams and 4,096 routing choices; 87
+    # shares the factor 3 with n
+    "mdd-build-c105-lex": ("mdd build 105 87,59 --weight 1,1 --tie lex", 0, "0d7583065ace4045c1080ee96a4a5bfcda97897e59147c53b85152276c3b0d6e"),
+    "mdd-enumerate-c105": ("mdd enumerate 105 87,59", 0, "d452a78aa84eba3475ecc9418e00d0347db64c1aee615ff27b8a4b173d24c324"),
     "mdd-build-weight-tie": ("mdd build 9 1,4 --weight 1,1", 1, "d682b92c70127c657d26b16d3c3938dac70f84f0674b6d5c4ae3a0f123b3b30e"),
     "mdd-build-layer-axis": ("mdd build 9 1,4,7 --weight 7,2,0 --format svg --layer-axis 7", 2, "5e21ac22cd197308ac7b49dd062537450f87539d3c98e94b39471d20140b3753"),
     "mdd-enumerate": ("mdd enumerate 9 1,4,7", 0, "ae230f1264f992fda4f7dc9f064c0c8cc703c67d82b62d4b055fb707535c313f"),
