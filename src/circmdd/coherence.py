@@ -17,11 +17,10 @@ report a failed witness check or a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import lshift
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .intlin import angular_key, cross, dot, primitive, vec_sub
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
     from .mdd import Mdd
 
 
-@dataclass(frozen=True)
-class RoutingConstraint:
+class RoutingConstraint(NamedTuple):
     """One forced strict preference: the chosen cell beats an alternative."""
 
     vertex: int
@@ -40,8 +38,7 @@ class RoutingConstraint:
     alternative: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(NamedTuple):
     coherent: bool
     witness: tuple[int, ...] | None
     refutation: tuple[RoutingConstraint, ...] | None

@@ -18,9 +18,9 @@ geometric-step families with many diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     BadFamilyParamsError,
@@ -44,8 +44,7 @@ from .mdd import _tie_at_u, enumerate_mdds
 from .network import CirculantNetwork, build_network, vertex_of
 
 
-@dataclass(frozen=True)
-class RayCandidate:
+class RayCandidate(NamedTuple):
     """A primitive sum-zero ray together with the Hilbert generators
     orthogonal to it that survived the one-sided octant screening."""
 
@@ -53,23 +52,20 @@ class RayCandidate:
     sources: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A verified boundary ray between two adjacent diagram cones."""
 
     ray: tuple[int, int, int]
     witness: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class WallRejection:
+class WallRejection(NamedTuple):
     ray: tuple[int, int, int]
     failed_condition: int
     reason: str
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     """The fan of a three-step network: its candidate rays, the verified
     walls in circular order and the rejected rays, one generic weight
     per sector, and the count of coherent diagrams."""
@@ -340,8 +336,7 @@ def lift_network(net: CirculantNetwork, k: int, t: int) -> CirculantNetwork:
     return lifted
 
 
-@dataclass(frozen=True)
-class FamilyNetwork:
+class FamilyNetwork(NamedTuple):
     """A geometric-step network C_N(1, q, q^2), N = 1 + q + q^2, lifted."""
 
     q: int
@@ -354,16 +349,14 @@ class FamilyNetwork:
     hypothesis_note: str | None
 
 
-@dataclass(frozen=True)
-class OctantCheck:
+class OctantCheck(NamedTuple):
     signs: tuple[int, int, int]
     expected: tuple[tuple[int, int, int], ...]
     actual: tuple[tuple[int, int, int], ...]
     match: bool
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
+class FamilyVerification(NamedTuple):
     family: FamilyNetwork
     octant_checks: tuple[OctantCheck, ...]
     fan_mdd_count: int

@@ -9,8 +9,8 @@ each such cone is two-dimensional and its unique minimal generating set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ArityMismatchError, UnsupportedArityError
 from .intlin import dot, hnf_rows, kernel_of_row, norm1, vec_neg
@@ -19,8 +19,7 @@ from .network import CirculantNetwork
 SINGLE_NEGATIVE_SIGNS = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
-@dataclass(frozen=True)
-class HomogeneousLattice:
+class HomogeneousLattice(NamedTuple):
     """Sum-zero sublattice of the routing relations, canonical basis."""
 
     net: CirculantNetwork
@@ -72,22 +71,32 @@ def homogeneous_lattice(net: CirculantNetwork) -> HomogeneousLattice:
     return HomogeneousLattice(net, hnf_rows(gens, r))
 
 
-@dataclass(frozen=True)
-class OctantSemigroup:
-    """Lattice points of one sign orthant (zeros allowed everywhere)."""
-
+class _OctantFields(NamedTuple):
     lattice: HomogeneousLattice
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.signs) != self.lattice.r:
+
+class OctantSemigroup(_OctantFields):
+    """Lattice points of one sign orthant (zeros allowed everywhere);
+    the signs are checked against the lattice when the octant is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, lattice: HomogeneousLattice, signs: tuple[int, ...]):
+        if len(signs) != lattice.r:
             raise ArityMismatchError(
                 "sign pattern length does not match the lattice dimension",
-                expected=self.lattice.r,
-                got=len(self.signs),
+                expected=lattice.r,
+                got=len(signs),
             )
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError(f"signs must be +1 or -1, got {self.signs!r}")
+        if any(s not in (-1, 1) for s in signs):
+            raise ValueError(f"signs must be +1 or -1, got {signs!r}")
+        return super().__new__(cls, lattice, signs)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As cls(*iterable), checked, so that _replace checks too."""
+        return cls(*iterable)
 
 
 def octant(lat: HomogeneousLattice, signs) -> OctantSemigroup:
@@ -137,8 +146,7 @@ def octant_points_bounded(oct: OctantSemigroup, bound: int) -> list[tuple[int, .
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     """Unique minimal generating set of an octant semigroup."""
 
     octant: OctantSemigroup

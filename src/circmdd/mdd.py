@@ -3,19 +3,19 @@
 A diagram assigns to every vertex one minimal routing vector such that
 the image is down-closed in N^r (every coordinate-wise smaller vector is
 the cell of its own vertex). Down-closed images are exactly complements
-of monomial ideals, which is what the staircase generators describe
-(see staircase.py).
+of monomial ideals, which is what the staircase generators of
+staircase.py describe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from math import gcd, lcm, prod
 from operator import eq, mul
+from typing import NamedTuple
 
 from .coherence import _directions, _has_solution
 from .errors import (
@@ -47,8 +47,7 @@ from .network import (
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Mdd:
+class Mdd(NamedTuple):
     """A validated minimum distance diagram, cells indexed by vertex."""
 
     net: CirculantNetwork
@@ -59,19 +58,20 @@ class Mdd:
         return frozenset(self.cells)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class _EnumerationFields(NamedTuple):
+    net: CirculantNetwork
+    leaves: tuple[tuple[int, ...], ...]
+    routing_choice_count: int
+    found: int
+
+
+class EnumerationResult(_EnumerationFields):
     """Diagrams as enumerate_mdds finds them: leaves holds each one's
     cells by vertex as packed codes (see packed_width), sorted; found
     counts the search's leaves before any coherence filter. mdds, cached
     and not a field, decodes every diagram on first read, through a
     _CellStore that turns each distinct code into one shared tuple:
     enumeration_json writes the leaves without it."""
-
-    net: CirculantNetwork
-    leaves: tuple[tuple[int, ...], ...]
-    routing_choice_count: int
-    found: int
 
     @cached_property
     def mdds(self) -> tuple[Mdd, ...]:
@@ -105,7 +105,6 @@ def build_coherent_mdd(net: CirculantNetwork, w, tie_policy: str = "error") -> M
     every least weight is unique. The scan itself runs only where a tie
     can happen (see _first_tie), on routings walked per vertex, and each
     cell is decoded once per network and shared (DistanceTable.cells).
-    For three steps no routing table is built.
     """
     if tie_policy not in ("error", "lex"):
         raise ValueError(f"tie_policy must be 'error' or 'lex', got {tie_policy!r}")
@@ -128,9 +127,7 @@ def _integer_weights(net, w):
     w = tuple(Fraction(x) if not isinstance(x, int) else x for x in w)
     if len(w) != net.r:
         raise ArityMismatchError(
-            f"weight has {len(w)} entries, network has {net.r} steps",
-            expected=net.r,
-            got=len(w),
+            f"weight has {len(w)} entries, network has {net.r} steps", expected=net.r, got=len(w)
         )
     scale = lcm(*(x.denominator for x in w))
     return w, tuple(x.numerator * (scale // x.denominator) for x in w)
@@ -145,22 +142,22 @@ def _least_routings(table, iw) -> tuple[PathVector, ...]:
     keys[i - s_j] + key(e_j); a predecessor not one level down is still
     unset (absent). table.cells turns each code into its shared tuple.
     """
-    r = table.net.r
+    net, dist = table
     store = table.cells
     codebits = store.bits
     units = [(x << codebits) + (1 << s) for x, s in zip(iw, store.shifts)]
     levels = table.levels
     # heavier than any key of a routing, plus any arc
     absent = (sum(map(abs, iw)) * len(levels) + 1) << codebits
-    keys = [absent] * len(table.dist)
+    keys = [absent] * len(dist)
     keys[0] = 0
     get = keys.__getitem__
-    arcs = [((-s).__add__, u.__add__) for s, u in zip(table.net.steps, units)]
+    arcs = [((-s).__add__, u.__add__) for s, u in zip(net.steps, units)]
     for level in levels[1:]:
         # i - s lies in (-n, n), and a negative index wraps
         arms = [map(add, map(get, map(back, level))) for back, add in arcs]
         # all of a level's keys are read before any of them is set
-        for i, key in zip(level, list(map(min, *arms) if r > 1 else arms[0])):
+        for i, key in zip(level, list(map(min, *arms) if net.r > 1 else arms[0])):
             keys[i] = key
     code = (1 << codebits) - 1
     return tuple(map(store.__getitem__, map(code.__and__, keys)))
@@ -191,14 +188,16 @@ def _first_tie(table, iw):
       lighter than k*e+ before k*e+.
 
     So the scan runs on u first (_tie_at_u), and only if u raises on
-    every vertex with a tie pair, in vertex order. In every other case
-    it runs on every vertex with more than one routing. Only
-    build_coherent_mdd needs the first tie.
+    every vertex with a tie pair, in vertex order. Two steps tie only if
+    w0 == w1: routings of a vertex differ by multiples of (1, -1).
+    Otherwise it runs on every vertex with two or more routings, by
+    _kernel's counts for two steps.
     """
-    net = table.net
-    dist = table.dist
+    net, dist = table
+    if net.r == 2 and iw[0] != iw[1]:
+        return None
     if net.r != 3 or iw[0] == iw[1] == iw[2]:
-        counts = _count_routes(net.steps, dist, table.levels)
+        counts = _kernel(net)[1] if net.r == 2 else _count_routes(net.steps, dist, table.levels)
         return _first_scan_tie(table.routings, (i for i, c in enumerate(counts) if c > 1), iw)
     tie = _tie_at_u(net, iw, lambda a: dist[vertex_of(net, a)])
     if tie is None:
@@ -270,27 +269,19 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
         if len(cell) != net.r:
             raise ArityMismatchError(
                 f"cell of vertex {i} has {len(cell)} coordinates",
-                expected=net.r,
-                got=len(cell),
-                vertex=i,
+                expected=net.r, got=len(cell), vertex=i,
             )
         if any(c < 0 for c in cell):
-            raise MalformedDocumentError(
-                f"cell of vertex {i} has negative coordinates", vertex=i
-            )
+            raise MalformedDocumentError(f"cell of vertex {i} has negative coordinates", vertex=i)
         if vertex_of(net, cell) != i:
             raise WrongVertexError(
                 f"cell {cell} reaches vertex {vertex_of(net, cell)}, not {i}",
-                vertex=i,
-                reached=vertex_of(net, cell),
+                vertex=i, reached=vertex_of(net, cell),
             )
         if sum(cell) != dist[i]:
             raise NotMinimalError(
-                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is "
-                f"{dist[i]}",
-                vertex=i,
-                length=sum(cell),
-                distance=dist[i],
+                f"cell {cell} of vertex {i} has length {sum(cell)}, distance is {dist[i]}",
+                vertex=i, length=sum(cell), distance=dist[i],
             )
     for i, cell in enumerate(cells):
         for j, c in enumerate(cell):
@@ -302,8 +293,7 @@ def validate_mdd(net: CirculantNetwork, cells) -> Mdd:
                 raise NotDownClosedError(
                     f"removing one arc of step {net.steps[j]} from the cell of "
                     f"vertex {i} gives {b}, but vertex {v} holds {cells[v]}",
-                    vertex=i,
-                    coordinate=j,
+                    vertex=i, coordinate=j,
                 )
     return Mdd(net, cells)
 
@@ -351,9 +341,11 @@ def enumerate_mdds(
     """
     if mode not in ("all", "coherent_only"):
         raise ValueError(f"mode must be 'all' or 'coherent_only', got {mode!r}")
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if mode == "coherent_only" and net.r > 4:
         raise UnsupportedArityError("coherence is decided for at most four steps", r=net.r)
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     n, r = net.n, net.r
     dist, counts = _kernel(net)
     order = list(chain.from_iterable(_levels_of(dist)))
@@ -430,8 +422,7 @@ def enumerate_mdds(
         visits += pre[min(dead + 1, n)] - pre[f + 1]
         if visits > budget:
             raise BudgetExceededError(
-                f"enumeration exceeded the budget of {budget} choices",
-                budget=budget,
+                f"enumeration exceeded the budget of {budget} choices", budget=budget
             )
         if p < 0:
             leaves.append(tuple(cells))

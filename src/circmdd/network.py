@@ -16,9 +16,9 @@ kernels, and of the staircase its distance half alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatchError,
@@ -31,8 +31,7 @@ from .groebner import _buchberger, _distances_and_counts, _staircase
 PathVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CirculantNetwork:
+class CirculantNetwork(NamedTuple):
     """A circulant digraph, steps stored reduced mod n in input order."""
 
     n: int
@@ -67,19 +66,21 @@ class _CellStore(dict):
         return cell
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class _TableFields(NamedTuple):
+    net: CirculantNetwork
+    dist: tuple[int, ...]
+
+
+class DistanceTable(_TableFields):
     """Distances from vertex 0, and what is derived from them on demand.
 
     levels (the vertices by distance), cells and the tail bits of the
-    routing walk are cached on the instance when first read, so they
-    live and die with the table (and with distance_table's cache); they
-    take no part in equality, which compares net and dist. routings(i)
-    lists one vertex's minimal routings; no whole routing table is kept.
+    routing walk are cached on the instance when first read, in the
+    __dict__ that this subclass of the two fields has, so they live and
+    die with the table (and with distance_table's cache); they take no
+    part in equality, which compares net and dist. routings(i) lists one
+    vertex's minimal routings; no whole routing table is kept.
     """
-
-    net: CirculantNetwork
-    dist: tuple[int, ...]
 
     @cached_property
     def cells(self) -> _CellStore:
@@ -89,11 +90,11 @@ class DistanceTable:
     def routings(self, i: int) -> tuple[PathVector, ...]:
         """The minimal routings of vertex i, sorted lexicographically.
 
-        Three steps take the coset walk of _routings, which needs no
-        array beside dist. Other arities walk the coordinates in order
+        Two and three steps take the coset walk of _routings, which needs
+        no array beside dist. Other arities walk the coordinates in order
         (_walk), guided by the tail bits.
         """
-        if self.net.r == 3:
+        if self.net.r in (2, 3):
             return _routings(self.net, i, self.dist[i])
         return tuple(_walk(self.net.steps, self.dist, self._tails, i, 0))
 
@@ -116,23 +117,29 @@ class DistanceTable:
 
 
 def _routings(net: CirculantNetwork, i: int, d: int) -> tuple[PathVector, ...]:
-    """The routings of length d of vertex i of a three-step network,
-    sorted lexicographically; its minimal routings when d is its distance.
+    """The routings of length d of vertex i of a two- or three-step
+    network, sorted lexicographically; its minimal routings when d is
+    its distance.
 
-    They are the (x, y, d - x - y) that reach i, that is
+    For three steps they are the (x, y, d - x - y) that reach i, that is
     x(s0 - s2) + y(s1 - s2) = i - d s2 (mod n). For each x in 0..d the
     solutions y form one residue class mod n / g, g = gcd(s1 - s2, n),
     so the walk takes O(d) steps plus one per routing, already in
-    lexicographic order.
+    lexicographic order. Two steps, named s1 and s2, take one such
+    class: the (y, d - y) with y(s1 - s2) = i - d s2.
     """
     n = net.n
-    s0, s1, s2 = net.steps
+    s1, s2 = net.steps[-2:]
     b = (s1 - s2) % n
     g = math.gcd(b, n)
     m = n // g
     inv = pow(b // g, -1, m)
     rhs = (i - d * s2) % n
-    a = (s0 - s2) % n
+    if net.r == 2:
+        if rhs % g:
+            return ()
+        return tuple((y, d - y) for y in range(rhs // g * inv % m, d + 1, m))
+    a = (net.steps[0] - s2) % n
     found = []
     for x in range(d + 1):
         if not rhs % g:
@@ -247,16 +254,17 @@ def active_kernel(net: CirculantNetwork) -> str:
     return "pure-python"
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def distance_table(net: CirculantNetwork) -> DistanceTable:
     """The distances of the network, from distances(net).
 
     Cached per network, with everything the table derives on demand:
     the tail bits of the routing walk, and the levels and the cell store
-    that build_coherent_mdd reads. No fan reads a table: its distances
-    are normal-form degrees (groebner._graded_basis) and its sectors are
-    keyed by Groebner lead sets, walls or not. The table is immutable
-    and safe to share.
+    that build_coherent_mdd reads. A network equals the plain tuple of
+    its fields, so the cache is typed: a tuple never gets a network's
+    table. No fan reads a table: its distances are normal-form degrees
+    (groebner._graded_basis) and its sectors are keyed by Groebner lead
+    sets, walls or not. The table is immutable and safe to share.
     """
     return DistanceTable(net, distances(net))
 

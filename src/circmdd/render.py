@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnsupportedArityError
 from .mdd import Mdd
@@ -23,8 +23,7 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     format: str = "ascii"  # ascii | svg | json
     layer_axis: int = 2  # coordinate whose levels become svg slices (3 steps)
 

@@ -33,7 +33,9 @@ def _octant(signs, elements) -> dict:
 
 
 def _plain(value):
-    """Error details as JSON values: tuples become arrays, rationals {num, den}."""
+    """Error details as JSON values: tuples become arrays, rationals
+    {num, den}. A record is a tuple too and would lose its field names,
+    so no error's details hold one."""
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -232,7 +234,8 @@ _PAYLOADS = {
 
 def encode(value) -> str:
     """The document the CLI prints for an Mdd, FanReport, FamilyNetwork
-    or FamilyVerification, as canonical JSON text."""
+    or FamilyVerification, as canonical JSON text. These are tuples, but
+    a plain tuple of the same fields is none of them."""
     for cls, payload in _PAYLOADS.items():
         if isinstance(value, cls):
             return canonical_json(payload(value))

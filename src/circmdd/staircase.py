@@ -8,16 +8,15 @@ number of generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, UnsupportedArityError
 from .mdd import Mdd
 from .network import PathVector
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple):
     """Minimal generators of the monomial ideal complementing a diagram."""
 
     generators: tuple[PathVector, ...]

@@ -150,6 +150,16 @@ def test_mdd_enumerate_budget():
     assert json.loads(err)["error"]["code"] == "budget-exceeded"
 
 
+def test_mdd_enumerate_negative_budget_is_a_usage_error():
+    # a budget below 0 is a bad argv value, so exit 2 and no JSON; a
+    # budget of 0 is a budget, which the search exceeds (exit 1)
+    code, out, err = run_cli(["mdd", "enumerate", "10", "1,6", "--budget", "-1"])
+    assert (code, out, err) == (2, "", "circmdd: error: budget must be at least 0, got -1\n")
+    code, _, err = run_cli(["mdd", "enumerate", "10", "1,6", "--budget", "0"])
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "budget-exceeded"
+
+
 def test_mdd_check_valid_non_coherent(tmp_path):
     doc = {
         "network": {"n": 8, "steps": [1, 3, 5, 7]},

@@ -3,19 +3,21 @@
 Every outcome is exit 0 (output on stdout only), exit 1 (a JSON error
 with a code on stderr, nothing on stdout) or exit 2 (a usage error);
 no exception other than argparse's SystemExit(2) leaves cli.main.
-Sizes stay small, so no single case runs long.
+No error's details hold a record, which would be written as a bare
+array. Sizes stay small, so no single case runs long.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from circmdd import build_coherent_mdd, build_network
 from circmdd.cli import main
-from circmdd.serialize import mdd_payload
+from circmdd.serialize import error_payload, mdd_payload
 
 # valid values are drawn more often than junk, so most cases get past
 # argparse and reach the library
@@ -125,9 +127,29 @@ DOCUMENT = st.one_of(
 )
 
 
+def holds_no_record(value) -> bool:
+    """Whether error details hold no record anywhere. Records are named
+    tuples, which serialize._plain would write as bare arrays."""
+    if hasattr(value, "_fields"):
+        return False
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, (list, tuple)) or all(map(holds_no_record, value))
+
+
+def checked_error_payload(exc):
+    assert holds_no_record(exc.details), exc.details
+    return error_payload(exc)
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with (
+        patch("circmdd.cli.error_payload", checked_error_payload),
+        patch("circmdd.serialize.error_payload", checked_error_payload),
+        redirect_stdout(out),
+        redirect_stderr(err),
+    ):
         try:
             code = main(argv)
         except SystemExit as exc:

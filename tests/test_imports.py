@@ -17,11 +17,16 @@ except one under a module-level ``if TYPE_CHECKING:`` that annotations
 alone read. ``circmdd.__all__`` lists exactly the names that
 ``__init__`` imports, each of which resolves. And the module graph of
 run-time imports is acyclic, with ``groebner`` a leaf, so that
-``network`` can read three-step distances off its staircase.
+``network`` can read three-step distances off its staircase. Last,
+a fresh interpreter that imports ``circmdd`` or ``circmdd.cli`` does
+not load ``dataclasses``, whose imports cost every CLI process.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -254,3 +259,15 @@ def test_groebner_imports_no_module_but_errors_and_intlin():
     # network imports groebner for the three-step kernel, so groebner
     # must not reach network, mdd or lattice at run time
     assert package_imports()["groebner"] <= {"errors", "intlin"}
+
+
+@pytest.mark.parametrize("module", ["circmdd", "circmdd.cli"])
+def test_import_leaves_dataclasses_out(module):
+    # the records are named tuples, so a fresh interpreter that imports
+    # circmdd never loads dataclasses (nor the inspect, ast and dis it
+    # pulls in)
+    code = f"import sys, {module}; print('dataclasses' in sys.modules)"
+    src = str(Path(circmdd.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

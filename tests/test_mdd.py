@@ -1,10 +1,14 @@
 """Diagram construction, validation, enumeration, and staircases."""
 
+import math
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
+
+import circmdd.mdd as mdd_module
+import circmdd.network as network_module
 
 from circmdd import (
     ArityMismatchError,
@@ -151,6 +155,48 @@ def test_build_matches_definition_on_tie_lines():
                         raised += 1
                     assert got == expected, (net, w, policy)
     assert raised > 100, raised
+
+
+def _refuse_count_pass(*args):
+    raise AssertionError("a count pass ran")
+
+
+def test_double_loop_tie_check_runs_no_count_pass(monkeypatch):
+    # a double loop ties only under w0 == w1, and then its route counts
+    # come off the tile of network._kernel and the routings of a vertex
+    # from one coset walk: no _count_routes, in mdd or for tail bits
+    monkeypatch.setattr(mdd_module, "_count_routes", _refuse_count_pass)
+    monkeypatch.setattr(network_module, "_count_routes", _refuse_count_pass)
+    distance_table.cache_clear()
+    with pytest.raises(WeightTieError) as info:
+        build_coherent_mdd(build_network(30, [2, 7]), (1, 1))
+    assert info.value.details == {"vertex": 3, "first": [0, 9], "second": [6, 3]}
+    net = build_network(30011, [7, 4003])
+    for w in ((1, 1), (2, 3), (Fraction(1, 2), 3)):
+        assert build_coherent_mdd(net, w) == build_coherent_mdd(net, w, "lex"), w
+
+
+def test_build_matches_definition_on_every_small_double_loop():
+    # all connected C_n(a, b), n <= 24, under weights that tie (w0 == w1)
+    # and weights that cannot
+    ties = 0
+    for n in range(3, 25):
+        for a in range(1, n):
+            for b in range(1, n):
+                if a == b or math.gcd(n, a, b) > 1:
+                    continue
+                net = build_network(n, [a, b])
+                _, paths = minimal_paths_by_scan(n, net.steps)
+                for w in ((1, 1), (-2, -2), (1, 2), (3, -1)):
+                    expected = coherent_cells_by_definition(n, net.steps, w, paths=paths)
+                    try:
+                        got = ("cells", build_coherent_mdd(net, w).cells)
+                    except WeightTieError as exc:
+                        d = exc.details
+                        got = ("tie", (d["vertex"], tuple(d["first"]), tuple(d["second"])))
+                        ties += 1
+                    assert got == expected, (net, w)
+    assert ties > 800, ties
 
 
 def test_build_lex_policy_resolves_ties():
@@ -404,6 +450,16 @@ def test_enumerate_mode_validation():
     net = build_network(10, [1, 6])
     with pytest.raises(ValueError):
         enumerate_mdds(net, mode="everything")
+
+
+def test_enumerate_refuses_a_negative_budget():
+    # before any search, and before the arity check of coherent_only
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        enumerate_mdds(build_network(10, [1, 6]), budget=-1)
+    with pytest.raises(ValueError):
+        enumerate_mdds(build_network(500, [3, 37, 101, 233, 377]), "coherent_only", budget=-5)
+    with pytest.raises(BudgetExceededError):
+        enumerate_mdds(build_network(10, [1, 6]), budget=0)
 
 
 def test_staircase_of_non_coherent_example():

@@ -1,6 +1,5 @@
 """Network construction, distances, and minimal-path tables."""
 
-import dataclasses
 import gc
 import math
 import random
@@ -25,7 +24,14 @@ from circmdd import (
     vertex_of,
 )
 from circmdd.groebner import _distances_and_counts, _graded_basis
-from circmdd.network import _bfs_levels, _CellStore, _count_routes, _levels_of, packed_width
+from circmdd.network import (
+    _bfs_levels,
+    _CellStore,
+    _count_routes,
+    _levels_of,
+    _routings,
+    packed_width,
+)
 
 from oracles import bfs_distances, minimal_paths_by_scan
 
@@ -152,9 +158,9 @@ def test_distances_and_route_counts_match_the_table(r):
         dist = distances(net)
         assert dist == table.dist, net
         assert route_counts(net, dist) == tuple(len(table.routings(i)) for i in range(n)), net
-        # every arity but three walks its routings guided by the tail
-        # bits, which one count over the steps r - 1 down to 1 gives as a
-        # count over each suffix of the steps does
+        # every arity but two and three walks its routings guided by the
+        # tail bits, which one count over the steps r - 1 down to 1 gives
+        # as a count over each suffix of the steps does
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert [list(table.routings(i)) for i in range(n)] == paths, net
         suffixes = [CirculantNetwork(n, net.steps[m:]) for m in range(1, r)]
@@ -295,28 +301,31 @@ def test_distance_levels_follow_the_distances(r):
 
 
 def test_derived_structures_live_and_die_with_the_table():
+    # the fields are exactly net and dist; what is derived lives in the
+    # instance dict, which is empty until something is read
+    assert DistanceTable._fields == ("net", "dist")
     net = build_network(56, [9, 17, 33])
     distance_table.cache_clear()
     table = distance_table(net)
-    # nothing derived is built before it is read
-    assert set(vars(table)) == {"net", "dist"}
+    assert tuple(table) == (net, distances(net)) and vars(table) == {}
     derived = {name: getattr(table, name) for name in ("levels", "cells", "_tails")}
     for name, value in derived.items():
         assert vars(table)[name] is value
         assert getattr(distance_table(net), name) is value
-    gone = weakref.ref(table)
+    # a tuple subclass takes no weak reference, so the table's death is
+    # seen through its cell store, which nothing else holds
+    gone = weakref.ref(table.cells)
     distance_table.cache_clear()
     fresh = distance_table(net)
-    assert fresh is not table and set(vars(fresh)) == {"net", "dist"}
+    assert fresh is not table and vars(fresh) == {}
     del table, derived, value
     gc.collect()
     assert gone() is None
     # equality and hashing see only the two fields
-    assert [f.name for f in dataclasses.fields(DistanceTable)] == ["net", "dist"]
     fresh.levels, fresh.cells, fresh._tails
     bare = DistanceTable(fresh.net, fresh.dist)
-    assert set(vars(bare)) == {"net", "dist"}
-    assert bare == fresh and hash(bare) == hash(fresh)
+    assert vars(bare) == {}
+    assert bare == fresh and hash(bare) == hash(fresh) == hash((fresh.net, fresh.dist))
     assert list(map(bare.routings, range(56))) == list(map(fresh.routings, range(56)))
     assert bare != DistanceTable(fresh.net, fresh.dist[:-1] + (0,))
 
@@ -342,6 +351,41 @@ def test_vertex_routings_match_the_table(seed):
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert [list(table.routings(i)) for i in range(n)] == paths, net
     assert shared >= 10
+
+
+def test_table_cache_tells_a_network_from_a_plain_tuple():
+    # a network equals the tuple of its fields, but the typed cache gives
+    # that tuple no table (it has no steps to count)
+    net = build_network(10, [1, 6])
+    distance_table.cache_clear()
+    table = distance_table(net)
+    assert (10, (1, 6)) == net
+    with pytest.raises(AttributeError):
+        distance_table((10, (1, 6)))
+    assert distance_table(net) is table
+
+
+def test_double_loop_routings_are_one_coset_walk():
+    # the routings of length d of a double-loop vertex are the (y, d - y)
+    # that reach it, one residue class of y, for d its distance (its
+    # minimal routings, as the table lists them) or any other length:
+    # every connected C_n(a, b) with n <= 24, gcd(a - b, n) > 1 included
+    shared = 0
+    for n in range(3, 25):
+        for a in range(1, n):
+            for b in range(1, n):
+                if a == b or math.gcd(n, a, b) > 1:
+                    continue
+                net = build_network(n, [a, b])
+                shared += math.gcd(a - b, n) > 1
+                dist, paths = minimal_paths_by_scan(n, net.steps)
+                table = distance_table(net)
+                assert [list(table.routings(i)) for i in range(n)] == paths, net
+                for i in range(n):
+                    for d in (dist[i], dist[i] + 1, dist[i] + n):
+                        reach = [(y, d - y) for y in range(d + 1) if (y * a + (d - y) * b - i) % n == 0]
+                        assert list(_routings(net, i, d)) == reach, (net, i, d)
+    assert shared > 900, shared
 
 
 def test_cell_store_decodes_the_packed_layout():

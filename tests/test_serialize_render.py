@@ -105,6 +105,11 @@ def test_parse_rejects_malformed_documents():
 def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError):
         encode(42)
+    # a plain tuple equals a diagram of the same fields, but is not one
+    mdd = build_coherent_mdd(build_network(9, [1, 4]), (1, 2))
+    assert tuple(mdd) == mdd
+    with pytest.raises(TypeError):
+        encode(tuple(mdd))
 
 
 def test_ascii_l_shape():
