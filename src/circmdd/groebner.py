@@ -11,17 +11,18 @@ census starts there and reaches every other sector by one flip across
 the wall between neighbours. In the fan, Buchberger's algorithm runs for
 the graded basis and as the fallback of a failed check only.
 
-network reads every three-step distance and route count off the
-staircase of the graded basis (_distances_and_counts), distances alone
-off its first half (_staircase). Its two-step kernel runs _buchberger on
-a Hermite basis of the double loop's lattice, to read the L-shaped tile
-(network._tile_distances_and_counts). This module imports no circmdd
-module at run time, so network can import it.
+network reads three-step distances and route counts off the runs of the
+graded staircase in one sweep (_distances_and_counts), distances alone
+in one without counts (_staircase), and the two-step L-shaped tile off
+a _buchberger run (network._tile_distances_and_counts). This module
+imports no circmdd module at run time, so network can import it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, count
 from math import gcd
+from operator import add
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -95,100 +96,110 @@ def _graded_basis(net: CirculantNetwork):
 
 def _distances_and_counts(net: CirculantNetwork):
     """(dist, counts) of a connected three-step network, as lists: the
-    dist of network._bfs_levels and route_counts, read off the staircase
-    of _graded_basis in O(n + D + runs * |leads|) steps, D the diameter:
-    the distances of _staircase, then the counts of _staircase_counts."""
-    dist, runs, steps = _staircase(net)
-    return dist, _staircase_counts(dist, runs, *steps)
+    dist of network._bfs_levels and route_counts, in one sweep over the
+    runs of the staircase of _graded_basis (_runs).
+
+    count[v] is P[v], the minimal routings of v with a_z = 0, plus
+    count[v - s_z] when that arc is tight (route_counts, z last), as in
+    a run. Those of the j-th vertex of run (x, y) are (x, y, j) plus
+    sum-zero vectors, (x + t, y + j - t, 0) for t in [-x, y + j]
+    with t (s_x - s_y) = j (s_z - s_y) mod n: one class of t mod
+    n / gcd(s_x - s_y, n) when any. So count(x, y, j) = c0 + N[x][j] +
+    P[y][j], c0 the count of a tight arc into the run's start, written
+    already as the runs go by start distance, and N and P running sums
+    of the events (j, t): t < 0 counts in rows x >= -t, t >= 0 in rows
+    y >= t - j (_rows). Row x runs to h(x, 0), row y to h(0, y).
+    """
+    n = net.n
+    # first, so that an n too large to hold fails before the runs fill memory
+    dist, counts = [0] * n, [0] * n
+    runs, (sx, sy, sz) = _runs(net, _graded_basis(net))
+    hx = [h for _, _, h, _, y in runs if not y]
+    hy = [h for _, _, h, x, _ in runs if not x]
+    X, Y = len(hx) - 1, len(hy) - 1
+    a, b = (sx - sy) % n, (sz - sy) % n
+    g = gcd(a, n)
+    m, e = n // g, gcd(g, b)
+    # t exists only at j = i g / e, in the class of i u mod m
+    u = b // e * pow(a // g, -1, m) % m
+    xs, ys = {}, {}
+    for j, t in zip(range(0, hx[0], g // e), map(m.__rmod__, count(X, u))):
+        t -= X
+        while t <= Y + j:
+            k, heights, events = (-t, hx, xs) if t < 0 else (max(t - j, 0), hy, ys)
+            if j < heights[k]:
+                events.setdefault(k, []).append(j)
+            t += m
+    rows_x, rows_y = _rows(hx, xs), _rows(hy, ys)
+    runs.sort()
+    for d, v, h, x, y in runs:
+        # v - s_z lies in (-n, n), and a negative index wraps
+        c = counts[v - sz] if dist[v - sz] == d - 1 else 0
+        for d, p, q in zip(range(d, d + h), rows_x[x], rows_y[y]):
+            dist[v] = d
+            counts[v] = c + p + q
+            v += sz
+            if v >= n:
+                v -= n
+    return dist, counts
+
+
+def _rows(heights, events):
+    """Row k, of length heights[k] or more, is row k - 1 plus one from
+    each j in events[k] on; a row with no events is the row before."""
+    row, rows = [0] * heights[0], []
+    for k, h in enumerate(heights):
+        if k in events:
+            step = [0] * h
+            for j in events[k]:
+                step[j] += 1
+            row = list(map(add, row, accumulate(step)))
+        rows.append(row)
+    return rows
 
 
 def _staircase(net: CirculantNetwork):
-    """(dist, runs, (s_x, s_y, s_z)) of a connected three-step network:
-    its distances, read off the staircase of _graded_basis, and the runs
-    and steps that _staircase_counts reads.
-
-    The standard monomials are one least routing per vertex (_degree).
-    Name the variables x, y, z, z the one of highest pure-power lead.
-    Each standard (x, y, 0) starts a run of standard (x, y, k) for
-    k < h(x, y), the least l_z over the leads l with l_x <= x and
-    l_y <= y: the vertices x s_x + y s_y + k s_z, at distances
-    x + y + k. The runs cover every vertex once; each is a stretch of
-    one cycle of s_z whose arcs are all tight (add one to the distance).
-    """
+    """The dist of _distances_and_counts alone, in a sweep without counts."""
     n = net.n
-    leads = [g[:3] for g in _led(_graded_basis(net))]
-    pure = {j: g[j] for g in leads for j in range(3) if g[j] == sum(g)}
-    iz = max(pure, key=pure.get)
-    ix, iy = [j for j in range(3) if j != iz]
-    sx, sy, sz = (net.steps[j] for j in (ix, iy, iz))
-    leads = [(g[ix], g[iy], g[iz]) for g in leads]
-    # first, so that an n too large to hold fails before the runs fill memory
     dist = [0] * n
-    # (distance, vertex) of each run's start, and its length h; the pure
-    # power of z passes the filter for every (x, y), so min() has a list
-    runs = []
-    x = 0
-    while True:
-        y = 0
-        while h := min([lz for lx, ly, lz in leads if lx <= x and ly <= y]):
-            runs.append((x + y, (x * sx + y * sy) % n, h))
-            y += 1
-        if not y:
-            break
-        x += 1
-    for d, v, h in runs:
+    runs, (_, _, sz) = _runs(net, _graded_basis(net))
+    for d, v, h, _, _ in runs:
         for d in range(d, d + h):
             dist[v] = d
             v += sz
             if v >= n:
                 v -= n
-    return dist, runs, (sx, sy, sz)
+    return dist
 
 
-def _staircase_counts(dist, runs, sx, sy, sz):
-    """route_counts of a three-step network, as a list, from what
-    _staircase returned.
+def _runs(net: CirculantNetwork, basis):
+    """(runs, (s_x, s_y, s_z)): the runs of the staircase of basis, a
+    Groebner basis of I_L for a graded order, as (x + y, vertex, h, x, y)
+    by x, then y, and the steps they lie along.
 
-    Counts follow route_counts with z taken last: count[v] is P[v], the
-    minimal routings of v with a_z = 0, plus count[v - s_z] when that
-    arc is tight. A routing (a, b, 0) is minimal iff a s_x is on the
-    x-chain {a s_x : dist = a} and the s_y-chain from it to v is tight,
-    so P[v] counts the x-chain vertices on the tight s_y-chain ending
-    at v. Each such chain is walked once, from its first x-chain vertex
-    (the least a). The runs are then taken by the distance of their
-    starts: a tight arc into a run's start comes from the end of a run
-    that starts nearer, already done.
+    Its standard monomials are one least routing per vertex (_degree).
+    Name the variables x, y, z, z the one of highest pure-power lead.
+    Each standard (x, y, 0) starts a run of standard (x, y, k) for k <
+    h(x, y), the least l_z over the leads l with l_x <= x and l_y <= y:
+    the vertices x s_x + y s_y + k s_z, at distances x + y + k, every
+    arc tight. The runs cover every vertex once.
     """
-    n = len(dist)
-    count = [0] * n
-    # P, walked along the tight s_y-chains from the x-chain vertices u
-    u = a = 0
-    while dist[u] == a:
-        if not count[u]:
-            v, d, p = u, a, 0
-            while dist[v] == d:
-                if v == d * sx % n:  # on the x-chain
-                    p += 1
-                count[v] = p
-                v += sy
-                if v >= n:
-                    v -= n
-                d += 1
-        u += sx
-        if u >= n:
-            u -= n
-        a += 1
-    runs.sort()
-    for d, v, h in runs:
-        # v - s_z lies in (-n, n), and a negative index wraps
-        c = count[v - sz] if dist[v - sz] == d - 1 else 0
-        for _ in range(h):
-            c += count[v]
-            count[v] = c
-            v += sz
-            if v >= n:
-                v -= n
-    return count
+    leads = [g[:3] for g in _led(basis)]
+    pure = {j: g[j] for g in leads for j in range(3) if g[j] == sum(g)}
+    iz = max(pure, key=pure.get)
+    ix, iy = [j for j in range(3) if j != iz]
+    leads = [(g[ix], g[iy], g[iz]) for g in leads]
+    # the pure power of z passes every filter, so min() has a list
+    runs, x = [], 0
+    while True:
+        y = 0
+        while h := min([lz for lx, ly, lz in leads if lx <= x and ly <= y]):
+            runs.append((x + y, (x * net.steps[ix] + y * net.steps[iy]) % net.n, h, x, y))
+            y += 1
+        if not y:
+            break
+        x += 1
+    return runs, tuple(net.steps[j] for j in (ix, iy, iz))
 
 
 def _led(basis):

@@ -10,7 +10,7 @@ L-shaped tile of a graded basis for two steps, in one pass
 (groebner._distances_and_counts), and a breadth-first search with a
 count pass (_bfs_levels, _count_routes) for one step, for four or more
 and for steps that do not generate Z_n. distances takes the same
-kernels, and of the staircase its distance half alone.
+kernels, and of the staircase its sweep without counts.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def distance_table(net: CirculantNetwork) -> DistanceTable:
 
 def distances(net: CirculantNetwork) -> tuple[int, ...]:
     """Distances from vertex 0, from the kernel _kernel picks: the
-    graded staircase for three steps, without its count passes
+    graded staircase for three steps, in its sweep without counts
     (groebner._staircase), the L-shaped tile for two, and the dist of
     _bfs_levels otherwise.
 
@@ -280,7 +280,7 @@ def distances(net: CirculantNetwork) -> tuple[int, ...]:
     vertex (only an unvalidated network can fail so).
     """
     if net.r == 3 and math.gcd(net.n, *net.steps) == 1:
-        return tuple(_staircase(net)[0])
+        return tuple(_staircase(net))
     return tuple(_kernel(net)[0] if net.r == 2 else _bfs_levels(net)[0])
 
 
@@ -317,7 +317,8 @@ def _tile_distances_and_counts(net: CirculantNetwork):
     Counts follow route_counts with z taken last: count[v] is 1 when
     (dist[v], 0) reaches v, plus count[v - s_z] when that arc is tight.
     Along a run the first term is 1 where k (s_z - s_x) = 0 mod n, that
-    is every m = n / gcd(n, s_z - s_x) vertices from its start. A tight
+    is every m = n / gcd(n, s_z - s_x) vertices from its start: the one
+    class of t of groebner._distances_and_counts, with y absent. A tight
     arc into a run's start comes from a vertex at distance a - 1, whose
     run has a smaller a and is written already; a vertex not yet
     written has count 0, so its stale dist adds nothing.

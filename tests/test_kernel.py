@@ -109,6 +109,22 @@ def test_every_small_triple_gets_the_search_distances():
     assert len(nets) == 5542
 
 
+@pytest.mark.slow
+def test_every_triple_loop_up_to_40_gets_the_search_counts():
+    # every network build_network accepts with three steps and n <= 40,
+    # each set of steps once: the staircase's distances alone and with
+    # its counts
+    nets = [
+        CirculantNetwork(n, steps)
+        for n in range(4, 41)
+        for steps in itertools.combinations(range(1, n), 3)
+        if math.gcd(n, *steps) == 1
+    ]
+    for net in nets:
+        assert_kernel_matches_search(net)
+    assert len(nets) == 85771
+
+
 def test_every_small_double_loop_gets_the_search_distances():
     # read off the tile
     nets = small_networks(2, 24)

@@ -1,6 +1,7 @@
 """Network construction, distances, and minimal-path tables."""
 
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -23,7 +24,7 @@ from circmdd import (
     route_counts,
     vertex_of,
 )
-from circmdd.groebner import _distances_and_counts, _graded_basis
+from circmdd.groebner import _distances_and_counts, _graded_basis, _runs
 from circmdd.network import (
     _bfs_levels,
     _CellStore,
@@ -266,6 +267,86 @@ def test_staircase_counts_match_the_search_on_larger_networks():
         dist, levels = _bfs_levels(net)
         expected = (dist, list(_count_routes(net.steps, dist, levels)))
         assert _distances_and_counts(net) == expected, net
+
+
+def test_minimal_routings_off_one_step_form_one_class():
+    # the fact the three-step counts are read by, from the exhaustive
+    # scan alone: for every minimal routing of a vertex, with its
+    # coordinates named x, y, z in any order, the minimal routings with
+    # a_z = 0 are the (x + t, y + j - t, 0), j = a_z, for the t in
+    # [-x, y + j] with t (s_x - s_y) = j (s_z - s_y) mod n. With
+    # g = gcd(s_x - s_y, n), some t solve that only when j is a multiple
+    # of g / gcd(g, s_z - s_y), and then they form one class mod n / g
+    several = 0
+    for net in random_networks(3400, 3, 60, 120):
+        n = net.n
+        _, paths = minimal_paths_by_scan(n, net.steps)
+        for order in itertools.permutations(range(3)):
+            sx, sy, sz = (net.steps[k] for k in order)
+            g = math.gcd(sx - sy, n)
+            solutions = {}
+            for routings in paths:
+                zero = sorted(r for r in routings if r[order[2]] == 0)
+                several += len(zero) > 1
+                for r in routings:
+                    x, y, j = (r[k] for k in order)
+                    if j not in solutions:
+                        solutions[j] = {
+                            t for t in range(n) if (t * (sx - sy) - j * (sz - sy)) % n == 0
+                        }
+                        assert bool(solutions[j]) == (j % (g // math.gcd(g, sz - sy)) == 0)
+                        assert len({t % (n // g) for t in solutions[j]}) <= 1
+                    found = []
+                    for t in range(-x, y + j + 1):
+                        if t % n in solutions[j]:
+                            a = [0, 0, 0]
+                            a[order[0]], a[order[1]] = x + t, y + j - t
+                            found.append(tuple(a))
+                    assert sorted(found) == zero, (net, r, order)
+    assert several
+
+
+def run_shape(net):
+    """(runs, f, m, most) of a three-step network: the runs the
+    staircase lays, the fibre step f and the modulus m of the classes of
+    t along their steps (s_x, s_y, s_z), and the most minimal routings
+    with a_z = 0 of one vertex, from the search."""
+    runs, (sx, sy, sz) = _runs(net, _graded_basis(net))
+    n = net.n
+    g = math.gcd(sx - sy, n)
+    dist, levels = _bfs_levels(net)
+    count = _count_routes(net.steps, dist, levels)
+    most = max(count[v] - (count[v - sz] if dist[v - sz] == dist[v] - 1 else 0) for v in range(n))
+    return runs, g // math.gcd(g, sz - sy), n // g, most
+
+
+# C5997: every class of t but j = 0 is empty (f = 1999 = h(0, 0)).
+# C6000: m = n. C1455: 623 runs over 208 values of x. C20000: m = n / 2.
+# C372 and C161: several t in one class, at f = 124 and f = 1
+EDGE_SHAPES = [
+    (5997, [1, 1999, 3998]),
+    (6000, [2, 3002, 1]),
+    (1455, [58, 1107, 1339]),
+    (20000, [3, 10003, 101]),
+    (372, [76, 365, 324]),
+    (161, [110, 64, 41]),
+]
+
+
+def test_staircase_counts_on_edge_shapes():
+    shapes = {}
+    for n, steps in EDGE_SHAPES:
+        net = build_network(n, steps)
+        dist, levels = _bfs_levels(net)
+        assert _distances_and_counts(net) == (dist, list(_count_routes(net.steps, dist, levels)))
+        shapes[n] = run_shape(net)
+    runs, f, _, _ = shapes[5997]
+    assert f >= max(h for _, _, h, _, _ in runs)
+    assert shapes[6000][2] == 6000 and shapes[20000][2] == 10000
+    runs = shapes[1455][0]
+    assert len(runs) == 623 and max(x for *_, x, _ in runs) == 207
+    # a fibre step above 1, and several t in one class (m below the window)
+    assert shapes[372][1] > 1 and shapes[372][3] > 1 and shapes[161][3] > 1
 
 
 @pytest.mark.parametrize(
