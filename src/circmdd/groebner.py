@@ -20,7 +20,7 @@ imports no circmdd module at run time, so network can import it.
 
 from __future__ import annotations
 
-from itertools import accumulate, count
+from itertools import accumulate
 from math import gcd
 from operator import add
 from typing import TYPE_CHECKING
@@ -100,37 +100,33 @@ def _distances_and_counts(net: CirculantNetwork):
     runs of the staircase of _graded_basis (_runs).
 
     count[v] is P[v], the minimal routings of v with a_z = 0, plus
-    count[v - s_z] when that arc is tight (route_counts, z last), as in
-    a run. Those of the j-th vertex of run (x, y) are (x, y, j) plus
-    sum-zero vectors, (x + t, y + j - t, 0) for t in [-x, y + j]
-    with t (s_x - s_y) = j (s_z - s_y) mod n: one class of t mod
-    n / gcd(s_x - s_y, n) when any. So count(x, y, j) = c0 + N[x][j] +
-    P[y][j], c0 the count of a tight arc into the run's start, written
-    already as the runs go by start distance, and N and P running sums
-    of the events (j, t): t < 0 counts in rows x >= -t, t >= 0 in rows
-    y >= t - j (_rows). Row x runs to h(x, 0), row y to h(0, y).
+    count[v - s_z] when that arc is tight (route_counts, z last). For
+    the j-th vertex of run (x, y) those are (x, y, j) plus sum-zero
+    vectors, (x + t, y + j - t, 0) for the t in [-x, y + j] with
+    t (s_x - s_y) = j (s_z - s_y) mod n: one class mod m = n / g,
+    g = gcd(s_x - s_y, n), for j a multiple of f = g / gcd(g, s_z - s_y)
+    only. So count(x, y, j) = c0 + N[x][j] + P[y][j]: c0 that of a tight
+    arc into the run's start, written already as the runs go by start
+    distance; N and P running sums over j, N[0] of the t in [0, j], row
+    x > 0 adding t = -x and row y > 0 t = j + y, each at the j of one
+    progression (_rows). Row x runs to h(x, 0) and row y to h(0, y), so
+    the rows hold O(n) entries, none per routing.
     """
     n = net.n
     # first, so that an n too large to hold fails before the runs fill memory
     dist, counts = [0] * n, [0] * n
     runs, (sx, sy, sz) = _runs(net, _graded_basis(net))
-    hx = [h for _, _, h, _, y in runs if not y]
-    hy = [h for _, _, h, x, _ in runs if not x]
-    X, Y = len(hx) - 1, len(hy) - 1
-    a, b = (sx - sy) % n, (sz - sy) % n
-    g = gcd(a, n)
-    m, e = n // g, gcd(g, b)
-    # t exists only at j = i g / e, in the class of i u mod m
-    u = b // e * pow(a // g, -1, m) % m
-    xs, ys = {}, {}
-    for j, t in zip(range(0, hx[0], g // e), map(m.__rmod__, count(X, u))):
-        t -= X
-        while t <= Y + j:
-            k, heights, events = (-t, hx, xs) if t < 0 else (max(t - j, 0), hy, ys)
-            if j < heights[k]:
-                events.setdefault(k, []).append(j)
-            t += m
-    rows_x, rows_y = _rows(hx, xs), _rows(hy, ys)
+    hx, hy = [h for _, _, h, _, y in runs if not y], [h for _, _, h, x, _ in runs if not x]
+    g = gcd(sx - sy, n)
+    m, e = n // g, gcd(g, sz - sy)
+    # the t of j = i f are the class of i u mod m
+    u, f = (sz - sy) // e * pow((sx - sy) // g, -1, m) % m, g // e
+    base = [0] * hx[0]
+    base[::f] = [(j - i * u % m) // m + 1 for i, j in enumerate(range(0, hx[0], f))]
+    # t = -x counts in row x when i u = -x, t = j + y in row y when
+    # i (u - f) = y, mod m
+    rows_x = _rows(list(accumulate(base)), hx, -u, m, f)
+    rows_y = _rows([0] * hx[0], hy, u - f, m, f)
     runs.sort()
     for d, v, h, x, y in runs:
         # v - s_z lies in (-n, n), and a negative index wraps
@@ -144,15 +140,18 @@ def _distances_and_counts(net: CirculantNetwork):
     return dist, counts
 
 
-def _rows(heights, events):
-    """Row k, of length heights[k] or more, is row k - 1 plus one from
-    each j in events[k] on; a row with no events is the row before."""
-    row, rows = [0] * heights[0], []
-    for k, h in enumerate(heights):
-        if k in events:
+def _rows(row, heights, w, m, f):
+    """Rows k of running sums over j: row k - 1 (row, at k = 0) plus one
+    from each j = i f below heights[k] with i w = k mod m on. Those j
+    are one progression, or none, and then row k is row k - 1."""
+    d = gcd(w, m)
+    p, rows = m // d, [row]
+    inv = pow(w // d, -1, p)
+    for k in range(1, len(heights)):
+        j, h = k // d * inv % p * f, heights[k]
+        if k % d == 0 and j < h:
             step = [0] * h
-            for j in events[k]:
-                step[j] += 1
+            step[j :: p * f] = [1] * len(range(j, h, p * f))
             row = list(map(add, row, accumulate(step)))
         rows.append(row)
     return rows

@@ -109,17 +109,27 @@ def test_every_small_triple_gets_the_search_distances():
     assert len(nets) == 5542
 
 
-@pytest.mark.slow
-def test_every_triple_loop_up_to_40_gets_the_search_counts():
-    # every network build_network accepts with three steps and n <= 40,
-    # each set of steps once: the staircase's distances alone and with
-    # its counts
-    nets = [
+def triple_loops_up_to_40():
+    """Every network build_network accepts with three steps and n <= 40,
+    each set of steps once."""
+    return [
         CirculantNetwork(n, steps)
         for n in range(4, 41)
         for steps in itertools.combinations(range(1, n), 3)
         if math.gcd(n, *steps) == 1
     ]
+
+
+def test_sampled_triple_loops_up_to_40_get_the_search_counts():
+    # a seeded sample of the networks the slow test below checks all of
+    for net in random.Random(4100).sample(triple_loops_up_to_40(), 2000):
+        assert_kernel_matches_search(net)
+
+
+@pytest.mark.slow
+def test_every_triple_loop_up_to_40_gets_the_search_counts():
+    # the staircase's distances alone and with its counts; pytest -m slow
+    nets = triple_loops_up_to_40()
     for net in nets:
         assert_kernel_matches_search(net)
     assert len(nets) == 85771

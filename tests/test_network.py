@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -245,11 +246,21 @@ def test_staircase_counts_match_the_oracles():
 # C946(618,323,913) 11 of them, C572(297,430,148) also 11,
 # C6000(2,3002,1) 2; the last has route counts up to 751. C20000 has
 # step differences of small order (10003 - 3 = n / 2)
+# The last six: C5997, every class of t but j = 0 empty (fibre step
+# 1999 = h(0, 0)); C1455, 623 runs over 208 values of x; C372 and C161,
+# several t in one class at fibre steps 124 and 1; C6000(1,2001,4001),
+# its three steps alike mod 2000, about two million minimal routings
+# with a_z = 0 in all. C6000(2,3002,1) has m = n and C20000 m = n / 2
 LARGE_NETWORKS = [
     (946, [618, 323, 913]),
     (572, [297, 430, 148]),
     (6000, [2, 3002, 1]),
     (20000, [3, 10003, 101]),
+    (5997, [1, 1999, 3998]),
+    (1455, [58, 1107, 1339]),
+    (372, [76, 365, 324]),
+    (161, [110, 64, 41]),
+    (6000, [1, 2001, 4001]),
 ]
 
 
@@ -307,46 +318,42 @@ def test_minimal_routings_off_one_step_form_one_class():
 
 
 def run_shape(net):
-    """(runs, f, m, most) of a three-step network: the runs the
-    staircase lays, the fibre step f and the modulus m of the classes of
-    t along their steps (s_x, s_y, s_z), and the most minimal routings
-    with a_z = 0 of one vertex, from the search."""
+    """(runs, f, m) of a three-step network: the runs the staircase
+    lays, and the fibre step f and the modulus m of the classes of t
+    along their steps (s_x, s_y, s_z)."""
     runs, (sx, sy, sz) = _runs(net, _graded_basis(net))
-    n = net.n
-    g = math.gcd(sx - sy, n)
-    dist, levels = _bfs_levels(net)
-    count = _count_routes(net.steps, dist, levels)
-    most = max(count[v] - (count[v - sz] if dist[v - sz] == dist[v] - 1 else 0) for v in range(n))
-    return runs, g // math.gcd(g, sz - sy), n // g, most
+    g = math.gcd(sx - sy, net.n)
+    return runs, g // math.gcd(g, sz - sy), net.n // g
 
 
-# C5997: every class of t but j = 0 is empty (f = 1999 = h(0, 0)).
-# C6000: m = n. C1455: 623 runs over 208 values of x. C20000: m = n / 2.
-# C372 and C161: several t in one class, at f = 124 and f = 1
-EDGE_SHAPES = [
-    (5997, [1, 1999, 3998]),
-    (6000, [2, 3002, 1]),
-    (1455, [58, 1107, 1339]),
-    (20000, [3, 10003, 101]),
-    (372, [76, 365, 324]),
-    (161, [110, 64, 41]),
-]
-
-
-def test_staircase_counts_on_edge_shapes():
-    shapes = {}
-    for n, steps in EDGE_SHAPES:
-        net = build_network(n, steps)
-        dist, levels = _bfs_levels(net)
-        assert _distances_and_counts(net) == (dist, list(_count_routes(net.steps, dist, levels)))
-        shapes[n] = run_shape(net)
-    runs, f, _, _ = shapes[5997]
+def test_larger_networks_cover_the_edge_shapes():
+    shapes = [run_shape(build_network(n, steps)) for n, steps in LARGE_NETWORKS]
+    assert [m for _, _, m in shapes[2:4]] == [6000, 10000]
+    runs, f, _ = shapes[4]
     assert f >= max(h for _, _, h, _, _ in runs)
-    assert shapes[6000][2] == 6000 and shapes[20000][2] == 10000
-    runs = shapes[1455][0]
+    runs = shapes[5][0]
     assert len(runs) == 623 and max(x for *_, x, _ in runs) == 207
-    # a fibre step above 1, and several t in one class (m below the window)
-    assert shapes[372][1] > 1 and shapes[372][3] > 1 and shapes[161][3] > 1
+    # a fibre step above 1, and a vertex whose window [-x, y + j] holds
+    # two t or more of its class
+    assert any(f > 1 for _, f, _ in shapes)
+    assert any(
+        x + y + (h - 1) // f * f + 1 >= 2 * m for runs, f, m in shapes for _, _, h, x, y in runs
+    )
+
+
+def test_staircase_counts_hold_no_entry_per_routing():
+    # C6000(1,2001,4001) has about two million minimal routings with
+    # a_z = 0; the counts are read off rows of at most 2n entries, with
+    # no entry per t. About 140 bytes a vertex are traced; one entry per
+    # t of [0, j] would take about 1,100
+    net = build_network(6000, [1, 2001, 4001])
+    tracemalloc.start()
+    try:
+        _distances_and_counts(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * net.n
 
 
 @pytest.mark.parametrize(
