@@ -2,27 +2,28 @@
 
 The fan reads the distances it needs as normal-form degrees under one
 Groebner basis of I_L = <x^a+ - x^a- : a.s = 0 mod n> for a graded
-order, so no fan builds an n-sized array. Its sector census
-keys each sector by the leads of the reduced Groebner basis for the
-sector's weight, which are the staircase generators of its coherent
-diagram. The graded basis is already the reduced basis of one sector,
-the one whose weight leads every sum-zero vector of it (_is_led); the
-census starts there and reaches every other sector by one flip across
-the wall between neighbours. In the fan, Buchberger's algorithm runs for
-the graded basis and as the fallback of a failed check only.
+order, so no fan builds an n-sized array. Its sector census keys each
+sector by the leads of the reduced Groebner basis for its weight, the
+staircase generators of its coherent diagram. The graded basis is
+already the reduced basis of one sector, the one whose weight leads
+every sum-zero vector of it (_is_led); the census starts there and
+reaches every other sector by one flip across the wall between
+neighbours. In the fan, Buchberger's algorithm runs for the graded
+basis and as the fallback of a failed check only.
 
 network reads three-step distances and route counts off the runs of the
 graded staircase in one sweep (_distances_and_counts), distances alone
-in one without counts (_staircase), and the two-step L-shaped tile off
-a _buchberger run (network._tile_distances_and_counts). This module
-imports no circmdd module at run time, so network can import it.
+in one without counts (_staircase), diameter and total distance off the
+runs alone (_run_stats), and the two-step tile off a _buchberger run
+(network._tile_runs). This module imports no circmdd module at run
+time, so network can import it.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -81,12 +82,10 @@ def _graded_basis(net: CirculantNetwork):
     "degree, then w0, then lex", w0 = -1 on the variable a of
     _variables, +1 on c and 0 on b, each vector led by its plus part.
 
-    Under any graded order the normal form of a routing is the least
-    routing of its vertex, so its degree is the vertex's distance
-    (_degree). Of the orders tried, this w0 gives the fastest
-    Buchberger run from _lattice_ideal_basis: on the q = 14 family lift
-    0.1 ms, where (1, 0, -1) takes 0.9 ms and plain degree-lex 5.9 ms
-    (CPython 3.11, 2-vCPU Xeon).
+    Its normal forms are least routings (_degree). Of the orders tried,
+    this w0 gives the fastest Buchberger run from _lattice_ideal_basis:
+    on the q = 14 family lift 0.1 ms, where (1, 0, -1) takes 0.9 ms and
+    plain degree-lex 5.9 ms (CPython 3.11, 2-vCPU Xeon).
     """
     ia, _, ic = _variables(net)
     w0 = [0, 0, 0]
@@ -95,9 +94,10 @@ def _graded_basis(net: CirculantNetwork):
 
 
 def _distances_and_counts(net: CirculantNetwork):
-    """(dist, counts) of a connected three-step network, as lists: the
-    dist of network._bfs_levels and route_counts, in one sweep over the
-    runs of the staircase of _graded_basis (_runs).
+    """(dist, counts, diameter, total) of a connected three-step network:
+    distances and route_counts as lists, in one sweep over the runs of
+    the staircase of _graded_basis (_runs), and max(dist) and sum(dist)
+    off the runs (_run_stats).
 
     count[v] is P[v], the minimal routings of v with a_z = 0, plus
     count[v - s_z] when that arc is tight (route_counts, z last). For
@@ -127,6 +127,7 @@ def _distances_and_counts(net: CirculantNetwork):
     # i (u - f) = y, mod m
     rows_x = _rows(list(accumulate(base)), hx, -u, m, f)
     rows_y = _rows([0] * hx[0], hy, u - f, m, f)
+    _, diameter, total = _run_stats(runs)
     runs.sort()
     for d, v, h, x, y in runs:
         # v - s_z lies in (-n, n), and a negative index wraps
@@ -137,7 +138,7 @@ def _distances_and_counts(net: CirculantNetwork):
             v += sz
             if v >= n:
                 v -= n
-    return dist, counts
+    return dist, counts, diameter, total
 
 
 def _rows(row, heights, w, m, f):
@@ -181,24 +182,41 @@ def _runs(net: CirculantNetwork, basis):
     Each standard (x, y, 0) starts a run of standard (x, y, k) for k <
     h(x, y), the least l_z over the leads l with l_x <= x and l_y <= y:
     the vertices x s_x + y s_y + k s_z, at distances x + y + k, every
-    arc tight. The runs cover every vertex once.
+    arc tight. The runs cover every vertex once. h(x, y) falls as y
+    passes the l_y of the leads with l_x <= x, sorted once per l_x.
     """
+    n = net.n
     leads = [g[:3] for g in _led(basis)]
     pure = {j: g[j] for g in leads for j in range(3) if g[j] == sum(g)}
     iz = max(pure, key=pure.get)
     ix, iy = [j for j in range(3) if j != iz]
+    sx, sy, sz = (net.steps[j] for j in (ix, iy, iz))
     leads = [(g[ix], g[iy], g[iz]) for g in leads]
-    # the pure power of z passes every filter, so min() has a list
+    lxs = {lx for lx, _, _ in leads}
     runs, x = [], 0
     while True:
-        y = 0
-        while h := min([lz for lx, ly, lz in leads if lx <= x and ly <= y]):
-            runs.append((x + y, (x * net.steps[ix] + y * net.steps[iy]) % net.n, h, x, y))
-            y += 1
-        if not y:
-            break
+        if x in lxs:
+            # h(x, y) by y, set by the pure power of z, ended by that of y
+            hs, y, h = [], 0, n
+            for ly, lz in sorted([(ly, lz) for lx, ly, lz in leads if lx <= x]):
+                hs += [h] * (ly - y)
+                y, h = ly, min(h, lz)
+                if not h:
+                    break
+            if not hs:
+                break
+        v = x * sx
+        runs += [(x + y, (v + y * sy) % n, h, x, y) for y, h in enumerate(hs)]
         x += 1
-    return runs, tuple(net.steps[j] for j in (ix, iy, iz))
+    return runs, (sx, sy, sz)
+
+
+def _run_stats(runs):
+    """(vertices, diameter, total distance) of runs (d, vertex, h, ...),
+    at distances d, ..., d + h - 1, with no list of the distances."""
+    d, _, h, *_ = zip(*runs)
+    k = sum(h)
+    return k, max(map(add, d, h)) - 1, sum(map(mul, d, h)) + (sum(map(mul, h, h)) - k) // 2
 
 
 def _led(basis):
@@ -239,9 +257,9 @@ def _sector_leads(iw, basis, wall=None):
     of the initial ideal are the least routings of the vertices, the
     diagram of iw, and the leads are
     staircase_generators(build_coherent_mdd(net, iw)).generators
-    (Sturmfels, Groebner Bases and Convex Polytopes, ch. 4-5;
-    Conti-Traverso 1991), whether or not a step is a unit mod n. No tie
-    is checked: the fan slides iw past ties first (mdd._tie_at_u).
+    (Sturmfels, ch. 4-5; Conti-Traverso 1991), whether or not a step is
+    a unit mod n. No tie is checked: the fan slides iw past ties first
+    (mdd._tie_at_u).
 
     With a wall ray, basis must be one this returned for a weight on
     the far side of that wall, and the new basis is one flip across it

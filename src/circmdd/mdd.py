@@ -347,7 +347,7 @@ def enumerate_mdds(
     if mode == "coherent_only" and net.r > 4:
         raise UnsupportedArityError("coherence is decided for at most four steps", r=net.r)
     n, r = net.n, net.r
-    dist, counts = _kernel(net)
+    dist, counts, _, _ = _kernel(net)
     order = list(chain.from_iterable(_levels_of(dist)))
     pre = [0, *accumulate(map(counts.__getitem__, order))]  # visits before each place
 

@@ -9,8 +9,10 @@ L-shaped tile of a graded basis for two steps, in one pass
 (_tile_distances_and_counts), the graded staircase for three
 (groebner._distances_and_counts), and a breadth-first search with a
 count pass (_bfs_levels, _count_routes) for one step, for four or more
-and for steps that do not generate Z_n. distances takes the same
-kernels, and of the staircase its sweep without counts.
+and for steps that do not generate Z_n. Each also gives the diameter
+and the total distance, off the runs or the levels it walks. distances
+takes the same kernels, and of the staircase its sweep without counts;
+network_stats reads the runs of the tile or the staircase alone.
 """
 
 from __future__ import annotations
@@ -24,9 +26,17 @@ from .errors import (
     ArityMismatchError,
     DisconnectedError,
     DuplicateStepError,
+    InternalInconsistencyError,
     ZeroStepError,
 )
-from .groebner import _buchberger, _distances_and_counts, _staircase
+from .groebner import (
+    _buchberger,
+    _distances_and_counts,
+    _graded_basis,
+    _run_stats,
+    _runs,
+    _staircase,
+)
 
 PathVector = tuple[int, ...]
 
@@ -285,24 +295,26 @@ def distances(net: CirculantNetwork) -> tuple[int, ...]:
 
 
 def _kernel(net: CirculantNetwork):
-    """(dist, counts) as distances and route_counts: for steps that
-    generate Z_n, the staircase of three (groebner._distances_and_counts)
-    or the tile of two (_tile_distances_and_counts); else _bfs_levels,
-    which refuses a disconnected network, and _count_routes."""
+    """(dist, counts, diameter, total) as distances, route_counts,
+    max(dist) and sum(dist): for steps that generate Z_n, the staircase
+    of three (groebner._distances_and_counts) or the tile of two
+    (_tile_distances_and_counts), whose runs give the last two; else
+    _bfs_levels, which refuses a disconnected network, _count_routes
+    and the levels (_level_stats)."""
     if math.gcd(net.n, *net.steps) == 1:
         if net.r == 2:
             return _tile_distances_and_counts(net)
         if net.r == 3:
             return _distances_and_counts(net)
     dist, levels = _bfs_levels(net)
-    return dist, _count_routes(net.steps, dist, levels)
+    return dist, _count_routes(net.steps, dist, levels), *_level_stats(levels)
 
 
-def _tile_distances_and_counts(net: CirculantNetwork):
-    """(dist, counts) of a connected two-step network, as lists, as
-    groebner._distances_and_counts gives them for three steps: read off
-    the L-shaped tile (Wong-Coppersmith, J. ACM 1974; Fiol et al., IEEE
-    Trans. Comput. 1987), the staircase of a graded basis, in one pass.
+def _tile_runs(net: CirculantNetwork):
+    """(runs, (s_x, s_z)): the runs of the L-shaped tile of a connected
+    two-step network (Wong-Coppersmith, J. ACM 1974; Fiol et al., IEEE
+    Trans. Comput. 1987), the staircase of a graded basis, as (a,
+    vertex, h) by a, and the steps they lie along.
 
     With g = gcd(n, s_0), the vectors h_0 e_0 and h_1 e_1 - u e_0, for
     h_0 = n / g, h_1 = g / gcd(g, s_1) and the u in [0, h_0) that puts
@@ -313,6 +325,31 @@ def _tile_distances_and_counts(net: CirculantNetwork):
     run of standard x^a z^k for k < h(a), the least l_z over the leads
     l with l_x <= a: the vertices a s_x + k s_z, at distances a + k,
     every arc tight.
+    """
+    n = net.n
+    s0, s1 = net.steps
+    g = math.gcd(n, s0)
+    h0, h1 = n // g, g // math.gcd(g, s1)
+    u = h1 * s1 // g * pow(s0 // g, -1, h0) % h0
+    leads = [e[:2] for e in _buchberger([(h0, 0, 0), (-u, h1, 0)], (-1, 1, 0))]
+    pure = {j: e[j] for e in leads for j in (0, 1) if not e[1 - j]}
+    iz = max(pure, key=pure.get)
+    sx, sz = net.steps[1 - iz], net.steps[iz]
+    leads = [(e[1 - iz], e[iz]) for e in leads]
+    # the pure power of z passes the filter for every a, so min() has a list
+    runs, a = [], 0
+    while h := min([lz for lx, lz in leads if lx <= a]):
+        runs.append((a, a * sx % n, h))
+        a += 1
+    return runs, (sx, sz)
+
+
+def _tile_distances_and_counts(net: CirculantNetwork):
+    """(dist, counts, diameter, total) of a connected two-step network,
+    as groebner._distances_and_counts gives them for three steps: dist
+    and counts as lists, in one pass over the runs of the L-shaped tile
+    (_tile_runs), and the diameter and total distance off the runs
+    alone (groebner._run_stats).
 
     Counts follow route_counts with z taken last: count[v] is 1 when
     (dist[v], 0) reaches v, plus count[v - s_z] when that arc is tight.
@@ -327,37 +364,21 @@ def _tile_distances_and_counts(net: CirculantNetwork):
     # first, so that an n too large to hold fails before anything else
     dist = [0] * n
     count = [0] * n
-    s0, s1 = net.steps
-    g = math.gcd(n, s0)
-    h0, h1 = n // g, g // math.gcd(g, s1)
-    u = h1 * s1 // g * pow(s0 // g, -1, h0) % h0
-    leads = [e[:2] for e in _buchberger([(h0, 0, 0), (-u, h1, 0)], (-1, 1, 0))]
-    pure = {j: e[j] for e in leads for j in (0, 1) if not e[1 - j]}
-    iz = max(pure, key=pure.get)
-    sx, sz = net.steps[1 - iz], net.steps[iz]
-    leads = [(e[1 - iz], e[iz]) for e in leads]
+    runs, (sx, sz) = _tile_runs(net)
     m = n // math.gcd(n, sz - sx)
-    # v = a s_x, the start of run a; the pure power of z passes the
-    # filter for every a, so min() has a list
-    v = a = 0
-    while h := min([lz for lx, lz in leads if lx <= a]):
+    for a, v, h in runs:
         # v - s_z lies in (-n, n), and a negative index wraps
         c = count[v - sz] if dist[v - sz] == a - 1 else 0
-        w = v
         # the run's start and every m-th vertex after it are on the x-chain
         for lap in range(a, a + h, m):
             c += 1
             for d in range(lap, min(lap + m, a + h)):
-                dist[w] = d
-                count[w] = c
-                w += sz
-                if w >= n:
-                    w -= n
-        v += sx
-        if v >= n:
-            v -= n
-        a += 1
-    return dist, count
+                dist[v] = d
+                count[v] = c
+                v += sz
+                if v >= n:
+                    v -= n
+    return dist, count, *_run_stats(runs)[1:]
 
 
 def _bfs_levels(net: CirculantNetwork) -> tuple[list[int], list[list[int]]]:
@@ -413,6 +434,12 @@ def _count_routes(steps, dist, levels, tails=None) -> tuple[int, ...]:
     return tuple(count)
 
 
+def _level_stats(levels) -> tuple[int, int]:
+    """(diameter, total distance) of levels, levels[d] the vertices at
+    distance d."""
+    return len(levels) - 1, sum(d * len(level) for d, level in enumerate(levels))
+
+
 def _levels_of(dist) -> list[list[int]]:
     """The vertices grouped by distance, as _bfs_levels lists them but in
     vertex order within each level: one pass over the vertices."""
@@ -447,6 +474,22 @@ def route_counts(net: CirculantNetwork, dist) -> tuple[int, ...]:
 
 
 def network_stats(net: CirculantNetwork) -> tuple[int, Fraction]:
-    """Diameter and exact average distance from vertex 0."""
-    dist = distances(net)
-    return max(dist), Fraction(sum(dist), net.n)
+    """Diameter and exact average distance from vertex 0.
+
+    For two or three steps that generate Z_n they are read off the runs
+    of the tile (_tile_runs) or of the graded staircase (groebner._runs)
+    alone, O(runs) with no n-sized list (groebner._run_stats); the runs
+    must cover n vertices, or InternalInconsistencyError is raised.
+    Other networks take the levels of _bfs_levels, without route counts.
+    """
+    n = net.n
+    if net.r in (2, 3) and math.gcd(n, *net.steps) == 1:
+        runs = _tile_runs(net)[0] if net.r == 2 else _runs(net, _graded_basis(net))[0]
+        covered, diameter, total = _run_stats(runs)
+        if covered != n:
+            raise InternalInconsistencyError(
+                f"the runs of {net} cover {covered} of {n} vertices", covered=covered, n=n
+            )
+    else:
+        diameter, total = _level_stats(_bfs_levels(net)[1])
+    return diameter, Fraction(total, n)

@@ -112,16 +112,17 @@ def enumeration_json(net: CirculantNetwork, mode: str, result) -> str:
     return f'{head[:-1]},"mdds":[{diagrams}]}}'
 
 
-def net_info_json(net: CirculantNetwork, dist, counts) -> str:
+def net_info_json(net: CirculantNetwork, dist, counts, diameter, total) -> str:
     """`net info`: the canonical JSON text of {network, diameter,
-    average_distance, dist, route_counts}. Distances run over 0..D and
+    average_distance, dist, route_counts}, from what network._kernel
+    returns: diameter and total are max(dist) and sum(dist), which the
+    kernel reads off its runs or levels. Distances run over 0..D and
     most vertices share a few route counts, so each distance is
     formatted once and each distinct count once, on first use."""
-    diameter = max(dist)
     head = canonical_json({
         "network": network_payload(net),
         "diameter": diameter,
-        "average_distance": rational_payload(Fraction(sum(dist), net.n)),
+        "average_distance": rational_payload(Fraction(total, net.n)),
     })
     level = list(map(str, range(diameter + 1))).__getitem__
     dist_text = ",".join(map(level, dist))

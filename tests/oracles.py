@@ -7,10 +7,10 @@ the fast paths can be pinned against them.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from itertools import product
-from math import gcd, prod
+from itertools import combinations, product
+from math import comb, gcd, prod
 
 
 def bfs_distances(n: int, steps) -> list[int]:
@@ -26,6 +26,28 @@ def bfs_distances(n: int, steps) -> list[int]:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
+
+
+def stats_by_hilbert_function(leads) -> tuple[int, int, int]:
+    """(vertices, diameter, total distance) of the staircase of the
+    monomial ideal of three variables generated by leads, which must
+    hold a pure power of each, by degree alone: its Hilbert function
+    h(d), the standard monomials of degree d, is the sum over the
+    subsets S of leads of (-1)^|S| C(d - |lcm S| + 2, 2), by
+    inclusion-exclusion over the monomials of degree d each lcm divides
+    (Bayer-Stillman, "Computation of Hilbert functions", 1992). No
+    monomial is listed, but every subset is, so keep to a few leads.
+    For the leads of a graded basis of I_L these are the vertices of
+    the network, its diameter and its total distance."""
+    numerator = Counter()
+    for k in range(len(leads) + 1):
+        for subset in combinations(leads, k):
+            numerator[sum(map(max, zip((0, 0, 0), *subset)))] += (-1) ** k
+    terms = [(e, c) for e, c in sorted(numerator.items()) if c]
+    vertices = total = d = 0
+    while h := sum(c * comb(d - e + 2, 2) for e, c in terms if e <= d):
+        vertices, total, d = vertices + h, total + d * h, d + 1
+    return vertices, d - 1, total
 
 
 def vectors_of_norm_at_most(r: int, bound: int):

@@ -8,7 +8,9 @@ one byte per vertex and step. These tests compare its lists with
 minimal_paths_by_scan, which scans plain tuples. Three steps read
 their distances and route counts off the graded staircase and two off
 the L-shaped tile; both are checked against _bfs_levels and
-_count_routes, the kernel of one step and of four or more.
+_count_routes, the kernel of one step and of four or more, and the
+diameter and total distance each kernel reads off its runs or levels
+against its own distances.
 """
 
 import itertools
@@ -28,7 +30,8 @@ from circmdd import (
     is_unique_mdd,
     network_stats,
 )
-from circmdd.errors import CircmddError, DisconnectedError
+from circmdd.errors import CircmddError, DisconnectedError, InternalInconsistencyError
+from circmdd.groebner import _graded_basis
 from circmdd.network import _bfs_levels, _count_routes, _kernel
 
 from oracles import minimal_paths_by_scan
@@ -75,7 +78,7 @@ def test_unvalidated_disconnected_network_raises():
     # the staircase and the tile would return wrong distances on steps
     # that do not generate Z_n, so the search runs and refuses the network
     for steps in ((2, 4), (2, 4, 6)):
-        for compute in (distances, distance_table, _kernel):
+        for compute in (distances, distance_table, _kernel, network_stats):
             with pytest.raises(DisconnectedError) as info:
                 compute(CirculantNetwork(12, steps))
             assert str(info.value) == "vertex 0 reaches 6 of 12 vertices"
@@ -85,9 +88,10 @@ def test_unvalidated_disconnected_network_raises():
 def assert_kernel_matches_search(net):
     dist, levels = _bfs_levels(net)
     assert distances(net) == tuple(dist), net
-    found = _kernel(net)
-    assert list(found[0]) == dist, net
-    assert list(found[1]) == list(_count_routes(net.steps, dist, levels)), net
+    found, counts, diameter, total = _kernel(net)
+    assert list(found) == dist, net
+    assert list(counts) == list(_count_routes(net.steps, dist, levels)), net
+    assert (diameter, total) == (max(found), sum(found)), net
 
 
 def small_networks(r, largest):
@@ -191,3 +195,16 @@ def test_double_loops_run_no_search(monkeypatch):
     assert len(enumerate_mdds(net).mdds) == 2
     assert not is_unique_mdd(net)
     assert build_coherent_mdd(net, (1, 1), "lex").net == net
+
+
+def test_network_stats_checks_that_the_runs_cover_every_vertex(monkeypatch):
+    # the runs of a wrong basis, that of C9(2,3,7), cover nine vertices of
+    # C8(2,3,7); network_stats writes no dist that would show it
+    import circmdd.network
+
+    wrong = _graded_basis(build_network(9, [2, 3, 7]))
+    monkeypatch.setattr(circmdd.network, "_graded_basis", lambda net: wrong)
+    with pytest.raises(InternalInconsistencyError) as info:
+        network_stats(build_network(8, [2, 3, 7]))
+    assert str(info.value) == "the runs of C8(2,3,7) cover 9 of 8 vertices"
+    assert info.value.details == {"covered": 9, "n": 8}

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ from circmdd import (
     route_counts,
     vertex_of,
 )
-from circmdd.groebner import _distances_and_counts, _graded_basis, _runs
+from circmdd.groebner import _distances_and_counts, _graded_basis, _runs, _staircase
 from circmdd.network import (
     _bfs_levels,
     _CellStore,
@@ -35,7 +36,7 @@ from circmdd.network import (
     packed_width,
 )
 
-from oracles import bfs_distances, minimal_paths_by_scan
+from oracles import bfs_distances, minimal_paths_by_scan, stats_by_hilbert_function
 
 
 def test_build_reduces_steps_in_order():
@@ -236,8 +237,9 @@ def test_staircase_counts_match_the_oracles():
     rng = random.Random(3100)
     nets = random_networks(3000, 3, 40, 200)
     for net in nets + [relabelled(rng, net) for net in nets]:
-        dist, counts = _distances_and_counts(net)
+        dist, counts, diameter, total = _distances_and_counts(net)
         assert dist == bfs_distances(net.n, net.steps), net
+        assert (diameter, total) == (max(dist), sum(dist)), net
         _, paths = minimal_paths_by_scan(net.n, net.steps)
         assert counts == list(map(len, paths)), net
 
@@ -276,8 +278,8 @@ def test_staircase_counts_match_the_search_on_larger_networks():
         assert math.gcd(run_step(build_network(n, steps)), n) > 1
     for net in nets:
         dist, levels = _bfs_levels(net)
-        expected = (dist, list(_count_routes(net.steps, dist, levels)))
-        assert _distances_and_counts(net) == expected, net
+        counts = list(_count_routes(net.steps, dist, levels))
+        assert _distances_and_counts(net) == (dist, counts, max(dist), sum(dist)), net
 
 
 def test_minimal_routings_off_one_step_form_one_class():
@@ -354,6 +356,52 @@ def test_staircase_counts_hold_no_entry_per_routing():
     finally:
         tracemalloc.stop()
     assert peak < 400 * net.n
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_network_stats_are_the_sums_over_the_distances(r):
+    # read off the runs of the tile or the staircase for two or three
+    # steps, and off the levels of the search otherwise
+    nets = random_networks(3500 + r, r, 60, 3000)
+    if r == 3:
+        nets += [build_network(n, steps) for n, steps in LARGE_NETWORKS]
+    for net in nets:
+        dist = distances(net)
+        assert network_stats(net) == (max(dist), Fraction(sum(dist), net.n)), net
+
+
+def test_far_lift_stats_hold_no_list_of_distances():
+    # the q = 50 lift has 6.5 million vertices and 2,551 runs; about
+    # 0.3 MB is traced, where a list of its distances takes over 50 MB
+    net = build_family(50).lifted
+    tracemalloc.start()
+    try:
+        diameter, _ = network_stats(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert diameter == 2650
+
+
+@pytest.mark.slow
+def test_far_lift_stats_match_the_staircase_and_the_hilbert_function():
+    # pytest -m slow. At q = 50 (n = 6.5 million, about 250 MB) against
+    # the staircase's own distances; at q = 50, 110 and 200 against the
+    # Hilbert function of the graded leads, which lists no vertex (a
+    # list of the 1.5e8 distances of q = 110 would take about 5 GB)
+    for q in (50, 110, 200):
+        net = build_family(q).lifted
+        stats = network_stats(net)
+        leads = [tuple(max(c, 0) for c in g) for g in _graded_basis(net)]
+        n, diameter, total = stats_by_hilbert_function(leads)
+        assert (n, stats) == (net.n, (diameter, Fraction(total, n))), q
+        if q == 50:
+            dist = _staircase(net)
+            assert stats == (max(dist), Fraction(sum(dist), net.n))
+            del dist
+    assert stats[0] == 40600
+    assert abs(stats[1] - Fraction(203_000_000_124, 10**7)) < Fraction(1, 10**7)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from circmdd import (
     validate_mdd,
 )
 from circmdd.errors import CircmddError
-from circmdd.network import _CellStore, packed_width
+from circmdd.network import _CellStore, _kernel, packed_width
 from circmdd.serialize import (
     _CellTexts,
     canonical_json,
@@ -230,8 +230,9 @@ def test_net_info_json_is_the_oracle_document_on_random_networks(r):
             net = build_network(n, rng.sample(range(1, n), r))
         except CircmddError:
             continue
-        dist = distances(net)
-        counts = route_counts(net, dist)
-        expected = canonical_json(net_info_payload(net, dist, counts))
-        assert net_info_json(net, dist, counts) == expected, net
+        dist, counts, diameter, total = _kernel(net)
+        assert (diameter, total) == (max(dist), sum(dist)), net
+        oracle = distances(net)
+        expected = canonical_json(net_info_payload(net, oracle, route_counts(net, oracle)))
+        assert net_info_json(net, dist, counts, diameter, total) == expected, net
         checked += 1

@@ -14,7 +14,8 @@ equal those screened over every short octant point, the uniqueness
 criterion agrees with the enumeration, and the breadth-first distances,
 the route counts, the per-vertex routing walks and the table built from
 them equal those of an exhaustive scan, and so do the distances and route
-counts read off the graded staircase. A second sweep builds the
+counts read off the graded staircase, with the diameter and total
+distance it and network_stats read off its runs. A second sweep builds the
 diagram of every sector representative and every wall ray of the fan,
 with both tie policies, against the definition-level census: wall rays
 lie on tie lines, so they reach the weight-tie check. It also checks
@@ -35,6 +36,7 @@ oracles.net_info_payload.
 """
 
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, compress
 from math import gcd
@@ -58,12 +60,14 @@ from circmdd import (
     homogeneous_lattice,
     is_coherent,
     is_unique_mdd,
+    network_stats,
     route_counts,
     staircase_generators,
 )
 from circmdd.intlin import norm1
 from circmdd.groebner import _degree, _distances_and_counts, _graded_basis, _sector_leads
 from circmdd.mdd import _first_tie, _tie_at_u
+from circmdd.network import _kernel
 from circmdd.serialize import canonical_json, enumeration_json, net_info_json
 
 from oracles import (
@@ -118,7 +122,9 @@ def test_every_triple_loop_agrees_with_the_oracles(n):
         assert dist == table.dist, net
         _, paths = minimal_paths_by_scan(n, net.steps)
         assert list(route_counts(net, dist)) == list(map(len, paths)), net
-        assert _distances_and_counts(net) == (list(dist), list(map(len, paths))), net
+        counts = list(map(len, paths))
+        assert _distances_and_counts(net) == (list(dist), counts, max(dist), sum(dist)), net
+        assert network_stats(net) == (max(dist), Fraction(sum(dist), n)), net
         assert [list(table.routings(i)) for i in range(n)] == paths, net
         mdds = enumerate_mdds(net, "all").mdds
         for m in mdds:
@@ -179,10 +185,11 @@ def test_every_triple_loop_enumeration_is_written_as_the_oracle(n):
 def test_every_triple_loop_net_info_is_written_as_the_oracle(n):
     for steps in unit_classes(n):
         net = build_network(n, steps)
-        dist = distances(net)
-        counts = route_counts(net, dist)
-        expected = canonical_json(net_info_payload(net, dist, counts))
-        assert net_info_json(net, dist, counts) == expected, net
+        dist, counts, diameter, total = _kernel(net)
+        assert (diameter, total) == (max(dist), sum(dist)), net
+        oracle = distances(net)
+        expected = canonical_json(net_info_payload(net, oracle, route_counts(net, oracle)))
+        assert net_info_json(net, dist, counts, diameter, total) == expected, net
 
 
 def census_ties_against_definition(net, fan):
