@@ -69,27 +69,31 @@ def mdd_payload(mdd: Mdd) -> dict:
 
 class _CellTexts(dict):
     """JSON texts of cells by packed code (see packed_width), each made
-    on first use from the code alone: the text of its leading r - 1
-    fields, kept in a store of their own (closed with ","), since cells
-    share it, then its last field and the closing text. For r = 1 the
-    leading code is 0 and its text "["."""
+    on first use as the text of its leading r - 1 fields, kept in a
+    store of their own (closed with ","), since cells share it, plus the
+    text of its last field with the closing text, kept in an _IntTexts.
+    For r = 1 the leading code is 0 and its text "["."""
 
     def __init__(self, width: int, r: int, close: str = "]"):
-        self.width, self.close = width, close
+        self.width = width
         self.mask = _packed_fields(width, r)[0]
         self.heads = _CellTexts(width, r - 1, ",") if r > 1 else {0: "["}
+        self.tails = _IntTexts(close)
 
     def __missing__(self, code: int) -> str:
-        head = self.heads[code >> self.width]
-        text = self[code] = f"{head}{code & self.mask}{self.close}"
+        text = self[code] = self.heads[code >> self.width] + self.tails[code & self.mask]
         return text
 
 
 class _IntTexts(dict):
-    """Decimal texts of integers, each made on first use."""
+    """Decimal texts of integers, each followed by close and made on
+    first use."""
+
+    def __init__(self, close: str = ""):
+        self.close = close
 
     def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
+        text = self[value] = f"{value}{self.close}"
         return text
 
 

@@ -4,8 +4,9 @@ No linter ships with the project, so this is the unused-import check:
 a name bound by an import statement must appear somewhere else in the
 module. ``__init__`` is exempt, since its imports are the public API.
 It is also the module-length check: no module, ``__init__`` included,
-has more than MAX_LINES lines, since compiling the largest module sets
-the peak memory of a process that imports circmdd without bytecode.
+has more than MAX_LINES lines or MAX_BYTES bytes, since compiling the
+largest module sets the peak memory of a process that imports circmdd
+without bytecode, and bytes follow that cost more closely than lines.
 And it is the dead-helper check: every module-level private function or
 class, and every non-dunder method of a module-private class, is
 referenced somewhere in circmdd outside its own definition (a method by
@@ -38,6 +39,7 @@ import circmdd
 SOURCES = sorted(Path(circmdd.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MAX_LINES = 500
+MAX_BYTES = 21_000
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,6 +71,11 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_module_has_at_most_max_lines(path):
     assert len(path.read_text(encoding="utf-8").splitlines()) <= MAX_LINES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_module_has_at_most_max_bytes(path):
+    assert path.stat().st_size <= MAX_BYTES
 
 
 def _referenced_names(tree) -> Counter:

@@ -424,6 +424,19 @@ def test_enumerate_equals_the_plain_search_on_random_networks(r):
     assert with_dead_ends >= {4: 5, 5: 30}.get(r, 0), with_dead_ends
 
 
+@pytest.mark.parametrize(
+    "net",
+    [*(build_family(q).lifted for q in (2, 5, 6)), build_network(105, [74, 56, 68])],
+    ids=str,
+)
+def test_three_step_dead_ends_match_the_plain_search(net):
+    # the seeded three-step sample above meets no dead end; these
+    # networks meet two each, at places whose three predecessors are all
+    # one level down, and the first three also drop forks there
+    for mode in ("all", "coherent_only"):
+        assert check_against_plain_dfs(net, mode) >= 1, (net, mode)
+
+
 def test_enumerate_builds_no_routing_table():
     distance_table.cache_clear()
     for net in (build_network(8, [1, 3, 5, 7]), build_network(72, [19, 28, 64])):

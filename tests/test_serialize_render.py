@@ -186,16 +186,23 @@ def test_json_format_matches_encode():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_cell_texts_write_the_decoded_cell(r):
     # n at the edges of the field width (255, 256 and 257 take 9, 10
-    # and 10 bits), every field 0 or n - 1, looked up twice
+    # and 10 bits); every leading field 0 or n - 1, the last one also
+    # 0-12 (one and two digits), so leading texts and last-field texts
+    # are each shared by many cells; every code is looked up again after
+    # all of them, and gets the same text
     for n in (2, 3, 255, 256, 257, 40009):
         width = packed_width(n)
         cells, texts = _CellStore(n, r), _CellTexts(width, r)
-        for cell in itertools.product((0, n - 1), repeat=r):
+        lasts = sorted({*range(min(n, 13)), n - 1})
+        written = {}
+        for cell in itertools.product(*[(0, n - 1)] * (r - 1), lasts):
             code = sum(c << width * (r - 1 - j) for j, c in enumerate(cell))
             expected = "[" + ",".join(map(str, cells[code])) + "]"
             assert cells[code] == cell
-            assert texts[code] == texts[code] == expected, (n, cell)
-        assert len(texts) == 2**r
+            assert texts[code] == expected, (n, cell)
+            written[code] = texts[code]
+        assert len(texts) == len(written) == 2 ** (r - 1) * len(lasts)
+        assert all(texts[code] is text for code, text in written.items()), n
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
