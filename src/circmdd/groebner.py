@@ -9,7 +9,9 @@ already the reduced basis of one sector, the one whose weight leads
 every sum-zero vector of it (_is_led); the census starts there and
 reaches every other sector by one flip across the wall between
 neighbours. In the fan, Buchberger's algorithm runs for the graded
-basis and as the fallback of a failed check only.
+basis and as the fallback of a failed check only. Every reduced basis
+here is held as _buchberger returns it: (lead, vector) tuples, each
+vector led by its plus part.
 
 network reads three-step distances and route counts off the runs of the
 graded staircase in one sweep (_distances_and_counts), distances alone
@@ -80,7 +82,7 @@ def _lattice_ideal_basis(net: CirculantNetwork):
 def _graded_basis(net: CirculantNetwork):
     """A Groebner basis of I_L for a graded order: the reduced one for
     "degree, then w0, then lex", w0 = -1 on the variable a of
-    _variables, +1 on c and 0 on b, each vector led by its plus part.
+    _variables, +1 on c and 0 on b.
 
     Its normal forms are least routings (_degree). Of the orders tried,
     this w0 gives the fastest Buchberger run from _lattice_ideal_basis:
@@ -90,7 +92,7 @@ def _graded_basis(net: CirculantNetwork):
     ia, _, ic = _variables(net)
     w0 = [0, 0, 0]
     w0[ia], w0[ic] = -1, 1
-    return [g[3:] for g in _buchberger(_lattice_ideal_basis(net), w0)]
+    return _buchberger(_lattice_ideal_basis(net), w0)
 
 
 def _distances_and_counts(net: CirculantNetwork):
@@ -186,7 +188,7 @@ def _runs(net: CirculantNetwork, basis):
     passes the l_y of the leads with l_x <= x, sorted once per l_x.
     """
     n = net.n
-    leads = [g[:3] for g in _led(basis)]
+    leads = [g[:3] for g in basis]
     pure = {j: g[j] for g in leads for j in range(3) if g[j] == sum(g)}
     iz = max(pure, key=pure.get)
     ix, iy = [j for j in range(3) if j != iz]
@@ -219,37 +221,28 @@ def _run_stats(runs):
     return k, max(map(add, d, h)) - 1, sum(map(mul, d, h)) + (sum(map(mul, h, h)) - k) // 2
 
 
-def _led(basis):
-    """The vectors of basis as (lead, vector) tuples, each led by its
-    plus part, as the reduced bases here are."""
-    return [(a0 if a0 > 0 else 0, a1 if a1 > 0 else 0, a2 if a2 > 0 else 0, a0, a1, a2)
-            for a0, a1, a2 in basis]
-
-
 def _degree(basis, a):
     """The distance of vertex(a), for a routing a: deg NF(x^a) under
     basis, a Groebner basis of I_L for a graded order such as
     _graded_basis or one _sector_leads returned (Sturmfels, ch. 4-5)."""
-    return sum(_normal_form(_led(basis), *a))
+    return sum(_normal_form(basis, *a))
 
 
 def _is_led(basis, iw):
     """Whether every sum-zero vector a of basis is led by its plus part
     under the integer weights iw: (iw.a, a) is lexicographically
-    positive. A reduced Groebner basis of I_L for a graded order, each
-    vector led by its plus part, is then the reduced one for iw (step 4
-    of _flip)."""
+    positive. A reduced Groebner basis of I_L for a graded order is then
+    the reduced one for iw (step 4 of _flip)."""
     w0, w1, w2 = iw
     return all(
         a0 + a1 + a2 or (w0 * a0 + w1 * a1 + w2 * a2, a0, a1, a2) > (0, 0, 0, 0)
-        for a0, a1, a2 in basis
+        for _, _, _, a0, a1, a2 in basis
     )
 
 
 def _sector_leads(iw, basis, wall=None):
     """(leads, basis): the sorted leads of the reduced Groebner basis of
-    the lattice ideal for the integer weights iw, and the vectors of
-    that basis.
+    the lattice ideal for the integer weights iw, and that basis.
 
     basis is the reduced Groebner basis of I_L for a graded order:
     _graded_basis or the basis this returned for another weight. The
@@ -271,12 +264,12 @@ def _sector_leads(iw, basis, wall=None):
     the path taken.
     """
     if wall is None:
-        elements = _led(basis) if _is_led(basis, iw) else None
+        elements = basis if _is_led(basis, iw) else None
     else:
         elements = _flip(basis, wall, iw)
     if elements is None:
-        elements = _buchberger(basis, iw)
-    return tuple(sorted(g[:3] for g in elements)), [g[3:] for g in elements]
+        elements = _buchberger([g[3:] for g in basis], iw)
+    return tuple(sorted(g[:3] for g in elements)), elements
 
 
 def _normal_form(elements, u0, u1, u2):
@@ -354,8 +347,8 @@ def _flip(basis, wall, iw):
     One flip of Fukuda-Jensen-Thomas ("Computing Groebner fans", Math.
     Comp. 2007), the local step of the Groebner walk
     (Collart-Kalkbrener-Mall 1997). basis must be the reduced Groebner
-    basis of I_L for the order of some weight, each vector led by its
-    plus part, as every basis _sector_leads returns is.
+    basis of I_L for the order of some weight, as every basis
+    _sector_leads returns is.
 
     1. The wall must bound that order's cone: o.g >= 0 for the wall ray
        o and every sum-zero g. The sum-zero g with o.g = 0 are parallel,
@@ -364,10 +357,11 @@ def _flip(basis, wall, iw):
     2. The initial ideal of I_L under "degree, then o" is generated by
        the other leads and e, which is oriented by (iw.e, lex); call its
        lead f, and t its lead in basis. Buchberger's algorithm on these
-       monomials and one binomial adds each nonzero remainder of
-       lcm(f, m) - e, for m a monomial sharing a variable with f, as a
-       monomial, unless a monomial held then divides it. The new leads
-       are the minimal monomials.
+       monomials and one binomial adds, for each monomial m sharing a
+       variable with f, the remainder of u = lcm(f, m) - e under e as
+       a monomial, unless a monomial held then divides it. As f and t
+       share no variable, that is u - k e, k the least u_i // f_i over
+       f_i > 0. The new leads are the minimal monomials.
     3. Two kinds of pair are checked for that (_minimal_leads): f
        against the old leads, and each remainder against the later
        ones. No other pair can divide. No old lead divides another.
@@ -382,7 +376,7 @@ def _flip(basis, wall, iw):
        which t would then divide; f does not divide it, a normal form
        under e; and step 2 kept it only if no old lead and no earlier
        remainder divides it.
-       An old lead keeps its vector, f keeps e, and a new lead m
+       An old element is kept as it is, f keeps e, and a new lead m
        lifts to m - NF(m) under basis. Then each trailing term is
        reduced under the new set, which gives the reduced basis for the
        order "degree, then o, then iw, then lex". Only the trailing
@@ -402,7 +396,7 @@ def _flip(basis, wall, iw):
     o0, o1, o2 = wall
     e = None
     for g in basis:
-        a0, a1, a2 = g
+        _, _, _, a0, a1, a2 = g
         if a0 + a1 + a2 == 0:
             d = o0 * a0 + o1 * a1 + o2 * a2
             if d < 0:
@@ -413,28 +407,32 @@ def _flip(basis, wall, iw):
                 e = g
     if e is None:
         return None
-    old = _led(basis)
-    vectors = {g[:3]: g[3:] for g in old if g[3:] != e}
+    old = {g[:3]: g for g in basis if g is not e}
     w0, w1, w2 = iw
-    e0, e1, e2 = e
+    _, _, _, e0, e1, e2 = e
     if (w0 * e0 + w1 * e1 + w2 * e2, e0, e1, e2) < (0, 0, 0, 0):
         e0, e1, e2 = -e0, -e1, -e2
     f0, f1, f2 = e0 if e0 > 0 else 0, e1 if e1 > 0 else 0, e2 if e2 > 0 else 0
-    binomial = [(f0, f1, f2, e0, e1, e2)]
     # the monomials are read while they grow
-    monomials = list(vectors)
+    monomials = list(old)
+    k = len(monomials)
     # the last divisor found is tried first: f at the start, which
     # divides no normal form under e
     x0, x1, x2 = f0, f1, f2
     for m0, m1, m2 in monomials:
         if not ((f0 and m0) or (f1 and m1) or (f2 and m2)):
             continue
-        u0, u1, u2 = _normal_form(
-            binomial,
-            (f0 if f0 > m0 else m0) - e0,
-            (f1 if f1 > m1 else m1) - e1,
-            (f2 if f2 > m2 else m2) - e2,
-        )
+        # lcm(f, m) - e, then its normal form under e (step 2)
+        u0 = (f0 if f0 > m0 else m0) - e0
+        u1 = (f1 if f1 > m1 else m1) - e1
+        u2 = (f2 if f2 > m2 else m2) - e2
+        j = u0 // f0 if f0 else u1 // f1 if f1 else u2 // f2
+        if f1 and u1 // f1 < j:
+            j = u1 // f1
+        if f2 and u2 // f2 < j:
+            j = u2 // f2
+        if j:
+            u0, u1, u2 = u0 - j * e0, u1 - j * e1, u2 - j * e2
         if x0 <= u0 and x1 <= u1 and x2 <= u2:
             continue  # u reduces to zero
         for x0, x1, x2 in monomials:
@@ -442,22 +440,21 @@ def _flip(basis, wall, iw):
                 break
         else:
             monomials.append((u0, u1, u2))
-    k = len(vectors)
-    vectors[f0, f1, f2] = (e0, e1, e2)
+    old[f0, f1, f2] = (f0, f1, f2, e0, e1, e2)
     elements = []
     for m in _minimal_leads(monomials[:k], (f0, f1, f2), monomials[k:]):
-        a = vectors.get(m)
-        if a is None:
+        g = old.get(m)
+        if g is None:
             m0, m1, m2 = m
-            t0, t1, t2 = _normal_form(old, m0, m1, m2)
-            a = (m0 - t0, m1 - t1, m2 - t2)
-        elements.append(m + a)
+            t0, t1, t2 = _normal_form(basis, m0, m1, m2)
+            g = (m0, m1, m2, m0 - t0, m1 - t1, m2 - t2)
+        elements.append(g)
     for i, (l0, l1, l2, a0, a1, a2) in enumerate(elements):
         t0, t1, t2 = l0 - a0, l1 - a1, l2 - a2
         if f0 <= t0 and f1 <= t1 and f2 <= t2:
             t0, t1, t2 = _normal_form(elements, t0, t1, t2)
             elements[i] = (l0, l1, l2, l0 - t0, l1 - t1, l2 - t2)
-    return elements if _is_led([g[3:] for g in elements], iw) else None
+    return elements if _is_led(elements, iw) else None
 
 
 def _minimal_leads(olds, f, remainders):

@@ -515,12 +515,17 @@ GOLDEN = {
     "fan-c72": ("fan 72 19,28,64", 0, "bc5f1972e139e01e919b91eaf2f613c6e7b78e226e4532473cbe222de5fe9c46"),
     "fan-unique": ("fan 7 1,2,4", 0, "70f04018ff3cb996a66bfe24c8708755fdf42fd0914f629ba8243568c3b863df"),
     "fan-r2": ("fan 10 1,6", 1, "f003cb3968eba627fe30fc0d098a4a94a8ed876c94a52b3f6519f7765055529a"),
+    # the q = 8 and q = 14 family lifts: every sector representative of
+    # the census, 30 and 48 of them, and every wall's witness
+    "fan-q8": ("fan 5402 75,593,4737", 0, "d6aae77fdc6cb69f224fbd3890377e5e7772930e951192c6621d10bccfc9daa8"),
+    "fan-q14": ("fan 44732 213,2969,41553", 0, "fa2db27175b6d5f540709617aa80457000fd89be8158a30fbf51d299c5b64f9f"),
     "family-build-2": ("family build 2", 0, "8a282ecb9c479ef97e6039f75672b46f05e3da06a1e431ac03ca3bfbbabc95b5"),
     "family-build-k-t": ("family build 2 --k 9 --t 2", 0, "0a27a02d4d1e883974e08fd8dc0795592f218c0c81f1324d8505c2d1ba3f6c44"),
     "family-build-q4": ("family build 4", 1, "ab28ca6937129f485f9ac0a220fddafb6f0e045adcdba1af962fa02b8a858612"),
     "family-verify-2": ("family verify 2", 0, "c57c6f739cd6a179ae45c5d3a524c34e39a18252563cb7cbbcb7b9136e4a1abc"),
     "family-verify-3": ("family verify 3", 0, "53e78f5b2fba0d0c5f39a686768ab79702b9fbcad94e198b68d6fee93ad34eb4"),
     "family-verify-5": ("family verify 5", 0, "38893548ec1b06aab8981c782245e8eb12a81db30d4f0fc85b632ea019d767e7"),
+    "family-verify-8": ("family verify 8", 0, "38c2eb84e5f4ec3ce4695575a1edaf4b9c15ce33c7eb3aa85911768602f5b7f4"),
     "family-verify-k-t": ("family verify 2 --k 9 --t 2", 0, "353d8dc9cf7ea78c927b513adc882e7285df93e9361babf8bc5c665d071c5298"),
     "family-verify-bad-k": ("family verify 2 --k 7", 1, "1480e8bfecc20569ced4490ce0ee72d2260fb48e50849b27694460c5f6697096"),
 }

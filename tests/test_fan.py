@@ -31,7 +31,7 @@ from circmdd import (
     verify_wall,
     vertex_of,
 )
-from circmdd.intlin import dot
+from circmdd.intlin import dot, primitive, vec_scale
 import circmdd.groebner as groebner
 from circmdd.groebner import _graded_basis, _lattice_ideal_basis, _sector_leads
 
@@ -278,8 +278,10 @@ def test_graded_basis_degrees_are_the_distances():
         nets += 1
         pivotless += all(gcd(s, n) > 1 for s in steps)
         basis = _graded_basis(net)
-        assert all(sum(a) >= 0 and dot(a, net.steps) % n == 0 for a in basis), net
-        leads = [tuple(max(c, 0) for c in a) for a in basis]
+        vectors = [g[3:] for g in basis]
+        assert all(sum(a) >= 0 and dot(a, net.steps) % n == 0 for a in vectors), net
+        leads = [tuple(max(c, 0) for c in a) for a in vectors]
+        assert leads == [g[:3] for g in basis], net
         assert oracles.standard_monomial_count(leads) == n, net
         dist = distances(net)
         for _ in range(20):
@@ -404,7 +406,8 @@ def test_flip_keys_equal_buchberger_keys_on_random_networks(monkeypatch):
         unit = any(gcd(s, net.n) == 1 for s in net.steps)
         start = _graded_basis(net)
         for w, leads in sector_lead_sets(net, fan):
-            assert leads == tuple(sorted(g[:3] for g in groebner._buchberger(start, w))), (net, w)
+            key = groebner._buchberger([g[3:] for g in start], w)
+            assert leads == tuple(sorted(g[:3] for g in key)), (net, w)
             sectors += 1
             pivotless += not unit
     # the census and the walk each flip into every sector but the first
@@ -465,7 +468,8 @@ def test_census_flips_equal_buchberger_bases(monkeypatch):
         pass
     for basis, iw, result in flips:
         assert result is not None, (basis, iw)
-        assert sorted(result) == sorted(groebner._buchberger(basis, iw)), (basis, iw)
+        completed = groebner._buchberger([g[3:] for g in basis], iw)
+        assert sorted(result) == sorted(completed), (basis, iw)
     # one flip into every sector but the first: 3(q + 2) - 1 per lift
     assert len(flips) == 11 + 20 + 29 + 47 + 92 + 2275 - 1000
     # flips that drop an old lead and a remainder, lifts then networks
@@ -521,6 +525,59 @@ def test_family_census_call_counts_are_pinned(monkeypatch):
     assert (len(calls), len(retries)) == (72, 9)
 
 
+def test_census_tie_scans_have_one_tied_pair(monkeypatch):
+    # every tie of a weight iw lies along the least lattice vector e
+    # orthogonal to iw and (1, 1, 1). Where e+ is minimal, the census
+    # scans the routings of u = vertex(e+) of length h = |e+|; listed
+    # here by brute force, the only two of equal weight are e+ and e-,
+    # and a tie found is that pair. On the q = 2..14 lifts and on 100
+    # seeded random lifts with walls, where lattice walls are real and
+    # scans common
+    import circmdd.fan as fan
+
+    check = fan._tie_at_u
+    scans = []
+
+    def recorded(net, iw, distance):
+        tie = check(net, iw, distance)
+        w0, w1, w2 = iw
+        line = primitive((w1 - w2, w2 - w0, w0 - w1))
+        e = vec_scale(line, net.n // gcd(net.n, dot(line, net.steps)))
+        plus, minus = tuple(max(c, 0) for c in e), tuple(max(-c, 0) for c in e)
+        h = sum(plus)
+        if distance(plus) == h:
+            n, (s0, s1, s2) = net.n, net.steps
+            u = dot(plus, net.steps) % n
+            by_weight = {}
+            for x in range(h + 1):
+                for y in range(h + 1 - x):
+                    if (x * s0 + y * s1 + (h - x - y) * s2) % n == u:
+                        a = (x, y, h - x - y)
+                        by_weight.setdefault(dot(iw, a), []).append(a)
+            tied = [routings for routings in by_weight.values() if len(routings) > 1]
+            assert tied == [sorted([plus, minus])], (net, iw)
+            assert tie is None or {tie[1], tie[2]} == {plus, minus}, (net, iw)
+            scans.append(tie is not None)
+        return tie
+
+    monkeypatch.setattr(fan, "_tie_at_u", recorded)
+    for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
+        fan_report(build_family(q).lifted)
+    assert (len(scans), sum(scans)) == (105, 30)
+    rng = random.Random(16)
+    walled = 0
+    while walled < 100:
+        n = rng.randrange(8, 40)
+        steps = rng.sample(range(1, n), 3)
+        if gcd(n, *steps) > 1:
+            continue
+        k = n + 1 + rng.randrange(n)
+        if gcd(k, n) > 1 or gcd(n * k, *(1 + k * s for s in steps)) > 1:
+            continue
+        walled += bool(fan_report(lift_network(build_network(n, steps), k, 1)).walls)
+    assert (len(scans), sum(scans)) == (105 + 825, 30 + 78)
+
+
 def test_family_census_runs_buchberger_once_per_network(monkeypatch):
     # family verify 2, 5 and 8: Buchberger's algorithm for the graded
     # basis of each lift only, which is already one sector's reduced
@@ -534,10 +591,10 @@ def test_family_census_runs_buchberger_once_per_network(monkeypatch):
 
 
 def test_flip_normal_form_calls_are_pinned(monkeypatch):
-    # family verify 2, 5 and 8: the 60 flips take 660 normal forms, for
-    # step 2's remainders, the new leads and the trailing terms that the
-    # flipped element's new lead divides; reducing every trailing term
-    # took 1432
+    # family verify 2, 5 and 8: the 60 flips take 123 normal forms, for
+    # the new leads and the trailing terms that the flipped element's
+    # new lead divides; reducing every trailing term took 1432. Step 2's
+    # 537 reductions by the one binomial e are each one inline step
     flip, normal_form = groebner._flip, groebner._normal_form
     inside = []
     calls = []
@@ -558,7 +615,7 @@ def test_flip_normal_form_calls_are_pinned(monkeypatch):
     monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
     for q in (2, 5, 8):
         assert verify_family(q).ok
-    assert len(calls) == 660
+    assert len(calls) == 123
 
 
 def test_family_q50_census_flips_without_fallback(monkeypatch):
@@ -589,7 +646,7 @@ def test_graded_basis_is_the_reduced_basis_of_one_sector():
         led = [w for w in fan.sector_representatives if groebner._is_led(graded, w)]
         assert len(led) == 1, net
         key = sorted(g[:3] for g in groebner._buchberger(_lattice_ideal_basis(net), led[0]))
-        assert key == sorted(tuple(max(c, 0) for c in a) for a in graded), net
+        assert key == sorted(g[:3] for g in graded), net
 
     for q in (2, 3, 5, 6, 8, 9, 11, 12, 14):
         net = build_family(q).lifted
@@ -657,10 +714,18 @@ FAMILY_SECTOR_REPRESENTATIVES = {
         (-9, -10, 19), (-25, -32, 57), (-27, -42, 69), (-11, -24, 35), (3, -16, 13),
         (15, -18, 3),
     ),
+    8: (
+        (19, -11, -8), (45, -22, -23), (155, -74, -81), (207, -96, -111), (121, -54, -67),
+        (87, -34, -53), (105, -36, -69), (53, -14, -39), (19, 6, -25), (3, 24, -27),
+        (-8, 19, -11), (-23, 45, -22), (-81, 155, -74), (-111, 207, -96), (-67, 121, -54),
+        (-53, 87, -34), (-69, 105, -36), (-39, 53, -14), (-25, 19, 6), (-282, 153, 129),
+        (-11, -8, 19), (-22, -23, 45), (-74, -81, 155), (-96, -111, 207), (-54, -67, 121),
+        (-34, -53, 87), (-36, -69, 105), (-14, -39, 53), (6, -25, 19), (24, -27, 3),
+    ),
 }
 
 
-@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("q", [2, 5, 8])
 def test_family_sector_representatives_are_pinned(q):
     report = fan_report(build_family(q).lifted)
     assert report.sector_representatives == FAMILY_SECTOR_REPRESENTATIVES[q]

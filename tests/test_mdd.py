@@ -437,6 +437,32 @@ def test_three_step_dead_ends_match_the_plain_search(net):
         assert check_against_plain_dfs(net, mode) >= 1, (net, mode)
 
 
+@pytest.mark.parametrize(
+    "net, leaves",
+    [
+        *zip((build_family(q).lifted for q in (2, 5, 6)), (12, 21, 24)),
+        (build_network(105, [74, 56, 68]), 6),
+    ],
+    ids=str,
+)
+def test_coherent_only_gapsets_match_the_plain_search(net, leaves, monkeypatch):
+    # the gapset the cone test reads for each leaf, in search order, is
+    # the plain search's: every option minus the chosen cell at each
+    # place with two or more options. A place that stops being a fork
+    # must leave the forks, or its stale options join later gapsets
+    handed = []
+    directions = mdd_module._directions
+
+    def recorded(gaps, r, width):
+        handed.append(gaps)
+        return directions(gaps, r, width)
+
+    monkeypatch.setattr(mdd_module, "_directions", recorded)
+    result = enumerate_mdds(net, "coherent_only")
+    assert handed == mdds_by_plain_dfs(net)[1], net
+    assert result.found == len(handed) == leaves, net
+
+
 def test_enumerate_builds_no_routing_table():
     distance_table.cache_clear()
     for net in (build_network(8, [1, 3, 5, 7]), build_network(72, [19, 28, 64])):
